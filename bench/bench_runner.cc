@@ -1,19 +1,19 @@
 /**
  * @file
- * Unified benchmark runner: wraps the library's nine benchmark
+ * Unified benchmark runner: wraps the library's eight benchmark
  * families — kernel microbenchmarks (micro), state-parallel sweep
  * scaling (sweep), SoA trajectory batching (batch), cache-blocked plan
- * execution (blocked), sharded statevector execution (shard),
- * transpiler batch throughput (transpile), the Figure-7 quantum-volume
- * harness (fig7), the tracing-overhead A/B (obs), and the runtime ISA
- * dispatch sweep (dispatch) — behind one dependency-free CLI and emits
- * schema-versioned BENCH_<name>.json reports (see report.hh for the
- * schema). CI runs `bench_runner --smoke` on every Release build and
- * uploads the JSON as an artifact, so the performance trajectory is
- * machine-readable per commit.
+ * execution (blocked), transpiler batch throughput (transpile), the
+ * Figure-7 quantum-volume harness (fig7), the tracing-overhead A/B
+ * (obs), and the runtime ISA dispatch sweep (dispatch) — behind one
+ * dependency-free CLI and emits schema-versioned BENCH_<name>.json
+ * reports (see report.hh for the schema). CI runs
+ * `bench_runner --smoke` on every Release build and uploads the JSON
+ * as an artifact, so the performance trajectory is machine-readable
+ * per commit.
  *
- *   bench_runner [micro|sweep|batch|blocked|shard|transpile|fig7|obs
- *                 |dispatch|all ...]
+ *   bench_runner [micro|sweep|batch|blocked|transpile|fig7|obs|dispatch
+ *                 |all ...]
  *                [--scenario FAMILY] [--smoke] [--out-dir DIR]
  *                [--trace PATH] [--list]
  *
@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,8 +61,6 @@
 #include "sim/dispatch.hh"
 #include "sim/engine.hh"
 #include "sim/kernels.hh"
-#include "sim/shard.hh"
-#include "sim/transport.hh"
 #include "transpile/transpile.hh"
 
 using namespace crisc;
@@ -78,7 +77,6 @@ struct Options
     bool sweep = true;
     bool batch = true;
     bool blocked = true;
-    bool shard = true;
     bool transpile = true;
     bool fig7 = true;
     bool obs = true;
@@ -511,119 +509,6 @@ runBlocked(const Options &opt)
     return rep;
 }
 
-/**
- * Sharded statevector execution (BENCH_shard_scaling.json): a plan of
- * six brick layers of Haar SU(4) quads on the eight lowest-index
- * (longest-stride) qubits, executed sharded at S = 1, 2, 4 shards
- * (sim/shard.hh) against unsharded serial execution. Every layer
- * targets the shard bits, so the schedule is crossing-dominated — the
- * worst case for sharding and the sharpest light on the lowering
- * policy: the Auto lowering remaps the reused shard qubits local once
- * (half-slice permutations) where NaiveExchange pays a full-slice
- * exchange per crossing gate, so crossings and transported bytes both
- * drop (pinned exactly by test_shard). exchange_bytes_per_crossing is
- * the contract consumers track: <= 2 * 2^(n-s) * 16 bytes per shard
- * pair per crossing two-qubit gate (the exchange bound; remaps land at
- * half of it). speedup_vs_unsharded documents the in-process cost of
- * the shard seam — the point of sharding is address-space scaling, not
- * single-box speed. Results are bitwise-pinned by test_shard.
- */
-bench::Report
-runShard(const Options &opt)
-{
-    std::printf("== shard_scaling (sharded statevector execution, "
-                "backend %s) ==\n",
-                sim::simdBackendName());
-    bench::Report rep = reportSkeleton("shard_scaling", opt.smoke);
-
-    const std::vector<std::size_t> widths =
-        opt.smoke ? std::vector<std::size_t>{20}
-                  : std::vector<std::size_t>{24, 26, 28};
-    const int rounds = opt.smoke ? 3 : 2;
-
-    linalg::Rng rng(59);
-    for (const std::size_t n : widths) {
-        circuit::Circuit c(n);
-        for (std::size_t layer = 0; layer < 6; ++layer)
-            for (std::size_t q = layer % 2; q + 1 < 8; q += 2)
-                c.add(linalg::haarSU(rng, 4), {q, q + 1});
-        const sim::Plan plan = sim::compile(c);
-        const double ops = static_cast<double>(plan.ops().size());
-
-        CVector amps(plan.dim(), Complex{0.0, 0.0});
-        amps[0] = 1.0;
-        volatile double sink = 0.0;
-
-        const double tUnsharded = bestSeconds(rounds, [&] {
-            sim::execute(plan, amps.data());
-            sink = sink + amps[0].real();
-        });
-        const double nsUnsharded = 1e9 * tUnsharded / ops;
-
-        for (const std::size_t s : {0, 1, 2}) {
-            const sim::ShardPlan sharded = sim::compileSharded(plan, s);
-            const sim::ShardPlan naive = sim::compileSharded(
-                plan, s, {.lowering = sim::ShardLowering::NaiveExchange});
-            const double S = static_cast<double>(sharded.shardCount());
-            const double crossings =
-                static_cast<double>(sharded.stats().exchangeOps +
-                                    sharded.stats().remapOps);
-            const double naiveCrossings =
-                static_cast<double>(naive.stats().exchangeOps +
-                                    naive.stats().remapOps);
-
-            const double t = bestSeconds(rounds, [&] {
-                sim::executeSharded(sharded, amps.data());
-                sink = sink + amps[0].real();
-            });
-            const double ns = 1e9 * t / ops;
-            const double speedup = ns > 0.0 ? nsUnsharded / ns : 0.0;
-
-            // One metered run pins the payload actually moved (equal
-            // to plannedTransportBytes — asserted by test_shard).
-            sim::InProcessTransport transport;
-            sim::executeSharded(sharded, amps.data(), {}, &transport);
-            const double bytes =
-                static_cast<double>(transport.bytesMoved());
-            // Per crossing gate per shard pair: a full exchange moves
-            // S * slice * 16 bytes, i.e. 2 * 2^(n-s) * 16 per pair.
-            const double bytesPerCrossing =
-                crossings > 0.0 ? 2.0 * bytes / (S * crossings) : 0.0;
-            const double naiveBytes =
-                static_cast<double>(naive.plannedTransportBytes());
-
-            bench::Scenario sc;
-            sc.name = "brick8/n=" + std::to_string(n) +
-                      "/S=" + std::to_string(sharded.shardCount());
-            sc.params = {{"qubits", static_cast<double>(n)},
-                         {"shards", S},
-                         {"shard_bits", static_cast<double>(s)},
-                         {"ops", ops},
-                         {"remaps",
-                          static_cast<double>(sharded.stats().remapOps)},
-                         {"exchanges",
-                          static_cast<double>(
-                              sharded.stats().exchangeOps)},
-                         {"naive_crossings", naiveCrossings}};
-            sc.metrics = {
-                {"ns_per_sweep", ns, "ns"},
-                {"unsharded_ns_per_sweep", nsUnsharded, "ns"},
-                {"speedup_vs_unsharded", speedup, "x"},
-                {"exchange_bytes", bytes, "B"},
-                {"exchange_bytes_per_crossing", bytesPerCrossing, "B"},
-                {"naive_exchange_bytes", naiveBytes, "B"}};
-            std::printf("  %-18s %12.1f ns/sweep   speedup %.2fx   "
-                        "%10.0f B moved (naive %10.0f B, crossings "
-                        "%.0f vs %.0f)\n",
-                        sc.name.c_str(), ns, speedup, bytes, naiveBytes,
-                        crossings, naiveCrossings);
-            rep.scenarios.push_back(std::move(sc));
-        }
-    }
-
-    return rep;
-}
-
 bench::Report
 runTranspile(const Options &opt)
 {
@@ -1042,8 +927,6 @@ constexpr FamilyInfo kFamilies[] = {
      "SoA trajectory batching vs. per-trajectory execution"},
     {"blocked", "BENCH_blocked_sweep.json",
      "cache-blocked plan execution vs. unblocked per-op sweeps"},
-    {"shard", "BENCH_shard_scaling.json",
-     "sharded statevector execution and amplitude-exchange accounting"},
     {"transpile", "BENCH_transpile.json",
      "transpiler batch throughput across thread counts"},
     {"fig7", "BENCH_fig7.json",
@@ -1070,8 +953,8 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [micro|sweep|batch|blocked|shard|transpile|fig7|\n"
-        "           obs|dispatch|all ...]\n"
+        "usage: %s [micro|sweep|batch|blocked|transpile|fig7|obs|\n"
+        "           dispatch|all ...]\n"
         "          [--smoke] [--scenario FAMILY] [--out-dir DIR]\n"
         "          [--trace PATH] [--list]\n"
         "\n"
@@ -1098,7 +981,7 @@ main(int argc, char **argv)
     bool scenarioChosen = false;
     const auto selectFamily = [&](const std::string &s) {
         if (!scenarioChosen) {
-            opt.micro = opt.sweep = opt.batch = opt.blocked = opt.shard =
+            opt.micro = opt.sweep = opt.batch = opt.blocked =
                 opt.transpile = opt.fig7 = opt.obs = opt.dispatch = false;
             scenarioChosen = true;
         }
@@ -1110,8 +993,6 @@ main(int argc, char **argv)
             opt.batch = true;
         else if (s == "blocked")
             opt.blocked = true;
-        else if (s == "shard")
-            opt.shard = true;
         else if (s == "transpile")
             opt.transpile = true;
         else if (s == "fig7")
@@ -1121,7 +1002,7 @@ main(int argc, char **argv)
         else if (s == "dispatch")
             opt.dispatch = true;
         else if (s == "all")
-            opt.micro = opt.sweep = opt.batch = opt.blocked = opt.shard =
+            opt.micro = opt.sweep = opt.batch = opt.blocked =
                 opt.transpile = opt.fig7 = opt.obs = opt.dispatch = true;
         else
             return false;
@@ -1158,8 +1039,15 @@ main(int argc, char **argv)
     // Validate the trace destination up front: a typo'd or unwritable
     // path must fail loudly now, not lose the trace silently after the
     // whole suite has run. Checked even when tracing is compiled out —
-    // a bad path is a bad invocation either way.
+    // a bad path is a bad invocation either way. Missing parent
+    // directories are created first, as writeReport does for --out-dir;
+    // if that fails, the probe below reports why.
     if (!opt.trace.empty()) {
+        const std::filesystem::path parent =
+            std::filesystem::path(opt.trace).parent_path();
+        std::error_code ec;
+        if (!parent.empty())
+            std::filesystem::create_directories(parent, ec);
         std::FILE *probe = std::fopen(opt.trace.c_str(), "a");
         if (probe == nullptr) {
             std::fprintf(stderr,
@@ -1217,8 +1105,6 @@ main(int argc, char **argv)
         runFamily(runBatch);
     if (opt.blocked)
         runFamily(runBlocked);
-    if (opt.shard)
-        runFamily(runShard);
     if (opt.transpile)
         runFamily(runTranspile);
     if (opt.fig7)

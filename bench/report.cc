@@ -66,8 +66,10 @@ appendScenario(std::string &out, const Scenario &s)
         for (std::size_t i = 0; i < s.params.size(); ++i) {
             if (i)
                 out += ", ";
-            out += "\"" + escaped(s.params[i].name) +
-                   "\": " + number(s.params[i].value);
+            out += "\"";
+            out += escaped(s.params[i].name);
+            out += "\": ";
+            out += number(s.params[i].value);
         }
         out += "}";
     }
@@ -117,7 +119,9 @@ toJson(const Report &report)
     for (std::size_t i = 0; i < report.simdCompiled.size(); ++i) {
         if (i)
             out += ", ";
-        out += "\"" + escaped(report.simdCompiled[i]) + "\"";
+        out += "\"";
+        out += escaped(report.simdCompiled[i]);
+        out += "\"";
     }
     out += "],\n";
     out += "  \"simd_lanes\": " + std::to_string(report.simdLanes) + ",\n";

@@ -53,15 +53,9 @@
  * "speedup_vs_scalar" (micro family, SIMD kernels; dispatch family,
  * per forced backend), "speedup_vs_unblocked" (blocked family,
  * BENCH_blocked_sweep.json: cache-blocked plan execution at n >= 26,
- * expected >= 1.3x once the statevector exceeds the LLC),
+ * expected >= 1.3x once the statevector exceeds the LLC), and
  * "dispatch_overhead_pct" (dispatch family: the per-sweep table fetch
- * vs a hoisted table pointer, contract < 1%), and
- * "exchange_bytes_per_crossing" with "speedup_vs_unsharded" (shard
- * family, BENCH_shard_scaling.json: sharded statevector execution;
- * the per-crossing payload per shard pair is bounded by
- * 2 * 2^(n-s) * 16 bytes — a full-slice exchange hits the bound,
- * the remap lowering halves it — while speedup_vs_unsharded
- * documents the in-process cost of the shard seam).
+ * vs a hoisted table pointer, contract < 1%).
  */
 
 #ifndef CRISC_BENCH_REPORT_HH

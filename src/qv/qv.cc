@@ -85,10 +85,6 @@ validate(const QvConfig &config)
         fail("blockQubits must be non-negative (0 = width heuristic), "
              "got " +
              std::to_string(config.blockQubits));
-    if (config.shardBits < 0)
-        fail("shardBits must be non-negative (0 = CRISC_SHARDS or "
-             "unsharded), got " +
-             std::to_string(config.shardBits));
     if (!(config.czError >= 0.0 && config.czError <= 1.0))
         fail("czError must lie in [0, 1], got " +
              std::to_string(config.czError));
@@ -183,13 +179,6 @@ heavyOutputExperiment(const QvConfig &config)
             config.blockQubits == 0
                 ? heur.blockQubits
                 : static_cast<std::size_t>(config.blockQubits);
-        // Sharded execution likewise applies to the ideal whole-plan
-        // simulation only; resolveShardBits clamps to the simulated
-        // width at execute time.
-        idealExec.shardBits =
-            config.shardBits == 0
-                ? heur.shardBits
-                : static_cast<std::size_t>(config.shardBits);
         // The per-circuit ideal simulation runs before the trajectory
         // fan-out, so it may use the whole budget for its sweeps
         // (bit-identical to serial execution either way).

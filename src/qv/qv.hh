@@ -85,18 +85,6 @@ struct QvConfig
      */
     int blockQubits = 0;
     /**
-     * Sharded execution of the per-circuit ideal simulation
-     * (sim::ExecOptions::shardBits, sim/shard.hh): 0 = auto (the
-     * CRISC_SHARDS environment variable when set, otherwise
-     * unsharded), s >= 1 = split the ideal register into 2^s shards
-     * (clamped to the simulated width minus one). Like blockQubits,
-     * only whole-plan execution consults this — the noisy trajectory
-     * bodies interleave noise between individual ops. Results are
-     * bit-for-bit identical for any value; negative values are
-     * rejected with std::invalid_argument.
-     */
-    int shardBits = 0;
-    /**
      * Run against this device instead of the canned grid preset built
      * from (width, native, ashnCutoff, czError, singleQubitError).
      * Must have at least `width` qubits.

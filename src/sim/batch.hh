@@ -147,15 +147,6 @@ struct ExecOptions
      * bit-identical for every value.
      */
     std::size_t blockQubits = 0;
-    /**
-     * Sharded plan execution (sim/shard.hh): 0 = auto (the
-     * CRISC_SHARDS environment variable when set, otherwise
-     * unsharded), s >= 1 = split the register into 2^s shards
-     * (clamped to the register width minus one). Only Plan-level
-     * execution consults this; results are bit-identical for every
-     * value.
-     */
-    std::size_t shardBits = 0;
 };
 
 /**
@@ -176,14 +167,6 @@ struct BatchPlan
      * ExecOptions::blockQubits. On when width >= kAutoBlockFromWidth.
      */
     std::size_t blockQubits = 0;
-    /**
-     * Shard split to pass as ExecOptions::shardBits. The heuristic
-     * always picks 0: every in-process shard shares one memory
-     * system, so splitting buys nothing until an out-of-process
-     * Transport exists — sharding stays opt-in via CRISC_SHARDS or
-     * QvConfig::shardBits.
-     */
-    std::size_t shardBits = 0;
 };
 
 /**

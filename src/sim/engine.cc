@@ -7,7 +7,6 @@
 #include "obs/obs.hh"
 #include "sim/cache.hh"
 #include "sim/dispatch.hh"
-#include "sim/shard.hh"
 
 namespace crisc {
 namespace sim {
@@ -706,15 +705,6 @@ executeBlockedBatched(const Plan &plan, BatchState &batch,
 void
 executeBatched(const Plan &plan, BatchState &batch, const ExecOptions &opts)
 {
-    // Sharding first: block exponents then apply within each shard's
-    // slice. The sharded path compiles its own schedule and never
-    // re-enters here with shardBits set.
-    const std::size_t shards =
-        resolveShardBits(opts.shardBits, plan.numQubits());
-    if (shards != 0) {
-        executeShardedBatched(compileSharded(plan, shards), batch, opts);
-        return;
-    }
     const std::size_t block =
         resolveBlockQubits(opts.blockQubits, plan.numQubits());
     if (block != 0) {
@@ -751,13 +741,6 @@ execute(const Plan &plan, Complex *amps)
 void
 execute(const Plan &plan, Complex *amps, const ExecOptions &opts)
 {
-    // Sharding first, as in executeBatched.
-    const std::size_t shards =
-        resolveShardBits(opts.shardBits, plan.numQubits());
-    if (shards != 0) {
-        executeSharded(compileSharded(plan, shards), amps, opts);
-        return;
-    }
     const std::size_t block =
         resolveBlockQubits(opts.blockQubits, plan.numQubits());
     if (block != 0) {

@@ -100,14 +100,6 @@ struct PlanStats
     std::size_t blockedSegments = 0;
     /** Ops inside those blockable segments. */
     std::size_t blockableOps = 0;
-    /** Shard-crossing ops lowered to pairwise amplitude exchanges by
-     *  the shard pass (compileSharded, shard.hh); 0 for unsharded
-     *  plans. */
-    std::size_t exchangeOps = 0;
-    /** Qubit-permutation remap steps emitted by the shard pass,
-     *  including the closing remaps that restore the canonical
-     *  layout; 0 for unsharded plans. */
-    std::size_t remapOps = 0;
 };
 
 /**

@@ -13,7 +13,6 @@ namespace {
 
 std::mutex g_mutex;
 std::optional<std::size_t> g_blockBytes;
-std::optional<std::size_t> g_shardBits;
 std::optional<std::string> g_simdDispatch;
 
 /** Strict decimal parse of @p text; throws naming @p var on anything
@@ -41,23 +40,6 @@ parseBlockBytes()
     return static_cast<std::size_t>(parseDecimal("CRISC_BLOCK_BYTES", raw));
 }
 
-std::size_t
-parseShardBits()
-{
-    const char *raw = std::getenv("CRISC_SHARDS");
-    if (raw == nullptr || *raw == '\0')
-        return 0;
-    const unsigned long long shards = parseDecimal("CRISC_SHARDS", raw);
-    if (shards == 0 || (shards & (shards - 1)) != 0)
-        throw std::invalid_argument(std::string("CRISC_SHARDS: shard count "
-                                                "must be a power of two, "
-                                                "got \"") + raw + "\"");
-    std::size_t bits = 0;
-    while ((shards >> bits) > 1)
-        ++bits;
-    return bits;
-}
-
 } // namespace
 
 std::size_t
@@ -67,15 +49,6 @@ blockBytes()
     if (!g_blockBytes)
         g_blockBytes = parseBlockBytes();
     return *g_blockBytes;
-}
-
-std::size_t
-shardBits()
-{
-    std::lock_guard<std::mutex> lock(g_mutex);
-    if (!g_shardBits)
-        g_shardBits = parseShardBits();
-    return *g_shardBits;
 }
 
 const std::string &
@@ -94,7 +67,6 @@ resetForTesting()
 {
     std::lock_guard<std::mutex> lock(g_mutex);
     g_blockBytes.reset();
-    g_shardBits.reset();
     g_simdDispatch.reset();
 }
 

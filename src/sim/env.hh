@@ -18,8 +18,6 @@
  *
  *   CRISC_SIMD_DISPATCH  kernel backend override (sim/dispatch.hh)
  *   CRISC_BLOCK_BYTES    cache-block footprint override (sim/cache.hh)
- *   CRISC_SHARDS         shard count for sharded execution
- *                        (sim/shard.hh)
  *
  * Tests that set these variables with setenv must call
  * resetForTesting() afterwards to drop the caches (the scoped helpers
@@ -45,16 +43,6 @@ namespace env {
  *         count (e.g. "banana", "12abc", "-4").
  */
 std::size_t blockBytes();
-
-/**
- * The CRISC_SHARDS override as a shard-bit count s (the register is
- * split into 2^s shards), or 0 when the variable is unset, empty, or
- * "1" (one shard — unsharded execution). The variable holds the shard
- * count S, which must be a power of two; "CRISC_SHARDS=4" yields 2.
- * @throws std::invalid_argument when the value is not a positive
- *         power-of-two decimal shard count.
- */
-std::size_t shardBits();
 
 /**
  * The raw CRISC_SIMD_DISPATCH value, or "" when unset. Interpretation

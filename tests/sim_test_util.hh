@@ -5,9 +5,8 @@
  * a random circuit covering all five KernelKinds, and a scoped
  * environment-variable override that drops the sim/env.hh parse caches.
  * Used by the simulation (test_sim.cc), SIMD-equivalence
- * (test_simd.cc), blocked-execution (test_blocked.cc), and sharded
- * (test_shard.cc) suites so they all exercise identical state and
- * circuit generation.
+ * (test_simd.cc), and blocked-execution (test_blocked.cc) suites so
+ * they all exercise identical state and circuit generation.
  */
 
 #ifndef CRISC_TESTS_SIM_TEST_UTIL_HH

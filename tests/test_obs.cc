@@ -486,8 +486,9 @@ TEST(Obs, ChromeTraceJsonParsesAndRoundTrips)
             EXPECT_GE(e.at("dur").number, 0.0);
             // Events are sorted by (tid, t0): per-tid timestamps are
             // monotone non-decreasing.
-            if (lastTsPerTid.count(tid))
+            if (lastTsPerTid.count(tid)) {
                 EXPECT_GE(ts, lastTsPerTid[tid]);
+            }
             lastTsPerTid[tid] = ts;
             EXPECT_FALSE(e.at("name").string.empty());
         } else if (ph == "M") {
