@@ -17,14 +17,15 @@
  *                [--scenario FAMILY] [--smoke] [--out-dir DIR]
  *                [--trace PATH] [--list]
  *
- * The micro family times every SIMD kernel against the sim::scalar
- * reference baseline and records speedup_vs_scalar; the sweep family
+ * The micro family times every dispatching kernel (the table's range
+ * kernels over the whole register) against the sim::scalar reference
+ * baseline and records speedup_vs_scalar; the sweep family
  * times chunked pool execution of single kernel sweeps against one
  * thread and records speedup_vs_1thread; the batch family times
  * SoA-batched plan execution (SIMD lanes across trajectories) against
  * per-trajectory execution and records speedup_vs_trajparallel; the
  * obs family pins the disabled-tracing overhead of the instrumented
- * kernel paths (serial and batched) against the raw kernel call; the
+ * executeOp path (interleaved and SoA) against the raw table kernel; the
  * dispatch family forces every compiled+host-supported kernel backend
  * in turn (sim::setDispatchOverride — the same binary carries them
  * all) and records per-backend ns/op plus the <1% dispatch-indirection
@@ -347,7 +348,7 @@ runSweep(const Options &opt)
  * SoA-batched trajectory execution (BENCH_batch_soa.json): one compiled
  * plan applied to T statevectors either one at a time (the per-slot
  * work of the trajectory-parallel arm, with per-state SIMD) or in SoA
- * batches of B lanes via sim::executeBatched (SIMD lanes across
+ * batches of B lanes via sim::execute on a BatchState (SIMD lanes across
  * trajectories). speedup_vs_trajparallel at width <= 14 with
  * B = simdLanes() is the contract consumers track (>= 1.5x expected on
  * AVX2: short-stride sweeps starve per-state vectors, the lane-major
@@ -405,7 +406,7 @@ runBatch(const Options &opt)
                 for (std::size_t first = 0; first < T; first += B) {
                     const std::size_t lanes = std::min(B, T - first);
                     sim::BatchState batch(n, lanes);
-                    sim::executeBatched(plan, batch);
+                    sim::execute(plan, batch);
                     sink = sink + batch.amp(dim - 1, 0).real();
                 }
             });
@@ -476,13 +477,17 @@ runBlocked(const Options &opt)
         CVector amps(plan.dim(), Complex{0.0, 0.0});
         amps[0] = 1.0;
         volatile double sink = 0.0;
+        // One block spanning the register is the plain per-op sweep
+        // (auto blocking would turn on at these widths).
+        sim::ExecOptions unblocked;
+        unblocked.blockQubits = n;
 
         const double tUnblocked = bestSeconds(rounds, [&] {
-            sim::execute(plan, amps.data());
+            sim::execute(plan, amps.data(), unblocked);
             sink = sink + amps[0].real();
         });
         const double tBlocked = bestSeconds(rounds, [&] {
-            sim::executeBlocked(plan, amps.data(), b, {});
+            sim::executeBlocked(plan, sim::StateView(amps.data(), n), b);
             sink = sink + amps[0].real();
         });
 
@@ -619,7 +624,7 @@ runFig7(const Options &opt)
 
 /**
  * Tracing-overhead A/B (BENCH_obs_overhead.json): one full-register
- * apply2q sweep timed three ways — the raw kernel call (baseline), the
+ * apply2q sweep timed three ways — the raw table kernel (baseline), the
  * instrumented sim::executeOp path with tracing disabled, and the same
  * path with tracing enabled. The disabled_overhead_pct metric is the
  * zero-cost-when-off contract: the instrumented path must stay within
@@ -653,9 +658,11 @@ runObsOverhead(const Options &opt)
     // not pool dispatch.
     const sim::ExecOptions exec;
 
+    const sim::KernelTable &table = sim::activeKernels();
     const double tBase = bestSeconds(rounds, [&] {
         for (int s = 0; s < sweepsPerRound; ++s)
-            sim::apply2q(amps.data(), n, op.q0, op.q1, op.m.data());
+            table.apply2qRange(amps.data(), n, op.q0, op.q1, op.m.data(), 0,
+                               sim::opGroupCount(op, n));
     });
 
     // The runner may be inside a --trace session; restore its flag after
@@ -711,10 +718,9 @@ runObsOverhead(const Options &opt)
                 enabledPct);
     rep.scenarios.push_back(std::move(sc));
 
-    // Batched-sweep leg: the same zero-cost-when-off contract for the
-    // SoA execution path (sim::executeOpBatched vs. the raw batched
-    // kernel), at a smaller width times the batch so the work per
-    // sweep is comparable.
+    // SoA leg: the same zero-cost-when-off contract for executeOp on a
+    // BatchState vs. the raw SoA table kernel, at a smaller width times
+    // the batch so the work per sweep is comparable.
     {
         const std::size_t nb = opt.smoke ? 12 : 16;
         const std::size_t B = 8;
@@ -729,13 +735,14 @@ runObsOverhead(const Options &opt)
 
         const double tBaseB = bestSeconds(rounds, [&] {
             for (int s = 0; s < sweepsPerRound; ++s)
-                sim::apply2qBatch(batch.re(), batch.im(), nb, B, opb.q0,
-                                  opb.q1, opb.m.data());
+                table.apply2qBatchRange(batch.re(), batch.im(), nb, B,
+                                        opb.q0, opb.q1, opb.m.data(), 0,
+                                        sim::opGroupCount(opb, nb));
         });
         obs::setEnabled(false);
         const double tDisabledB = bestSeconds(rounds, [&] {
             for (int s = 0; s < sweepsPerRound; ++s)
-                sim::executeOpBatched(opb, batch, exec);
+                sim::executeOp(opb, batch, exec);
         });
         double tEnabledB = 0.0;
         if (obs::compiledIn()) {
@@ -746,7 +753,7 @@ runObsOverhead(const Options &opt)
                 local.start();
             tEnabledB = bestSeconds(rounds, [&] {
                 for (int s = 0; s < sweepsPerRound; ++s)
-                    sim::executeOpBatched(opb, batch, exec);
+                    sim::executeOp(opb, batch, exec);
             });
             if (!outerEnabled)
                 local.stop();
@@ -794,9 +801,9 @@ runObsOverhead(const Options &opt)
  * CRISC_SIMD_DISPATCH) and times the same full-register apply1q /
  * apply2q sweeps the micro family uses, recording per-backend ns/op and
  * speedup_vs_scalar. The closing scenario pins the cost of runtime
- * dispatch itself: an apply2q sweep through the public wrapper (one
- * activeKernels() fetch + indirect call per sweep) vs. the same sweep
- * through a hoisted table pointer. dispatch_overhead_pct is the
+ * dispatch itself: a whole-register apply2qRange sweep through the
+ * public wrapper (one activeKernels() fetch + indirect call per sweep)
+ * vs. the same sweep through a hoisted table pointer. dispatch_overhead_pct is the
  * contract consumers track — < 1%, like the obs family's
  * zero-cost-when-off bound (the fetch amortizes over 2^n amplitudes).
  */
@@ -877,14 +884,17 @@ runDispatch(const Options &opt)
         const std::size_t q1 = (2 * n) / 3;
         const Matrix u = linalg::haarUnitary(rng, 4);
 
+        const std::size_t quads = amps.size() >> 2;
         const sim::KernelTable &table = sim::activeKernels();
         const double tHoisted = bestSeconds(rounds, [&] {
             for (int s = 0; s < sweepsPerRound; ++s)
-                table.apply2q(amps.data(), n, q0, q1, u.data());
+                table.apply2qRange(amps.data(), n, q0, q1, u.data(), 0,
+                                   quads);
         });
         const double tDispatched = bestSeconds(rounds, [&] {
             for (int s = 0; s < sweepsPerRound; ++s)
-                sim::apply2q(amps.data(), n, q0, q1, u.data());
+                sim::apply2qRange(amps.data(), n, q0, q1, u.data(), 0,
+                                  quads);
         });
         const double perSweep = 1.0 / static_cast<double>(sweepsPerRound);
         const double nsHoisted = 1e9 * tHoisted * perSweep;

@@ -67,23 +67,45 @@ applyDepolarizing(Complex *amps, std::size_t n_qubits,
     }
 }
 
+namespace {
+
+/** Applies Pauli @p pauli_index to lane @p lane of @p state. */
 void
-applyDepolarizing(Complex *amps, std::size_t n_qubits, std::size_t qubit,
+applyPauliOnLane(sim::StateView state, std::size_t lane, std::size_t qubit,
+                 std::size_t pauli_index)
+{
+    if (state.interleaved())
+        sim::applyPauli(state.amps(), state.numQubits(), qubit,
+                        pauli_index);
+    else
+        sim::applyPauliLane(state.re(), state.im(), state.numQubits(),
+                            state.lanes(), lane, qubit, pauli_index);
+}
+
+} // namespace
+
+void
+applyDepolarizing(sim::StateView state, std::size_t lane, std::size_t qubit,
                   double p, linalg::Rng &rng)
 {
     validateErrorParameter(p);
+    if (lane >= state.lanes())
+        throw std::invalid_argument("applyDepolarizing: lane out of range");
     if (p <= 0.0)
         return;
     if (rng.uniform() >= p)
         return;
-    sim::applyPauli(amps, n_qubits, qubit, 1 + rng.index(3));
+    applyPauliOnLane(state, lane, qubit, 1 + rng.index(3));
 }
 
 void
-applyDepolarizing(Complex *amps, std::size_t n_qubits, std::size_t qubit_a,
-                  std::size_t qubit_b, double p, linalg::Rng &rng)
+applyDepolarizing(sim::StateView state, std::size_t lane,
+                  std::size_t qubit_a, std::size_t qubit_b, double p,
+                  linalg::Rng &rng)
 {
     validateErrorParameter(p);
+    if (lane >= state.lanes())
+        throw std::invalid_argument("applyDepolarizing: lane out of range");
     if (qubit_a == qubit_b)
         throw std::invalid_argument(
             "applyDepolarizing: duplicate qubit in Pauli string");
@@ -97,50 +119,9 @@ applyDepolarizing(Complex *amps, std::size_t n_qubits, std::size_t qubit_a,
     const std::size_t onA = pick % 4;
     const std::size_t onB = pick / 4;
     if (onA != 0)
-        sim::applyPauli(amps, n_qubits, qubit_a, onA);
+        applyPauliOnLane(state, lane, qubit_a, onA);
     if (onB != 0)
-        sim::applyPauli(amps, n_qubits, qubit_b, onB);
-}
-
-void
-applyDepolarizing(sim::BatchState &batch, std::size_t lane,
-                  std::size_t qubit, double p, linalg::Rng &rng)
-{
-    validateErrorParameter(p);
-    if (lane >= batch.batch())
-        throw std::invalid_argument("applyDepolarizing: lane out of range");
-    if (p <= 0.0)
-        return;
-    if (rng.uniform() >= p)
-        return;
-    sim::applyPauliLane(batch.re(), batch.im(), batch.numQubits(),
-                        batch.batch(), lane, qubit, 1 + rng.index(3));
-}
-
-void
-applyDepolarizing(sim::BatchState &batch, std::size_t lane,
-                  std::size_t qubit_a, std::size_t qubit_b, double p,
-                  linalg::Rng &rng)
-{
-    validateErrorParameter(p);
-    if (lane >= batch.batch())
-        throw std::invalid_argument("applyDepolarizing: lane out of range");
-    if (qubit_a == qubit_b)
-        throw std::invalid_argument(
-            "applyDepolarizing: duplicate qubit in Pauli string");
-    if (p <= 0.0)
-        return;
-    if (rng.uniform() >= p)
-        return;
-    const std::size_t pick = 1 + rng.index(15);
-    const std::size_t onA = pick % 4;
-    const std::size_t onB = pick / 4;
-    if (onA != 0)
-        sim::applyPauliLane(batch.re(), batch.im(), batch.numQubits(),
-                            batch.batch(), lane, qubit_a, onA);
-    if (onB != 0)
-        sim::applyPauliLane(batch.re(), batch.im(), batch.numQubits(),
-                            batch.batch(), lane, qubit_b, onB);
+        applyPauliOnLane(state, lane, qubit_b, onB);
 }
 
 void

@@ -38,29 +38,39 @@ void applyDepolarizing(Complex *amps, std::size_t n_qubits,
                        const std::vector<std::size_t> &qubits, double p,
                        linalg::Rng &rng);
 
-/** 1-qubit fast path: no container allocation in the hot loop. */
-void applyDepolarizing(Complex *amps, std::size_t n_qubits,
-                       std::size_t qubit, double p, linalg::Rng &rng);
-
-/** 2-qubit fast path: no container allocation in the hot loop. */
-void applyDepolarizing(Complex *amps, std::size_t n_qubits,
-                       std::size_t qubit_a, std::size_t qubit_b, double p,
-                       linalg::Rng &rng);
-
 /**
- * 1-qubit fast path on one lane of an SoA trajectory batch: the
- * divergence point of batched execution. Draws exactly the same random
- * sequence from @p rng as the serial 1-qubit fast path, and applies the
- * sampled Pauli to lane @p lane only (sim::applyPauliLane), so the lane
- * stays bit-identical to its serial trajectory.
+ * 1-qubit fast path on lane @p lane of @p state: no container
+ * allocation in the hot loop. Draws exactly the same random sequence
+ * from @p rng on every layout and applies the sampled Pauli to that
+ * lane only — sim::applyPauli on an interleaved statevector,
+ * sim::applyPauliLane on a SoA batch — so each lane stays bit-identical
+ * to its serial trajectory.
+ * @throws std::invalid_argument additionally when lane >= lanes().
  */
-void applyDepolarizing(sim::BatchState &batch, std::size_t lane,
+void applyDepolarizing(sim::StateView state, std::size_t lane,
                        std::size_t qubit, double p, linalg::Rng &rng);
 
-/** 2-qubit fast path on one lane of an SoA trajectory batch. */
-void applyDepolarizing(sim::BatchState &batch, std::size_t lane,
+/** 2-qubit fast path on lane @p lane of @p state. */
+void applyDepolarizing(sim::StateView state, std::size_t lane,
                        std::size_t qubit_a, std::size_t qubit_b, double p,
                        linalg::Rng &rng);
+
+/** The 1-qubit fast path on one interleaved statevector (lane 0). */
+inline void
+applyDepolarizing(Complex *amps, std::size_t n_qubits, std::size_t qubit,
+                  double p, linalg::Rng &rng)
+{
+    applyDepolarizing(sim::StateView(amps, n_qubits), 0, qubit, p, rng);
+}
+
+/** The 2-qubit fast path on one interleaved statevector (lane 0). */
+inline void
+applyDepolarizing(Complex *amps, std::size_t n_qubits, std::size_t qubit_a,
+                  std::size_t qubit_b, double p, linalg::Rng &rng)
+{
+    applyDepolarizing(sim::StateView(amps, n_qubits), 0, qubit_a, qubit_b,
+                      p, rng);
+}
 
 /** The single-qubit Pauli with index 0..3 = I, X, Y, Z. */
 const Matrix &pauliByIndex(std::size_t idx);

@@ -29,7 +29,7 @@ namespace {
 
 /**
  * One physical two-qubit block, pre-lowered to a dense-quad KernelOp
- * (executable serial or state-parallel via sim::executeOp), with its
+ * (executable on any state view via sim::executeOp), with its
  * native-gate noise budget.
  */
 struct PhysicalOp
@@ -328,83 +328,60 @@ heavyOutputExperiment(const QvConfig &config)
             logicalIndex[phys] = logical;
         }
 
-        // --- Noisy trajectories, fanned out over the parallel axes.
-        // Each trajectory owns its statevector (or SoA lane) and an
-        // RNG stream derived from (seed, circuit, trajectory); its
-        // quad sweeps run on the leased sweep pool when
-        // state-parallelism is on. The batched arm applies every gate
-        // to all lanes in one SoA sweep and diverges only at the
-        // per-lane noise draws, so each lane is bit-identical to the
-        // serial trajectory with the same index.
+        // --- Noisy trajectories, fanned out over the parallel axes in
+        // tiles of soaLanes. Each trajectory owns one lane and an RNG
+        // stream derived from (seed, circuit, trajectory); a tile's
+        // quad sweeps run on the leased sweep pool when state-
+        // parallelism is on. Every gate is one sweep over all lanes and
+        // only the per-lane noise draws diverge, so each lane is
+        // bit-identical to the serial trajectory with the same index.
         const std::uint64_t trajSeed =
             sim::streamSeed(config.seed, circuitStream + 1);
-        if (soaLanes <= 1) {
-            heavySum += runner->sum(
-                static_cast<std::size_t>(config.trajectories), trajSeed,
-                [&](std::size_t, linalg::Rng &rng,
-                    const sim::ExecOptions &exec) {
-                    OBS_SPAN("qv.trajectory");
-                    OBS_COUNT("qv.trajectories", 1);
-                    linalg::CVector amps(simDim, Complex{0.0, 0.0});
+        heavySum += runner->sum(
+            static_cast<std::size_t>(config.trajectories), trajSeed,
+            soaLanes,
+            [&](std::size_t, std::size_t lanes, linalg::Rng *rngs,
+                const sim::ExecOptions &exec, double *out) {
+                OBS_SPAN("qv.trajectory");
+                OBS_COUNT("qv.trajectories", lanes);
+                // A one-lane tile keeps the interleaved kernels; wider
+                // tiles run SIMD lanes across trajectories.
+                linalg::CVector amps;
+                std::optional<sim::BatchState> batch;
+                if (lanes == 1) {
+                    amps.assign(simDim, Complex{0.0, 0.0});
                     amps[0] = 1.0;
-                    for (const PhysicalOp &op : ops) {
-                        sim::executeOp(op.kernel, amps.data(), nc, exec);
-                        const std::size_t qa = op.kernel.q0;
-                        const std::size_t qb = op.kernel.q1;
+                } else {
+                    batch.emplace(nc, lanes);
+                }
+                const sim::StateView state =
+                    batch ? sim::StateView(*batch)
+                          : sim::StateView(amps.data(), nc);
+                for (const PhysicalOp &op : ops) {
+                    sim::executeOp(op.kernel, state, exec);
+                    const std::size_t qa = op.kernel.q0;
+                    const std::size_t qb = op.kernel.q1;
+                    for (std::size_t l = 0; l < lanes; ++l) {
                         for (int g = 0; g < op.natives; ++g) {
-                            circuit::applyDepolarizing(amps.data(), nc,
-                                                       qa, qb, op.p2,
-                                                       rng);
+                            circuit::applyDepolarizing(state, l, qa, qb,
+                                                       op.p2, rngs[l]);
                             circuit::applyDepolarizing(
-                                amps.data(), nc, qa,
-                                noise.singleQubitError, rng);
+                                state, l, qa, noise.singleQubitError,
+                                rngs[l]);
                             circuit::applyDepolarizing(
-                                amps.data(), nc, qb,
-                                noise.singleQubitError, rng);
+                                state, l, qb, noise.singleQubitError,
+                                rngs[l]);
                         }
                     }
+                }
+                for (std::size_t l = 0; l < lanes; ++l) {
                     double hop = 0.0;
                     for (std::size_t phys = 0; phys < simDim; ++phys)
                         if (heavy[logicalIndex[phys]])
-                            hop += std::norm(amps[phys]);
-                    return hop;
-                });
-        } else {
-            heavySum += runner->sumBatched(
-                static_cast<std::size_t>(config.trajectories), trajSeed,
-                soaLanes,
-                [&](std::size_t, std::size_t lanes, linalg::Rng *rngs,
-                    const sim::ExecOptions &exec, double *out) {
-                    OBS_SPAN("qv.trajectory_batch");
-                    OBS_COUNT("qv.trajectories", lanes);
-                    sim::BatchState batch(nc, lanes);
-                    for (const PhysicalOp &op : ops) {
-                        sim::executeOpBatched(op.kernel, batch, exec);
-                        const std::size_t qa = op.kernel.q0;
-                        const std::size_t qb = op.kernel.q1;
-                        for (std::size_t l = 0; l < lanes; ++l) {
-                            for (int g = 0; g < op.natives; ++g) {
-                                circuit::applyDepolarizing(
-                                    batch, l, qa, qb, op.p2, rngs[l]);
-                                circuit::applyDepolarizing(
-                                    batch, l, qa,
-                                    noise.singleQubitError, rngs[l]);
-                                circuit::applyDepolarizing(
-                                    batch, l, qb,
-                                    noise.singleQubitError, rngs[l]);
-                            }
-                        }
-                    }
-                    for (std::size_t l = 0; l < lanes; ++l) {
-                        double hop = 0.0;
-                        for (std::size_t phys = 0; phys < simDim;
-                             ++phys)
-                            if (heavy[logicalIndex[phys]])
-                                hop += std::norm(batch.amp(phys, l));
-                        out[l] = hop;
-                    }
-                });
-        }
+                            hop += std::norm(state.amp(phys, l));
+                    out[l] = hop;
+                }
+            });
     }
 
     QvResult out;

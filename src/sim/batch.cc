@@ -164,37 +164,6 @@ ThreadPool::workerLoop()
     }
 }
 
-std::vector<double>
-runTrajectories(ThreadPool &pool, std::size_t count, std::uint64_t base_seed,
-                const std::function<double(std::size_t, linalg::Rng &)> &body)
-{
-    // parallelFor(0) is itself a no-op; returning here just keeps the
-    // empty-batch contract visible at the API layer (no allocation, no
-    // lambda construction, body never invoked).
-    if (count == 0)
-        return {};
-    std::vector<double> results(count, 0.0);
-    pool.parallelFor(count, [&](std::size_t t) {
-        OBS_SPAN("traj.trajectory");
-        OBS_COUNT("traj.count", 1);
-        linalg::Rng rng(streamSeed(base_seed, t));
-        results[t] = body(t, rng);
-    });
-    return results;
-}
-
-double
-sumTrajectories(ThreadPool &pool, std::size_t count, std::uint64_t base_seed,
-                const std::function<double(std::size_t, linalg::Rng &)> &body)
-{
-    const std::vector<double> results =
-        runTrajectories(pool, count, base_seed, body);
-    double sum = 0.0;
-    for (double r : results)
-        sum += r;
-    return sum;
-}
-
 std::size_t
 resolveThreads(std::size_t requested)
 {
@@ -307,15 +276,26 @@ TrajectoryRunner::releaseStatePool(ThreadPool *pool)
 
 std::vector<double>
 TrajectoryRunner::run(std::size_t count, std::uint64_t base_seed,
-                      const Body &body)
+                      std::size_t lanes, const Body &body)
 {
+    if (lanes == 0)
+        throw std::invalid_argument(
+            "TrajectoryRunner::run: lanes must be at least 1");
     if (count == 0)
         return {};
+    const std::size_t tiles = (count + lanes - 1) / lanes;
     std::vector<double> results(count, 0.0);
-    trajPool_.parallelFor(count, [&](std::size_t t) {
-        OBS_SPAN("traj.trajectory");
-        OBS_COUNT("traj.count", 1);
-        linalg::Rng rng(streamSeed(base_seed, t));
+    trajPool_.parallelFor(tiles, [&](std::size_t tile) {
+        OBS_SPAN("traj.tile");
+        const std::size_t first = tile * lanes;
+        const std::size_t rest = count - first;
+        const std::size_t width = rest < lanes ? rest : lanes;
+        OBS_COUNT("traj.count", width);
+        // Lane l is trajectory first + l, on its own stream.
+        std::vector<linalg::Rng> rngs;
+        rngs.reserve(width);
+        for (std::size_t l = 0; l < width; ++l)
+            rngs.emplace_back(streamSeed(base_seed, first + l));
         ExecOptions exec;
         ThreadPool *state = nullptr;
         if (stateThreads_ > 1) {
@@ -324,7 +304,7 @@ TrajectoryRunner::run(std::size_t count, std::uint64_t base_seed,
             exec.threads = state->size();
         }
         try {
-            results[t] = body(t, rng, exec);
+            body(first, width, rngs.data(), exec, results.data() + first);
         } catch (...) {
             if (state != nullptr)
                 releaseStatePool(state);
@@ -338,64 +318,9 @@ TrajectoryRunner::run(std::size_t count, std::uint64_t base_seed,
 
 double
 TrajectoryRunner::sum(std::size_t count, std::uint64_t base_seed,
-                      const Body &body)
+                      std::size_t lanes, const Body &body)
 {
-    const std::vector<double> results = run(count, base_seed, body);
-    double total = 0.0;
-    for (double r : results)
-        total += r;
-    return total;
-}
-
-std::vector<double>
-TrajectoryRunner::runBatched(std::size_t count, std::uint64_t base_seed,
-                             std::size_t lanes, const BatchBody &body)
-{
-    if (lanes == 0)
-        throw std::invalid_argument(
-            "runBatched: lanes must be at least 1");
-    if (count == 0)
-        return {};
-    const std::size_t tiles = (count + lanes - 1) / lanes;
-    std::vector<double> results(count, 0.0);
-    trajPool_.parallelFor(tiles, [&](std::size_t tile) {
-        OBS_SPAN("traj.tile");
-        const std::size_t first = tile * lanes;
-        const std::size_t rest = count - first;
-        const std::size_t width = rest < lanes ? rest : lanes;
-        OBS_COUNT("traj.count", width);
-        // Same stream seeds as run(): lane l is trajectory first + l.
-        std::vector<linalg::Rng> rngs;
-        rngs.reserve(width);
-        for (std::size_t l = 0; l < width; ++l)
-            rngs.emplace_back(streamSeed(base_seed, first + l));
-        ExecOptions exec;
-        ThreadPool *state = nullptr;
-        if (stateThreads_ > 1) {
-            state = acquireStatePool();
-            exec.pool = state;
-            exec.threads = state->size();
-        }
-        try {
-            body(first, width, rngs.data(), exec,
-                 results.data() + first);
-        } catch (...) {
-            if (state != nullptr)
-                releaseStatePool(state);
-            throw;
-        }
-        if (state != nullptr)
-            releaseStatePool(state);
-    });
-    return results;
-}
-
-double
-TrajectoryRunner::sumBatched(std::size_t count, std::uint64_t base_seed,
-                             std::size_t lanes, const BatchBody &body)
-{
-    const std::vector<double> results =
-        runBatched(count, base_seed, lanes, body);
+    const std::vector<double> results = run(count, base_seed, lanes, body);
     double total = 0.0;
     for (double r : results)
         total += r;

@@ -125,13 +125,6 @@ struct ExecOptions
      */
     std::size_t threads = 1;
     /**
-     * Amplitude groups (pairs / quads / dense tuples) per parallel
-     * task; 0 = auto (targets a few tasks per thread). Rounded up to a
-     * cache-line- and SIMD-aligned granule; results are bit-identical
-     * for every value.
-     */
-    std::size_t chunk = 0;
-    /**
      * Pool to run sweeps on (not owned). Sweeps are parallel only when
      * this is set with size() > 1 — except in Plan-level execute(),
      * which creates a transient pool from `threads` when unset.
@@ -193,23 +186,32 @@ BatchPlan planBatch(std::size_t total_threads, std::size_t width,
                     std::size_t count);
 
 /**
- * Trajectory batch driver owning both parallel axes: a trajectory pool
- * of trajWorkers slots and, when stateThreads > 1, one sweep pool per
- * slot, leased to the running trajectory through the ExecOptions its
- * body receives. Results are index-ordered and bit-for-bit identical
- * for every (trajWorkers, stateThreads) combination.
+ * Trajectory batch driver owning the trajectory and sweep axes: a
+ * trajectory pool of trajWorkers slots and, when stateThreads > 1, one
+ * sweep pool per slot, leased to the running tile through the
+ * ExecOptions its body receives. Trajectories run in tiles of up to
+ * `lanes` — the SoA width a body packs into one BatchState; a tile of
+ * one is a single trajectory. Results are index-ordered and bit-for-bit
+ * identical for every (trajWorkers, stateThreads, lanes) combination
+ * whose body executes each trajectory faithfully.
  */
 class TrajectoryRunner
 {
   public:
-    /** Body form receiving sweep-execution options for this slot. */
+    /**
+     * Runs trajectories [first, first + lanes), with rngs[l] the stream
+     * RNG of trajectory first + l (seeded streamSeed(base_seed,
+     * first + l)), and writes each trajectory's result to out[l].
+     */
     using Body =
-        std::function<double(std::size_t, linalg::Rng &, const ExecOptions &)>;
+        std::function<void(std::size_t first, std::size_t lanes,
+                           linalg::Rng *rngs, const ExecOptions &,
+                           double *out)>;
 
     /**
-     * @param traj_workers concurrent trajectories (0 = hardware).
-     * @param state_threads sweep workers per trajectory (0 or 1 =
-     *        serial sweeps).
+     * @param traj_workers concurrent tiles (0 = hardware).
+     * @param state_threads sweep workers per tile (0 or 1 = serial
+     *        sweeps).
      */
     explicit TrajectoryRunner(std::size_t traj_workers,
                               std::size_t state_threads = 1);
@@ -218,42 +220,20 @@ class TrajectoryRunner
     std::size_t stateThreads() const { return stateThreads_; }
 
     /**
-     * Body form for SoA-batched tiles: runs trajectories
-     * [first, first + lanes), with rngs[l] the stream RNG of
-     * trajectory first + l (seeded streamSeed(base_seed, first + l),
-     * exactly as the per-trajectory Body sees), and writes each
-     * trajectory's result to out[l].
+     * Runs @p count trajectories in tiles of up to @p lanes (the final
+     * tile carries count % lanes when count is not a multiple) and
+     * returns the per-trajectory results in index order. Deterministic
+     * for fixed (count, base_seed) regardless of thread counts and
+     * lanes. count == 0 returns an empty vector and never invokes
+     * @p body.
+     * @throws std::invalid_argument when lanes == 0.
      */
-    using BatchBody =
-        std::function<void(std::size_t first, std::size_t lanes,
-                           linalg::Rng *rngs, const ExecOptions &,
-                           double *out)>;
-
-    /** runTrajectories over both axes; same determinism contract. */
     std::vector<double> run(std::size_t count, std::uint64_t base_seed,
-                            const Body &body);
+                            std::size_t lanes, const Body &body);
 
     /** run followed by a fixed-order sum. */
     double sum(std::size_t count, std::uint64_t base_seed,
-               const Body &body);
-
-    /**
-     * Like run, but dispatches trajectories in tiles of up to
-     * @p lanes — the SoA batch width the body packs into one
-     * BatchState. The final tile carries count % lanes trajectories
-     * when count is not a multiple. RNG streams and the result order
-     * match run() exactly, so a body that executes each lane's
-     * trajectory faithfully is bit-identical to the unbatched path.
-     * @throws std::invalid_argument when lanes == 0.
-     */
-    std::vector<double> runBatched(std::size_t count,
-                                   std::uint64_t base_seed,
-                                   std::size_t lanes,
-                                   const BatchBody &body);
-
-    /** runBatched followed by a fixed-order sum. */
-    double sumBatched(std::size_t count, std::uint64_t base_seed,
-                      std::size_t lanes, const BatchBody &body);
+               std::size_t lanes, const Body &body);
 
   private:
     ThreadPool *acquireStatePool();
@@ -266,23 +246,6 @@ class TrajectoryRunner
     std::condition_variable poolAvailable_;
     std::vector<ThreadPool *> freePools_;
 };
-
-/**
- * Runs @p count trajectories and returns the per-trajectory results in
- * index order. Each trajectory t receives a fresh Rng seeded with
- * streamSeed(base_seed, t). Deterministic for fixed (count, base_seed)
- * regardless of the pool's thread count. count == 0 is a well-defined
- * no-op: it returns an empty vector without dispatching to the pool
- * and never invokes @p body.
- */
-std::vector<double>
-runTrajectories(ThreadPool &pool, std::size_t count, std::uint64_t base_seed,
-                const std::function<double(std::size_t, linalg::Rng &)> &body);
-
-/** runTrajectories followed by a fixed-order sum. */
-double
-sumTrajectories(ThreadPool &pool, std::size_t count, std::uint64_t base_seed,
-                const std::function<double(std::size_t, linalg::Rng &)> &body);
 
 } // namespace sim
 } // namespace crisc

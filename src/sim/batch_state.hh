@@ -8,14 +8,18 @@
  *     re()[i * batch + t]  /  im()[i * batch + t]
  *
  * which makes SIMD lanes run *across trajectories* when a batched
- * kernel (kernels.hh apply*Batch) walks the amplitude axis — control
- * flow is perfectly uniform because every lane executes the same
- * compiled plan, and divergence (noise sampling, measurement) is
- * expressed per lane through applyPauliLane / amp().
+ * kernel (the KernelTable *BatchRange entries) walks the amplitude
+ * axis — control flow is perfectly uniform because every lane executes
+ * the same compiled plan, and divergence (noise sampling, measurement)
+ * is expressed per lane through applyPauliLane / amp().
  *
  * Conversions to and from the library's interleaved
  * std::complex<double> statevectors (pack / unpack) copy values
  * bitwise; a pack -> unpack round trip is the identity.
+ *
+ * StateView is the non-owning handle the engine drivers (engine.hh)
+ * and the noise kernels (circuit/noise.hh) take, so one driver serves
+ * both layouts: an interleaved statevector (one lane) or a BatchState.
  */
 
 #ifndef CRISC_SIM_BATCH_STATE_HH
@@ -80,6 +84,54 @@ class BatchState
     std::size_t batch_;
     std::vector<double> re_; ///< dim * batch, lane-major per amplitude.
     std::vector<double> im_;
+};
+
+/**
+ * Non-owning view of the state an engine driver sweeps: either one
+ * interleaved 2^n statevector (a single lane, run by the interleaved
+ * kernels) or the split re/im arrays of a BatchState's lanes (run by
+ * the SoA kernels). Only the range dispatch (engine.hh executeOpRange)
+ * and the per-lane noise and read-out branch on the layout.
+ */
+class StateView
+{
+  public:
+    /** One interleaved statevector of 2^n_qubits amplitudes. */
+    StateView(linalg::Complex *amps, std::size_t n_qubits)
+        : amps_(amps), nQubits_(n_qubits)
+    {
+    }
+
+    /** Every lane of @p batch (implicit: a BatchState is a state). */
+    StateView(BatchState &batch)
+        : re_(batch.re()), im_(batch.im()), nQubits_(batch.numQubits()),
+          lanes_(batch.batch())
+    {
+    }
+
+    bool interleaved() const { return amps_ != nullptr; }
+    std::size_t numQubits() const { return nQubits_; }
+    std::size_t lanes() const { return lanes_; }
+
+    linalg::Complex *amps() const { return amps_; }
+    double *re() const { return re_; }
+    double *im() const { return im_; }
+
+    /** Amplitude @p index of lane @p lane (unchecked hot-path read). */
+    linalg::Complex amp(std::size_t index, std::size_t lane) const
+    {
+        if (amps_ != nullptr)
+            return amps_[index];
+        const std::size_t at = index * lanes_ + lane;
+        return {re_[at], im_[at]};
+    }
+
+  private:
+    linalg::Complex *amps_ = nullptr;
+    double *re_ = nullptr;
+    double *im_ = nullptr;
+    std::size_t nQubits_;
+    std::size_t lanes_ = 1;
 };
 
 } // namespace sim

@@ -10,10 +10,9 @@
 #include "sim/kernels.hh"
 
 // Runtime backend resolution (see dispatch.hh) and the public sim::
-// kernel wrappers, which are the only call sites most of the library
-// uses: circuit/noise/tests call the wrappers (one table fetch per
-// kernel call), while the engine's sweep drivers fetch activeKernels()
-// once per sweep and invoke table entries directly.
+// kernel wrappers: circuit/noise/tests call the wrappers (one table
+// fetch per kernel call), while the engine's executeOpRange fetches
+// activeKernels() once per sweep and invokes table entries directly.
 
 namespace crisc {
 namespace sim {
@@ -234,8 +233,8 @@ recordDispatchGauges()
 
 // ---------------------------------------------------------------------
 // Public kernel wrappers: the stable sim:: API from kernels.hh, routed
-// through the resolved table. Full-sweep batched forms span the table's
-// range kernels over the whole group space.
+// through the resolved table. A whole-register sweep is the range
+// kernel over [0, groups).
 // ---------------------------------------------------------------------
 
 const char *
@@ -254,14 +253,16 @@ void
 apply1q(Complex *amps, std::size_t n_qubits, std::size_t qubit,
         const Complex m[4])
 {
-    activeKernels().apply1q(amps, n_qubits, qubit, m);
+    activeKernels().apply1qRange(amps, n_qubits, qubit, m, 0,
+                                 (std::size_t{1} << n_qubits) >> 1);
 }
 
 void
 apply1qDiag(Complex *amps, std::size_t n_qubits, std::size_t qubit,
             Complex d0, Complex d1)
 {
-    activeKernels().apply1qDiag(amps, n_qubits, qubit, d0, d1);
+    activeKernels().apply1qDiagRange(amps, n_qubits, qubit, d0, d1, 0,
+                                     (std::size_t{1} << n_qubits) >> 1);
 }
 
 void
@@ -275,21 +276,25 @@ void
 apply2q(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
         std::size_t q_lo, const Complex m[16])
 {
-    activeKernels().apply2q(amps, n_qubits, q_hi, q_lo, m);
+    activeKernels().apply2qRange(amps, n_qubits, q_hi, q_lo, m, 0,
+                                 (std::size_t{1} << n_qubits) >> 2);
 }
 
 void
 apply2qDiag(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
             std::size_t q_lo, const Complex d[4])
 {
-    activeKernels().apply2qDiag(amps, n_qubits, q_hi, q_lo, d);
+    activeKernels().apply2qDiagRange(amps, n_qubits, q_hi, q_lo, d, 0,
+                                     (std::size_t{1} << n_qubits) >> 2);
 }
 
 void
 applyDense(Complex *amps, std::size_t n_qubits, const Matrix &op,
            const std::vector<std::size_t> &qubits)
 {
-    detail::applyDenseShared(amps, n_qubits, op, qubits);
+    detail::applyDenseRangeShared(
+        amps, n_qubits, op, qubits, 0,
+        (std::size_t{1} << n_qubits) >> qubits.size());
 }
 
 void
@@ -305,26 +310,25 @@ void
 applyGate(Complex *amps, std::size_t n_qubits, const Matrix &op,
           const std::vector<std::size_t> &qubits)
 {
-    const KernelTable &k = activeKernels();
     switch (qubits.size()) {
       case 1:
         if (op(0, 1) == Complex{0.0, 0.0} && op(1, 0) == Complex{0.0, 0.0}) {
-            k.apply1qDiag(amps, n_qubits, qubits[0], op(0, 0), op(1, 1));
+            apply1qDiag(amps, n_qubits, qubits[0], op(0, 0), op(1, 1));
         } else {
             const Complex m[4] = {op(0, 0), op(0, 1), op(1, 0), op(1, 1)};
-            k.apply1q(amps, n_qubits, qubits[0], m);
+            apply1q(amps, n_qubits, qubits[0], m);
         }
         return;
       case 2:
         if (exactlyDiagonal(op)) {
             const Complex d[4] = {op(0, 0), op(1, 1), op(2, 2), op(3, 3)};
-            k.apply2qDiag(amps, n_qubits, qubits[0], qubits[1], d);
+            apply2qDiag(amps, n_qubits, qubits[0], qubits[1], d);
         } else {
-            k.apply2q(amps, n_qubits, qubits[0], qubits[1], op.data());
+            apply2q(amps, n_qubits, qubits[0], qubits[1], op.data());
         }
         return;
       default:
-        k.applyDense(amps, n_qubits, op, qubits);
+        applyDense(amps, n_qubits, op, qubits);
         return;
     }
 }
@@ -366,129 +370,12 @@ apply2qDiagRange(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
 }
 
 void
-apply1qBatchRange(double *re, double *im, std::size_t n_qubits,
-                  std::size_t batch, std::size_t qubit, const Complex m[4],
-                  std::size_t pair_begin, std::size_t pair_end)
-{
-    activeKernels().apply1qBatchRange(re, im, n_qubits, batch, qubit, m,
-                                      pair_begin, pair_end);
-}
-
-void
-apply1qBatch(double *re, double *im, std::size_t n_qubits,
-             std::size_t batch, std::size_t qubit, const Complex m[4])
-{
-    activeKernels().apply1qBatchRange(re, im, n_qubits, batch, qubit, m, 0,
-                                      (std::size_t{1} << n_qubits) >> 1);
-}
-
-void
-apply1qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
-                      std::size_t batch, std::size_t qubit, Complex d0,
-                      Complex d1, std::size_t pair_begin,
-                      std::size_t pair_end)
-{
-    activeKernels().apply1qDiagBatchRange(re, im, n_qubits, batch, qubit,
-                                          d0, d1, pair_begin, pair_end);
-}
-
-void
-apply1qDiagBatch(double *re, double *im, std::size_t n_qubits,
-                 std::size_t batch, std::size_t qubit, Complex d0,
-                 Complex d1)
-{
-    activeKernels().apply1qDiagBatchRange(
-        re, im, n_qubits, batch, qubit, d0, d1, 0,
-        (std::size_t{1} << n_qubits) >> 1);
-}
-
-void
-applyPauliBatchRange(double *re, double *im, std::size_t n_qubits,
-                     std::size_t batch, std::size_t qubit,
-                     std::size_t pauli_index, std::size_t pair_begin,
-                     std::size_t pair_end)
-{
-    activeKernels().applyPauliBatchRange(re, im, n_qubits, batch, qubit,
-                                         pauli_index, pair_begin, pair_end);
-}
-
-void
-applyPauliBatch(double *re, double *im, std::size_t n_qubits,
-                std::size_t batch, std::size_t qubit,
-                std::size_t pauli_index)
-{
-    activeKernels().applyPauliBatchRange(
-        re, im, n_qubits, batch, qubit, pauli_index, 0,
-        (std::size_t{1} << n_qubits) >> 1);
-}
-
-void
 applyPauliLane(double *re, double *im, std::size_t n_qubits,
                std::size_t batch, std::size_t lane, std::size_t qubit,
                std::size_t pauli_index)
 {
     activeKernels().applyPauliLane(re, im, n_qubits, batch, lane, qubit,
                                    pauli_index);
-}
-
-void
-apply2qBatchRange(double *re, double *im, std::size_t n_qubits,
-                  std::size_t batch, std::size_t q_hi, std::size_t q_lo,
-                  const Complex m[16], std::size_t quad_begin,
-                  std::size_t quad_end)
-{
-    activeKernels().apply2qBatchRange(re, im, n_qubits, batch, q_hi, q_lo,
-                                      m, quad_begin, quad_end);
-}
-
-void
-apply2qBatch(double *re, double *im, std::size_t n_qubits,
-             std::size_t batch, std::size_t q_hi, std::size_t q_lo,
-             const Complex m[16])
-{
-    activeKernels().apply2qBatchRange(re, im, n_qubits, batch, q_hi, q_lo,
-                                      m, 0,
-                                      (std::size_t{1} << n_qubits) >> 2);
-}
-
-void
-apply2qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
-                      std::size_t batch, std::size_t q_hi,
-                      std::size_t q_lo, const Complex d[4],
-                      std::size_t quad_begin, std::size_t quad_end)
-{
-    activeKernels().apply2qDiagBatchRange(re, im, n_qubits, batch, q_hi,
-                                          q_lo, d, quad_begin, quad_end);
-}
-
-void
-apply2qDiagBatch(double *re, double *im, std::size_t n_qubits,
-                 std::size_t batch, std::size_t q_hi, std::size_t q_lo,
-                 const Complex d[4])
-{
-    activeKernels().apply2qDiagBatchRange(
-        re, im, n_qubits, batch, q_hi, q_lo, d, 0,
-        (std::size_t{1} << n_qubits) >> 2);
-}
-
-void
-applyDenseBatchRange(double *re, double *im, std::size_t n_qubits,
-                     std::size_t batch, const Matrix &op,
-                     const std::vector<std::size_t> &qubits,
-                     std::size_t group_begin, std::size_t group_end)
-{
-    activeKernels().applyDenseBatchRange(re, im, n_qubits, batch, op,
-                                         qubits, group_begin, group_end);
-}
-
-void
-applyDenseBatch(double *re, double *im, std::size_t n_qubits,
-                std::size_t batch, const Matrix &op,
-                const std::vector<std::size_t> &qubits)
-{
-    activeKernels().applyDenseBatchRange(
-        re, im, n_qubits, batch, op, qubits, 0,
-        (std::size_t{1} << n_qubits) >> qubits.size());
 }
 
 } // namespace sim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.hh"
 #include "sim/cache.hh"
@@ -303,74 +304,63 @@ compile(const circuit::Circuit &c, const CompileOptions &opts)
     return plan;
 }
 
-void
-executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits)
-{
-    // One dispatch-table fetch per sweep, never per amplitude.
-    const KernelTable &k = activeKernels();
-    switch (op.kind) {
-      case KernelKind::OneQ:
-        k.apply1q(amps, n_qubits, op.q0, op.m.data());
-        return;
-      case KernelKind::OneQDiag:
-        k.apply1qDiag(amps, n_qubits, op.q0, op.m[0], op.m[1]);
-        return;
-      case KernelKind::TwoQ:
-        k.apply2q(amps, n_qubits, op.q0, op.q1, op.m.data());
-        return;
-      case KernelKind::TwoQDiag:
-        k.apply2qDiag(amps, n_qubits, op.q0, op.q1, op.m.data());
-        return;
-      case KernelKind::Dense:
-        k.applyDense(amps, n_qubits, op.dense, op.qubits);
-        return;
-    }
-    throw std::logic_error("executeOp: unknown kernel kind");
-}
-
 std::size_t
 opGroupCount(const KernelOp &op, std::size_t n_qubits)
 {
-    const std::size_t dim = std::size_t{1} << n_qubits;
-    switch (op.kind) {
-      case KernelKind::OneQ:
-      case KernelKind::OneQDiag:
-        return dim >> 1;
-      case KernelKind::TwoQ:
-      case KernelKind::TwoQDiag:
-        return dim >> 2;
-      case KernelKind::Dense:
-        return dim >> op.qubits.size();
-    }
-    throw std::logic_error("opGroupCount: unknown kernel kind");
+    return (std::size_t{1} << n_qubits) >> opGroupBits(op);
 }
 
 void
-executeOpRange(const KernelOp &op, Complex *amps, std::size_t n_qubits,
-               std::size_t group_begin, std::size_t group_end)
+executeOpRange(const KernelOp &op, StateView state, std::size_t g0,
+               std::size_t g1)
 {
+    // One dispatch-table fetch per sweep, never per amplitude.
     const KernelTable &k = activeKernels();
-    switch (op.kind) {
-      case KernelKind::OneQ:
-        k.apply1qRange(amps, n_qubits, op.q0, op.m.data(), group_begin,
-                       group_end);
-        return;
-      case KernelKind::OneQDiag:
-        k.apply1qDiagRange(amps, n_qubits, op.q0, op.m[0], op.m[1],
-                           group_begin, group_end);
-        return;
-      case KernelKind::TwoQ:
-        k.apply2qRange(amps, n_qubits, op.q0, op.q1, op.m.data(),
-                       group_begin, group_end);
-        return;
-      case KernelKind::TwoQDiag:
-        k.apply2qDiagRange(amps, n_qubits, op.q0, op.q1, op.m.data(),
-                           group_begin, group_end);
-        return;
-      case KernelKind::Dense:
-        k.applyDenseRange(amps, n_qubits, op.dense, op.qubits, group_begin,
-                          group_end);
-        return;
+    const std::size_t n = state.numQubits();
+    if (state.interleaved()) {
+        Complex *a = state.amps();
+        switch (op.kind) {
+          case KernelKind::OneQ:
+            k.apply1qRange(a, n, op.q0, op.m.data(), g0, g1);
+            return;
+          case KernelKind::OneQDiag:
+            k.apply1qDiagRange(a, n, op.q0, op.m[0], op.m[1], g0, g1);
+            return;
+          case KernelKind::TwoQ:
+            k.apply2qRange(a, n, op.q0, op.q1, op.m.data(), g0, g1);
+            return;
+          case KernelKind::TwoQDiag:
+            k.apply2qDiagRange(a, n, op.q0, op.q1, op.m.data(), g0, g1);
+            return;
+          case KernelKind::Dense:
+            k.applyDenseRange(a, n, op.dense, op.qubits, g0, g1);
+            return;
+        }
+    } else {
+        double *re = state.re();
+        double *im = state.im();
+        const std::size_t b = state.lanes();
+        switch (op.kind) {
+          case KernelKind::OneQ:
+            k.apply1qBatchRange(re, im, n, b, op.q0, op.m.data(), g0, g1);
+            return;
+          case KernelKind::OneQDiag:
+            k.apply1qDiagBatchRange(re, im, n, b, op.q0, op.m[0], op.m[1],
+                                    g0, g1);
+            return;
+          case KernelKind::TwoQ:
+            k.apply2qBatchRange(re, im, n, b, op.q0, op.q1, op.m.data(), g0,
+                                g1);
+            return;
+          case KernelKind::TwoQDiag:
+            k.apply2qDiagBatchRange(re, im, n, b, op.q0, op.q1, op.m.data(),
+                                    g0, g1);
+            return;
+          case KernelKind::Dense:
+            k.applyDenseBatchRange(re, im, n, b, op.dense, op.qubits, g0,
+                                   g1);
+            return;
+        }
     }
     throw std::logic_error("executeOpRange: unknown kernel kind");
 }
@@ -386,150 +376,79 @@ namespace {
  */
 constexpr std::size_t kChunkGranule = 64;
 
-/** Below this many groups a sweep stays serial: fork/join overhead
- *  (~µs) would rival the sweep itself. */
+/** Below this many single-lane groups a sweep stays serial: fork/join
+ *  overhead (~µs) would rival the sweep itself. */
 constexpr std::size_t kMinParallelGroups = 1024;
 
-/** Tasks per worker the auto chunk size aims for (load balance vs.
+/** Tasks per worker the chunk size aims for (load balance vs.
  *  scheduling overhead). */
 constexpr std::size_t kTasksPerThread = 4;
 
+/** Serial cutoff for a sweep over @p lanes lanes: each group carries
+ *  that many lanes of work, so the cutoff scales down with the lane
+ *  count (but never below one granule). */
 std::size_t
-chunkFor(std::size_t groups, std::size_t workers, std::size_t requested)
+minParallelGroups(std::size_t lanes)
 {
-    std::size_t chunk = requested;
-    if (chunk == 0)
-        chunk = groups / (workers * kTasksPerThread);
-    if (chunk < kChunkGranule)
-        chunk = kChunkGranule;
-    return (chunk + kChunkGranule - 1) / kChunkGranule * kChunkGranule;
+    return std::max(kMinParallelGroups / lanes, kChunkGranule);
+}
+
+void
+checkWidth(const Plan &plan, StateView state, const char *who)
+{
+    if (state.numQubits() != plan.numQubits())
+        throw std::invalid_argument(std::string(who) +
+                                    ": state width does not match plan "
+                                    "width");
+}
+
+/** @p opts with a pool: the caller's, else @p transient sized from
+ *  opts.threads when that asks for more than one thread. */
+ExecOptions
+withPool(const ExecOptions &opts, std::optional<ThreadPool> &transient)
+{
+    ExecOptions resolved = opts;
+    if (resolved.pool == nullptr && opts.threads != 1) {
+        transient.emplace(opts.threads);
+        resolved.pool = &*transient;
+    }
+    return resolved;
 }
 
 } // namespace
 
 void
-executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits,
-          const ExecOptions &opts)
+executeOp(const KernelOp &op, StateView state, const ExecOptions &opts)
 {
     OBS_SPAN("sim.sweep");
     ThreadPool *pool = opts.pool;
-    const std::size_t groups = opGroupCount(op, n_qubits);
+    const std::size_t groups = opGroupCount(op, state.numQubits());
     if (pool == nullptr || pool->size() <= 1 ||
-        groups < kMinParallelGroups) {
-        executeOp(op, amps, n_qubits);
+        groups < minParallelGroups(state.lanes())) {
+        executeOpRange(op, state, 0, groups);
         return;
     }
-    const std::size_t chunk = chunkFor(groups, pool->size(), opts.chunk);
+    // A few tasks per worker, rounded up to the granule.
+    const std::size_t chunk =
+        (std::max(groups / (pool->size() * kTasksPerThread), kChunkGranule) +
+         kChunkGranule - 1) /
+        kChunkGranule * kChunkGranule;
     const std::size_t tasks = (groups + chunk - 1) / chunk;
     OBS_COUNT("sim.chunks", tasks);
     pool->parallelFor(tasks, [&](std::size_t t) {
         const std::size_t g0 = t * chunk;
-        const std::size_t g1 = g0 + chunk < groups ? g0 + chunk : groups;
-        executeOpRange(op, amps, n_qubits, g0, g1);
-    });
-}
-
-void
-executeOpBatched(const KernelOp &op, BatchState &batch)
-{
-    double *re = batch.re();
-    double *im = batch.im();
-    const std::size_t n = batch.numQubits();
-    const std::size_t b = batch.batch();
-    const std::size_t dim = std::size_t{1} << n;
-    const KernelTable &k = activeKernels();
-    switch (op.kind) {
-      case KernelKind::OneQ:
-        k.apply1qBatchRange(re, im, n, b, op.q0, op.m.data(), 0, dim >> 1);
-        return;
-      case KernelKind::OneQDiag:
-        k.apply1qDiagBatchRange(re, im, n, b, op.q0, op.m[0], op.m[1], 0,
-                                dim >> 1);
-        return;
-      case KernelKind::TwoQ:
-        k.apply2qBatchRange(re, im, n, b, op.q0, op.q1, op.m.data(), 0,
-                            dim >> 2);
-        return;
-      case KernelKind::TwoQDiag:
-        k.apply2qDiagBatchRange(re, im, n, b, op.q0, op.q1, op.m.data(), 0,
-                                dim >> 2);
-        return;
-      case KernelKind::Dense:
-        k.applyDenseBatchRange(re, im, n, b, op.dense, op.qubits, 0,
-                               dim >> op.qubits.size());
-        return;
-    }
-    throw std::logic_error("executeOpBatched: unknown kernel kind");
-}
-
-void
-executeOpBatchedRange(const KernelOp &op, BatchState &batch,
-                      std::size_t group_begin, std::size_t group_end)
-{
-    double *re = batch.re();
-    double *im = batch.im();
-    const std::size_t n = batch.numQubits();
-    const std::size_t b = batch.batch();
-    const KernelTable &k = activeKernels();
-    switch (op.kind) {
-      case KernelKind::OneQ:
-        k.apply1qBatchRange(re, im, n, b, op.q0, op.m.data(), group_begin,
-                            group_end);
-        return;
-      case KernelKind::OneQDiag:
-        k.apply1qDiagBatchRange(re, im, n, b, op.q0, op.m[0], op.m[1],
-                                group_begin, group_end);
-        return;
-      case KernelKind::TwoQ:
-        k.apply2qBatchRange(re, im, n, b, op.q0, op.q1, op.m.data(),
-                            group_begin, group_end);
-        return;
-      case KernelKind::TwoQDiag:
-        k.apply2qDiagBatchRange(re, im, n, b, op.q0, op.q1, op.m.data(),
-                                group_begin, group_end);
-        return;
-      case KernelKind::Dense:
-        k.applyDenseBatchRange(re, im, n, b, op.dense, op.qubits,
-                               group_begin, group_end);
-        return;
-    }
-    throw std::logic_error("executeOpBatchedRange: unknown kernel kind");
-}
-
-void
-executeOpBatched(const KernelOp &op, BatchState &batch,
-                 const ExecOptions &opts)
-{
-    OBS_SPAN("sim.sweep_batched");
-    ThreadPool *pool = opts.pool;
-    const std::size_t groups = opGroupCount(op, batch.numQubits());
-    // Each group carries batch() lanes of work, so the serial cutoff
-    // scales down with the batch width (but never below one granule).
-    const std::size_t scaled = kMinParallelGroups / batch.batch();
-    const std::size_t minGroups =
-        scaled > kChunkGranule ? scaled : kChunkGranule;
-    if (pool == nullptr || pool->size() <= 1 || groups < minGroups) {
-        executeOpBatched(op, batch);
-        return;
-    }
-    const std::size_t chunk = chunkFor(groups, pool->size(), opts.chunk);
-    const std::size_t tasks = (groups + chunk - 1) / chunk;
-    OBS_COUNT("sim.chunks", tasks);
-    pool->parallelFor(tasks, [&](std::size_t t) {
-        const std::size_t g0 = t * chunk;
-        const std::size_t g1 = g0 + chunk < groups ? g0 + chunk : groups;
-        executeOpBatchedRange(op, batch, g0, g1);
+        executeOpRange(op, state, g0, std::min(g0 + chunk, groups));
     });
 }
 
 void
 executeBlockedRange(const Plan &plan, std::size_t op_begin,
-                    std::size_t op_end, Complex *amps,
+                    std::size_t op_end, StateView state,
                     std::size_t block_qubits, std::size_t block_begin,
                     std::size_t block_end)
 {
-    const std::size_t n = plan.numQubits();
-    if (block_qubits == 0 || block_qubits > n)
+    checkWidth(plan, state, "executeBlockedRange");
+    if (block_qubits == 0 || block_qubits > plan.numQubits())
         throw std::invalid_argument(
             "executeBlockedRange: block_qubits must lie in [1, plan width]");
     if (op_begin > op_end || op_end > plan.ops().size())
@@ -548,235 +467,87 @@ executeBlockedRange(const Plan &plan, std::size_t op_begin,
         OBS_SPAN("sim.block");
         // A blockable op's groups tile the index space in block order:
         // block b owns groups [b * perBlock, (b + 1) * perBlock), so
-        // the per-op Range kernels replay the serial sweep exactly.
+        // the per-op range kernels replay the serial sweep exactly.
         for (std::size_t i = op_begin; i < op_end; ++i) {
             const KernelOp &op = plan.ops()[i];
             const std::size_t perBlock = blockDim >> opGroupBits(op);
-            executeOpRange(op, amps, n, b * perBlock, (b + 1) * perBlock);
+            executeOpRange(op, state, b * perBlock, (b + 1) * perBlock);
         }
     }
 }
 
 namespace {
 
-/** executeBlockedRange's loop nest on a SoA batch (inputs validated by
- *  the executeBlockedBatched caller). */
-void
-blockedBatchedRange(const Plan &plan, std::size_t op_begin,
-                    std::size_t op_end, BatchState &batch,
-                    std::size_t block_qubits, std::size_t block_begin,
-                    std::size_t block_end)
-{
-    const std::size_t blockDim = std::size_t{1} << block_qubits;
-    for (std::size_t b = block_begin; b < block_end; ++b) {
-        OBS_SPAN("sim.block");
-        for (std::size_t i = op_begin; i < op_end; ++i) {
-            const KernelOp &op = plan.ops()[i];
-            const std::size_t perBlock = blockDim >> opGroupBits(op);
-            executeOpBatchedRange(op, batch, b * perBlock,
-                                  (b + 1) * perBlock);
-        }
-    }
-}
-
 /** One blockable segment, block-outer, blocks spread over the pool.
  *  Blockable ops never couple amplitudes across block boundaries, so
  *  the tasks write disjoint amplitude ranges. */
 void
-runBlockedSegment(const Plan &plan, const BlockSegment &seg, Complex *amps,
+runBlockedSegment(const Plan &plan, const BlockSegment &seg, StateView state,
                   std::size_t block_qubits, const ExecOptions &opts)
 {
     OBS_SPAN("sim.segment");
     const std::size_t blocks = plan.dim() >> block_qubits;
+    const std::size_t end = seg.first + seg.count;
     ThreadPool *pool = opts.pool;
     if (pool == nullptr || pool->size() <= 1 || blocks < 2 ||
-        (plan.dim() >> 1) < kMinParallelGroups) {
-        executeBlockedRange(plan, seg.first, seg.first + seg.count, amps,
-                            block_qubits, 0, blocks);
+        (plan.dim() >> 1) < minParallelGroups(state.lanes())) {
+        executeBlockedRange(plan, seg.first, end, state, block_qubits, 0,
+                            blocks);
         return;
     }
-    std::size_t per = blocks / (pool->size() * kTasksPerThread);
-    if (per == 0)
-        per = 1;
+    const std::size_t per =
+        std::max<std::size_t>(blocks / (pool->size() * kTasksPerThread), 1);
     const std::size_t tasks = (blocks + per - 1) / per;
     OBS_COUNT("sim.block_tasks", tasks);
     pool->parallelFor(tasks, [&](std::size_t t) {
         const std::size_t b0 = t * per;
-        const std::size_t b1 = b0 + per < blocks ? b0 + per : blocks;
-        executeBlockedRange(plan, seg.first, seg.first + seg.count, amps,
-                            block_qubits, b0, b1);
-    });
-}
-
-/** runBlockedSegment on a SoA batch; the serial cutoff scales down
- *  with the lane count exactly as executeOpBatched's does. */
-void
-runBlockedSegmentBatched(const Plan &plan, const BlockSegment &seg,
-                         BatchState &batch, std::size_t block_qubits,
-                         const ExecOptions &opts)
-{
-    OBS_SPAN("sim.segment");
-    const std::size_t blocks = plan.dim() >> block_qubits;
-    const std::size_t scaled = kMinParallelGroups / batch.batch();
-    const std::size_t minGroups =
-        scaled > kChunkGranule ? scaled : kChunkGranule;
-    ThreadPool *pool = opts.pool;
-    if (pool == nullptr || pool->size() <= 1 || blocks < 2 ||
-        (plan.dim() >> 1) < minGroups) {
-        blockedBatchedRange(plan, seg.first, seg.first + seg.count, batch,
-                            block_qubits, 0, blocks);
-        return;
-    }
-    std::size_t per = blocks / (pool->size() * kTasksPerThread);
-    if (per == 0)
-        per = 1;
-    const std::size_t tasks = (blocks + per - 1) / per;
-    OBS_COUNT("sim.block_tasks", tasks);
-    pool->parallelFor(tasks, [&](std::size_t t) {
-        const std::size_t b0 = t * per;
-        const std::size_t b1 = b0 + per < blocks ? b0 + per : blocks;
-        blockedBatchedRange(plan, seg.first, seg.first + seg.count, batch,
-                            block_qubits, b0, b1);
+        executeBlockedRange(plan, seg.first, end, state, block_qubits, b0,
+                            std::min(b0 + per, blocks));
     });
 }
 
 } // namespace
 
 void
-executeBlocked(const Plan &plan, Complex *amps, std::size_t block_qubits,
+executeBlocked(const Plan &plan, StateView state, std::size_t block_qubits,
                const ExecOptions &opts)
 {
-    const std::size_t n = plan.numQubits();
-    if (block_qubits == 0 || block_qubits > n)
+    checkWidth(plan, state, "executeBlocked");
+    if (block_qubits == 0 || block_qubits > plan.numQubits())
         throw std::invalid_argument(
             "executeBlocked: block_qubits must lie in [1, plan width]");
     OBS_SPAN("sim.plan");
-    const std::vector<BlockSegment> segments =
-        blockSegments(plan, block_qubits);
     std::optional<ThreadPool> transient;
-    ExecOptions resolved = opts;
-    if (resolved.pool == nullptr && opts.threads != 1) {
-        transient.emplace(opts.threads);
-        resolved.pool = &*transient;
-    }
-    for (const BlockSegment &seg : segments) {
+    const ExecOptions resolved = withPool(opts, transient);
+    for (const BlockSegment &seg : blockSegments(plan, block_qubits)) {
         if (seg.blockable) {
-            runBlockedSegment(plan, seg, amps, block_qubits, resolved);
+            runBlockedSegment(plan, seg, state, block_qubits, resolved);
             continue;
         }
         // Ops coupling amplitudes across blocks run as ordinary
         // whole-register sweeps — barriers between blockable segments.
         for (std::size_t i = seg.first; i < seg.first + seg.count; ++i)
-            executeOp(plan.ops()[i], amps, n, resolved);
+            executeOp(plan.ops()[i], state, resolved);
     }
 }
 
 void
-executeBlockedBatched(const Plan &plan, BatchState &batch,
-                      std::size_t block_qubits, const ExecOptions &opts)
-{
-    if (batch.numQubits() != plan.numQubits())
-        throw std::invalid_argument(
-            "executeBlockedBatched: batch width does not match plan width");
-    if (block_qubits == 0 || block_qubits > plan.numQubits())
-        throw std::invalid_argument(
-            "executeBlockedBatched: block_qubits must lie in [1, plan "
-            "width]");
-    OBS_SPAN("sim.plan_batched");
-    const std::vector<BlockSegment> segments =
-        blockSegments(plan, block_qubits);
-    std::optional<ThreadPool> transient;
-    ExecOptions resolved = opts;
-    if (resolved.pool == nullptr && opts.threads != 1) {
-        transient.emplace(opts.threads);
-        resolved.pool = &*transient;
-    }
-    for (const BlockSegment &seg : segments) {
-        if (seg.blockable) {
-            runBlockedSegmentBatched(plan, seg, batch, block_qubits,
-                                     resolved);
-            continue;
-        }
-        for (std::size_t i = seg.first; i < seg.first + seg.count; ++i)
-            executeOpBatched(plan.ops()[i], batch, resolved);
-    }
-}
-
-void
-executeBatched(const Plan &plan, BatchState &batch, const ExecOptions &opts)
+execute(const Plan &plan, StateView state, const ExecOptions &opts)
 {
     const std::size_t block =
         resolveBlockQubits(opts.blockQubits, plan.numQubits());
     if (block != 0) {
-        executeBlockedBatched(plan, batch, block, opts);
+        executeBlocked(plan, state, block, opts);
         return;
     }
-    if (batch.numQubits() != plan.numQubits())
-        throw std::invalid_argument(
-            "executeBatched: batch width does not match plan width");
-    OBS_SPAN("sim.plan_batched");
-    if (opts.pool == nullptr && opts.threads == 1) {
-        for (const KernelOp &op : plan.ops())
-            executeOpBatched(op, batch);
-        return;
-    }
-    std::optional<ThreadPool> transient;
-    ExecOptions resolved = opts;
-    if (resolved.pool == nullptr) {
-        transient.emplace(opts.threads);
-        resolved.pool = &*transient;
-    }
-    for (const KernelOp &op : plan.ops())
-        executeOpBatched(op, batch, resolved);
-}
-
-void
-execute(const Plan &plan, Complex *amps)
-{
-    OBS_SPAN("sim.plan");
-    for (const KernelOp &op : plan.ops())
-        executeOp(op, amps, plan.numQubits());
-}
-
-void
-execute(const Plan &plan, Complex *amps, const ExecOptions &opts)
-{
-    const std::size_t block =
-        resolveBlockQubits(opts.blockQubits, plan.numQubits());
-    if (block != 0) {
-        executeBlocked(plan, amps, block, opts);
-        return;
-    }
-    if (opts.pool == nullptr && opts.threads == 1) {
-        execute(plan, amps);
-        return;
-    }
+    checkWidth(plan, state, "execute");
     OBS_SPAN("sim.plan");
     // One transient pool serves every sweep of this execution when the
     // caller did not provide one (opts.threads == 0 = hardware).
     std::optional<ThreadPool> transient;
-    ExecOptions resolved = opts;
-    if (resolved.pool == nullptr) {
-        transient.emplace(opts.threads);
-        resolved.pool = &*transient;
-    }
+    const ExecOptions resolved = withPool(opts, transient);
     for (const KernelOp &op : plan.ops())
-        executeOp(op, amps, plan.numQubits(), resolved);
-}
-
-void
-Plan::execute(Complex *amps, const ExecOptions &opts) const
-{
-    sim::execute(*this, amps, opts);
-}
-
-linalg::CVector
-run(const Plan &plan)
-{
-    linalg::CVector amps(plan.dim(), Complex{0.0, 0.0});
-    amps[0] = 1.0;
-    execute(plan, amps.data());
-    return amps;
+        executeOp(op, state, resolved);
 }
 
 linalg::CVector

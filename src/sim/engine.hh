@@ -19,14 +19,20 @@
  * threads at once on distinct statevectors, which is what the
  * trajectory batch runner (batch.hh) does.
  *
- * Execution itself offers a second, orthogonal parallel axis: with
+ * One set of drivers executes plans and ops over a sim::StateView
+ * (batch_state.hh): a single interleaved statevector, or every lane of
+ * a SoA BatchState at once (SIMD lanes across trajectories). Only
+ * executeOpRange branches on the layout; everything above it — chunked
+ * sweeps, blocked loop nests, transient pools — is layout-blind.
+ *
+ * Execution offers a second, orthogonal parallel axis: with
  * ExecOptions (batch.hh), each kernel sweep partitions its amplitude-
- * group index space (pairs / quads / dense tuples — a group is never
- * split, so chunks touch disjoint amplitudes) into cache-line-aligned
- * chunks executed on a sim::ThreadPool. Chunked sweeps replay the
- * serial per-amplitude operation sequence exactly, so state-parallel
- * execution is bit-identical to the serial and SIMD-serial backends
- * for any thread count and chunk size.
+ * group index space (pairs / quads / dense tuples — a group, with all
+ * its lanes, is never split, so chunks touch disjoint amplitudes) into
+ * cache-line-aligned chunks executed on a sim::ThreadPool. Chunked
+ * sweeps replay the serial per-amplitude operation sequence exactly, so
+ * every layout, lane count and thread count is bit-identical to serial
+ * interleaved execution.
  *
  * Plan-level execution additionally supports a cache-blocked mode
  * (ExecOptions::blockQubits, see sim/cache.hh for the auto policy):
@@ -43,8 +49,7 @@
  * the segment's ops in plan order with the serial per-amplitude IEEE
  * sequence, so blocked execution is bit-identical to every other
  * backend; blocks are the parallel granule (blocks across pool
- * threads), and the mode composes with SoA-batched lanes
- * (executeBlockedBatched).
+ * threads), and the mode composes with SoA-batched lanes.
  */
 
 #ifndef CRISC_SIM_ENGINE_HH
@@ -65,11 +70,11 @@ namespace sim {
 /** Which kernel a compiled operation dispatches to. */
 enum class KernelKind
 {
-    OneQ,     ///< dense 2x2 via apply1q.
-    OneQDiag, ///< diagonal 2x2 via apply1qDiag.
-    TwoQ,     ///< dense 4x4 via apply2q.
-    TwoQDiag, ///< diagonal 4x4 via apply2qDiag.
-    Dense,    ///< generic k >= 3 gate via applyDense.
+    OneQ,     ///< dense 2x2 via apply1qRange.
+    OneQDiag, ///< diagonal 2x2 via apply1qDiagRange.
+    TwoQ,     ///< dense 4x4 via apply2qRange.
+    TwoQDiag, ///< diagonal 4x4 via apply2qDiagRange.
+    Dense,    ///< generic k >= 3 gate via applyDenseRange.
 };
 
 /** One lowered operation of a compiled plan. */
@@ -151,13 +156,6 @@ class Plan
         return minBlockBits_;
     }
 
-    /**
-     * Executes the plan in place on a 2^n statevector, state-parallel
-     * and/or cache-blocked per @p opts (serial unblocked by default at
-     * narrow widths; bit-identical every way).
-     */
-    void execute(Complex *amps, const ExecOptions &opts = {}) const;
-
   private:
     std::size_t nQubits_;
     std::vector<KernelOp> ops_;
@@ -178,61 +176,74 @@ std::vector<BlockSegment> blockSegments(const Plan &plan,
 /** Compiles a circuit into a kernel plan. */
 Plan compile(const circuit::Circuit &c, const CompileOptions &opts = {});
 
-/** Executes one lowered operation in place. */
-void executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits);
-
-/**
- * Executes one lowered operation, partitioning its sweep over
- * opts.pool (see ExecOptions). Serial — identical to the two-argument
- * form — when no pool is set, the pool has one thread, or the sweep is
- * too small to be worth forking.
- */
-void executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits,
-               const ExecOptions &opts);
-
-/**
- * Executes the sub-range [group_begin, group_end) of one operation's
- * amplitude-group sweep (pairs for 1q, quads for 2q, 2^k-tuples for
- * dense); the parallel substrate, exported for the equivalence tests.
- */
-void executeOpRange(const KernelOp &op, Complex *amps,
-                    std::size_t n_qubits, std::size_t group_begin,
-                    std::size_t group_end);
-
 /** Amplitude groups in @p op's sweep on an n-qubit register. */
 std::size_t opGroupCount(const KernelOp &op, std::size_t n_qubits);
 
-/** Executes a plan in place on a 2^n statevector. */
-void execute(const Plan &plan, Complex *amps);
+/**
+ * Executes groups [group_begin, group_end) of one operation's sweep
+ * (pairs for 1q, quads for 2q, 2^k-tuples for dense) on every lane of
+ * @p state — the one place the engine branches on the state layout,
+ * and the parallel substrate the drivers below partition.
+ */
+void executeOpRange(const KernelOp &op, StateView state,
+                    std::size_t group_begin, std::size_t group_end);
 
 /**
- * Executes a plan in place, running each kernel sweep state-parallel
- * per @p opts. When opts.pool is unset and opts.threads > 1, one
- * transient pool serves the whole plan execution. When
- * opts.blockQubits resolves to a block exponent (resolveBlockQubits,
- * cache.hh — auto-on from kAutoBlockFromWidth qubits), dispatches to
- * executeBlocked; results are bit-identical either way.
+ * Executes one lowered operation in place, partitioning its sweep over
+ * opts.pool. Serial when no pool is set, the pool has one thread, or
+ * the sweep is too small to be worth forking (the cutoff scales down
+ * with the lane count).
  */
-void execute(const Plan &plan, Complex *amps, const ExecOptions &opts);
+void executeOp(const KernelOp &op, StateView state,
+               const ExecOptions &opts = {});
+
+/** executeOp on one interleaved n-qubit statevector. */
+inline void
+executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits,
+          const ExecOptions &opts = {})
+{
+    executeOp(op, StateView(amps, n_qubits), opts);
+}
+
+/**
+ * Executes a plan in place on every lane of @p state, running each
+ * kernel sweep state-parallel per @p opts (serial by default). When
+ * opts.pool is unset and opts.threads != 1, one transient pool serves
+ * the whole execution. When opts.blockQubits resolves to a block
+ * exponent (resolveBlockQubits, cache.hh — auto-on from
+ * kAutoBlockFromWidth qubits), dispatches to executeBlocked; results
+ * are bit-identical either way.
+ * @throws std::invalid_argument when the state width does not match
+ *         the plan width.
+ */
+void execute(const Plan &plan, StateView state,
+             const ExecOptions &opts = {});
+
+/** execute on one interleaved statevector of the plan's width. */
+inline void
+execute(const Plan &plan, Complex *amps, const ExecOptions &opts = {})
+{
+    execute(plan, StateView(amps, plan.numQubits()), opts);
+}
 
 /**
  * Cache-blocked plan execution: partitions the ops into blockable
  * segments at block exponent @p block_qubits (blockSegments) and, for
  * each blockable segment, iterates the 2^(n-b) contiguous amplitude
  * blocks in the outer loop, applying all of the segment's ops to one
- * L2-resident block before the next. Non-blockable segments run as
- * ordinary full-register sweeps (chunked per @p opts). Blocks are
- * independent within a segment, so a pool in @p opts partitions the
- * block axis; when opts.pool is unset and opts.threads > 1 a
+ * L2-resident block (all lanes) before the next. Non-blockable segments
+ * run as ordinary full-register sweeps (chunked per @p opts). Blocks
+ * are independent within a segment, so a pool in @p opts partitions
+ * the block axis; when opts.pool is unset and opts.threads != 1 a
  * transient pool is created. Bit-identical to serial execution for
- * every block exponent, thread count, and chunk size.
- * @throws std::invalid_argument when block_qubits is 0 or exceeds the
- *         plan width (resolveBlockQubits clamps the user-facing knob
- *         before it reaches here).
+ * every block exponent, thread count, and lane count.
+ * @throws std::invalid_argument on a width mismatch or when
+ *         block_qubits is 0 or exceeds the plan width
+ *         (resolveBlockQubits clamps the user-facing knob before it
+ *         reaches here).
  */
-void executeBlocked(const Plan &plan, Complex *amps,
-                    std::size_t block_qubits,
-                    const ExecOptions &opts = {});
+void executeBlocked(const Plan &plan, StateView state,
+                    std::size_t block_qubits, const ExecOptions &opts = {});
 
 /**
  * Executes ops [op_begin, op_end) of @p plan — which must all be
@@ -244,68 +255,13 @@ void executeBlocked(const Plan &plan, Complex *amps,
  *         @p block_qubits or an out-of-range op/block interval.
  */
 void executeBlockedRange(const Plan &plan, std::size_t op_begin,
-                         std::size_t op_end, Complex *amps,
+                         std::size_t op_end, StateView state,
                          std::size_t block_qubits,
                          std::size_t block_begin, std::size_t block_end);
 
-// ---------------------------------------------------------------------
-// Batched (SoA) execution: the third parallel axis. One plan is applied
-// to every lane of a sim::BatchState at once; the batched kernels run
-// SIMD lanes across the trajectory axis while replaying each lane's
-// serial per-amplitude operation sequence, so lane t after
-// executeBatched is bit-identical to executing the plan serially on
-// statevector t. Composes with state-parallel chunking: the group axis
-// partitions exactly as in executeOp, a group (all its lanes) is never
-// split.
-// ---------------------------------------------------------------------
-
-/** Executes one lowered operation on every lane of a batch. */
-void executeOpBatched(const KernelOp &op, BatchState &batch);
-
-/**
- * Batched executeOp with state-parallel sweeps per @p opts. Serial when
- * no pool is set, the pool has one thread, or the sweep is too small.
- */
-void executeOpBatched(const KernelOp &op, BatchState &batch,
-                      const ExecOptions &opts);
-
-/**
- * Executes groups [group_begin, group_end) of one operation's sweep on
- * every lane of a batch; the batched parallel substrate.
- */
-void executeOpBatchedRange(const KernelOp &op, BatchState &batch,
-                           std::size_t group_begin, std::size_t group_end);
-
-/**
- * Executes a plan in place on every lane of a batch, state-parallel per
- * @p opts (serial by default; bit-identical either way). When
- * opts.blockQubits resolves to a block exponent, dispatches to
- * executeBlockedBatched.
- * @throws std::invalid_argument when the batch width does not match the
- *         plan width.
- */
-void executeBatched(const Plan &plan, BatchState &batch,
-                    const ExecOptions &opts = {});
-
-/**
- * executeBlocked on every lane of a batch: the same blockable-segment
- * partition and block-outer loop nest, with each block's lanes
- * advanced together by the batched range kernels. Every lane is
- * bit-identical to executing the plan serially on that lane's
- * statevector, for every block exponent, thread count, and lane
- * count.
- * @throws std::invalid_argument on a width mismatch or an invalid
- *         block exponent (as executeBlocked).
- */
-void executeBlockedBatched(const Plan &plan, BatchState &batch,
-                           std::size_t block_qubits,
-                           const ExecOptions &opts = {});
-
-/** Executes a plan on |0...0> and returns the resulting statevector. */
-linalg::CVector run(const Plan &plan);
-
-/** run with state-parallel sweeps per @p opts. */
-linalg::CVector run(const Plan &plan, const ExecOptions &opts);
+/** Executes a plan on |0...0> per @p opts and returns the resulting
+ *  statevector. */
+linalg::CVector run(const Plan &plan, const ExecOptions &opts = {});
 
 } // namespace sim
 } // namespace crisc

@@ -7,8 +7,8 @@
 #include "sim/kernels_util.hh"
 
 // Backend-independent kernel code: the scalar reference kernels every
-// SIMD backend is tested against, and the shared dense (k-qubit)
-// implementations all dispatch tables point at. The SIMD kernels
+// SIMD backend is tested against, and the shared dense (k-qubit) range
+// kernel all dispatch tables point at. The SIMD kernels
 // themselves live in kernels_impl.hh, stamped once per backend by the
 // kernels_<backend>.cc TUs; the public sim::apply* wrappers live in
 // dispatch.cc and route through the resolved KernelTable.
@@ -284,47 +284,6 @@ apply1qDiagBatch(double *re, double *im, std::size_t n_qubits,
 }
 
 void
-applyPauliBatch(double *re, double *im, std::size_t n_qubits,
-                std::size_t batch, std::size_t qubit,
-                std::size_t pauli_index)
-{
-    const std::size_t pairs = (std::size_t{1} << n_qubits) >> 1;
-    const std::size_t pos = n_qubits - 1 - qubit;
-    const std::size_t stride = (std::size_t{1} << pos) * batch;
-    for (std::size_t p = 0; p < pairs; ++p) {
-        const std::size_t o0 = insertZeroBit(p, pos) * batch;
-        const std::size_t o1 = o0 + stride;
-        switch (pauli_index) {
-          case 1: // X: swap the pair.
-            for (std::size_t t = 0; t < batch; ++t) {
-                std::swap(re[o0 + t], re[o1 + t]);
-                std::swap(im[o0 + t], im[o1 + t]);
-            }
-            break;
-          case 2: // Y = [[0, -i], [i, 0]].
-            for (std::size_t t = 0; t < batch; ++t) {
-                const Complex a0 = laneAmp(re, im, o0 + t);
-                const Complex a1 = laneAmp(re, im, o1 + t);
-                setLane(re, im, o0 + t,
-                        Complex{a1.imag(), -a1.real()}); // -i a1
-                setLane(re, im, o1 + t,
-                        Complex{-a0.imag(), a0.real()}); //  i a0
-            }
-            break;
-          case 3: // Z: negate the |1> half of each pair.
-            for (std::size_t t = 0; t < batch; ++t) {
-                re[o1 + t] = -re[o1 + t];
-                im[o1 + t] = -im[o1 + t];
-            }
-            break;
-          default:
-            throw std::invalid_argument(
-                "applyPauliBatch: index must be 1..3");
-        }
-    }
-}
-
-void
 apply2qBatch(double *re, double *im, std::size_t n_qubits,
              std::size_t batch, std::size_t q_hi, std::size_t q_lo,
              const Complex m[16])
@@ -432,9 +391,8 @@ applyDenseBatch(double *re, double *im, std::size_t n_qubits,
 } // namespace scalar
 
 // ---------------------------------------------------------------------
-// Shared dense (k-qubit) implementations: gather/scatter dominated, no
-// SIMD, so every backend's KernelTable points at these — one definition
-// serves all tables and the public sim::applyDense* wrappers.
+// Shared dense (k-qubit) range kernel: gather/scatter dominated, no
+// SIMD, so every backend's KernelTable points at this one definition.
 // ---------------------------------------------------------------------
 
 namespace detail {
@@ -479,16 +437,6 @@ applyDenseRangeShared(Complex *amps, std::size_t n_qubits,
         for (std::size_t g = 0; g < gdim; ++g)
             amps[idx[g]] = out[g];
     }
-}
-
-void
-applyDenseShared(Complex *amps, std::size_t n_qubits, const Matrix &op,
-                 const std::vector<std::size_t> &qubits)
-{
-    // Same visit order and per-group arithmetic as the historical
-    // skip-scan loop, but enumerating groups directly.
-    applyDenseRangeShared(amps, n_qubits, op, qubits, 0,
-                          (std::size_t{1} << n_qubits) >> qubits.size());
 }
 
 } // namespace detail

@@ -9,7 +9,8 @@
  * per-group index buffers, and diagonal gates touch each amplitude once.
  *
  * The top-level sim::apply* entry points below are thin wrappers over a
- * runtime-dispatched kernel table: every binary carries one compiled
+ * runtime-dispatched table of group-range kernels (a full sweep is the
+ * range [0, groups)): every binary carries one compiled
  * kernel set per SIMD backend the compiler could build (scalar always;
  * AVX2/AVX-512 on x86-64; NEON on aarch64), and src/sim/dispatch.hh
  * picks among them once per process — by CPU probe, or forced via the
@@ -25,17 +26,18 @@
  * Every kernel sweep enumerates an independent *group* per iteration —
  * an amplitude pair (1q), quad (2q), or 2^k-tuple (dense) — and groups
  * never share amplitudes, so a sweep partitions freely along the group
- * axis. The *Range variants below execute one sub-interval [g0, g2) of
- * that group index space with the exact per-amplitude operation
- * sequence of the full kernels: any partition of [0, groups)
- * reassembles the full sweep bit for bit, which is what the state-
- * parallel execution path in engine.hh relies on (a group is never
- * split across chunks, so no two chunks touch the same amplitude).
- * Cache-blocked plan execution (engine.hh executeBlocked) reuses the
- * same contract: when an op's targets all address index bits below a
- * block exponent b, the groups of one 2^b-amplitude block form the
- * contiguous range [block * 2^(b-k), (block + 1) * 2^(b-k)), so the
- * *Range kernels serve as the per-block substrate unchanged.
+ * axis. A range kernel executes one sub-interval [g0, g1) of that group
+ * index space with the per-amplitude operation sequence of the whole
+ * sweep: any partition of [0, groups) reassembles the sweep bit for
+ * bit, which is what the state-parallel execution path in engine.hh
+ * relies on (a group is never split across chunks, so no two chunks
+ * touch the same amplitude). Cache-blocked plan execution (engine.hh
+ * executeBlocked) reuses the same contract: when an op's targets all
+ * address index bits below a block exponent b, the groups of one
+ * 2^b-amplitude block form the contiguous range
+ * [block * 2^(b-k), (block + 1) * 2^(b-k)), so the range kernels serve
+ * as the per-block substrate unchanged. The SoA batch-lane kernels
+ * (dispatch.hh KernelTable) partition the same group axis.
  *
  * Conventions match the rest of the library: qubit 0 is the most
  * significant bit of a basis index, and a k-qubit operator's basis is
@@ -100,10 +102,6 @@ void apply1qBatch(double *re, double *im, std::size_t n_qubits,
 void apply1qDiagBatch(double *re, double *im, std::size_t n_qubits,
                       std::size_t batch, std::size_t qubit, Complex d0,
                       Complex d1);
-/** Batched applyPauli (the same Pauli on every lane). */
-void applyPauliBatch(double *re, double *im, std::size_t n_qubits,
-                     std::size_t batch, std::size_t qubit,
-                     std::size_t pauli_index);
 /** Batched apply2q. */
 void apply2qBatch(double *re, double *im, std::size_t n_qubits,
                   std::size_t batch, std::size_t q_hi, std::size_t q_lo,
@@ -173,14 +171,11 @@ void applyDense(Complex *amps, std::size_t n_qubits, const Matrix &op,
                 const std::vector<std::size_t> &qubits);
 
 // ---------------------------------------------------------------------
-// Group-range kernels: the state-parallel execution substrate. Each
-// runs the sub-interval [g0, g1) of the sweep's group index space —
-// pairs for 1q, quads for 2q, 2^k-tuples for dense — with the same
-// per-amplitude operation sequence as the full kernel, so the full
-// sweep over any partition of [0, groups) is bit-identical to the
-// serial kernel. Group g addresses the g-th pair/quad/tuple in
-// ascending base-index order; a group is never split, so disjoint
-// ranges touch disjoint amplitudes.
+// Group-range kernels: the execution substrate. Each runs the
+// sub-interval [g0, g1) of the sweep's group index space — pairs for
+// 1q, quads for 2q, 2^k-tuples for dense. Group g addresses the g-th
+// pair/quad/tuple in ascending base-index order; a group is never
+// split, so disjoint ranges touch disjoint amplitudes.
 // ---------------------------------------------------------------------
 
 /** apply1q restricted to amplitude pairs [pair_begin, pair_end). */
@@ -213,78 +208,12 @@ void applyDenseRange(Complex *amps, std::size_t n_qubits, const Matrix &op,
                      const std::vector<std::size_t> &qubits,
                      std::size_t group_begin, std::size_t group_end);
 
-// ---------------------------------------------------------------------
-// Batched (trajectory-major SoA) kernels: @p batch lanes of every
-// amplitude stored contiguously in split re/im arrays (batch_state.hh),
-// so the SIMD vectors below run across trajectories — whole vectors at
-// a time, plus a scalar tail covering batch % lanes — instead of across
-// amplitudes. Every lane replays the per-amplitude IEEE operation
-// sequence of the serial kernels above (including their stride-
-// dependent negation flavour for Pauli Y/Z), so lane t of a batched
-// sweep is bit-identical to running the serial kernel on statevector t
-// alone. The *BatchRange forms partition the same group axis as the
-// interleaved *Range kernels — a group (all its lanes) is never split.
-// ---------------------------------------------------------------------
-
-/** apply1qBatch restricted to amplitude pairs [pair_begin, pair_end). */
-void apply1qBatchRange(double *re, double *im, std::size_t n_qubits,
-                       std::size_t batch, std::size_t qubit,
-                       const Complex m[4], std::size_t pair_begin,
-                       std::size_t pair_end);
-
-/** apply1qDiagBatch restricted to pairs [pair_begin, pair_end). */
-void apply1qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
-                           std::size_t batch, std::size_t qubit,
-                           Complex d0, Complex d1, std::size_t pair_begin,
-                           std::size_t pair_end);
-
-/** applyPauliBatch restricted to pairs [pair_begin, pair_end). */
-void applyPauliBatchRange(double *re, double *im, std::size_t n_qubits,
-                          std::size_t batch, std::size_t qubit,
-                          std::size_t pauli_index, std::size_t pair_begin,
-                          std::size_t pair_end);
-
-/** apply2qBatch restricted to amplitude quads [quad_begin, quad_end). */
-void apply2qBatchRange(double *re, double *im, std::size_t n_qubits,
-                       std::size_t batch, std::size_t q_hi,
-                       std::size_t q_lo, const Complex m[16],
-                       std::size_t quad_begin, std::size_t quad_end);
-
-/** apply2qDiagBatch restricted to quads [quad_begin, quad_end). */
-void apply2qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
-                           std::size_t batch, std::size_t q_hi,
-                           std::size_t q_lo, const Complex d[4],
-                           std::size_t quad_begin, std::size_t quad_end);
-
-/** applyDenseBatch restricted to groups [group_begin, group_end). */
-void applyDenseBatchRange(double *re, double *im, std::size_t n_qubits,
-                          std::size_t batch, const Matrix &op,
-                          const std::vector<std::size_t> &qubits,
-                          std::size_t group_begin, std::size_t group_end);
-
-/** Full-sweep forms of the *BatchRange kernels above. */
-void apply1qBatch(double *re, double *im, std::size_t n_qubits,
-                  std::size_t batch, std::size_t qubit, const Complex m[4]);
-void apply1qDiagBatch(double *re, double *im, std::size_t n_qubits,
-                      std::size_t batch, std::size_t qubit, Complex d0,
-                      Complex d1);
-void applyPauliBatch(double *re, double *im, std::size_t n_qubits,
-                     std::size_t batch, std::size_t qubit,
-                     std::size_t pauli_index);
-void apply2qBatch(double *re, double *im, std::size_t n_qubits,
-                  std::size_t batch, std::size_t q_hi, std::size_t q_lo,
-                  const Complex m[16]);
-void apply2qDiagBatch(double *re, double *im, std::size_t n_qubits,
-                      std::size_t batch, std::size_t q_hi, std::size_t q_lo,
-                      const Complex d[4]);
-void applyDenseBatch(double *re, double *im, std::size_t n_qubits,
-                     std::size_t batch, const Matrix &op,
-                     const std::vector<std::size_t> &qubits);
-
 /**
- * Applies a Pauli to a single lane of a batch — the divergence point of
- * batched trajectory execution (each lane samples its own noise).
- * Bit-identical to sim::applyPauli on that lane's statevector.
+ * Applies a Pauli to a single lane of a trajectory-major SoA batch
+ * (lane t of amplitude i at re[i * batch + t]; see batch_state.hh) —
+ * the divergence point of batched trajectory execution (each lane
+ * samples its own noise). Bit-identical to sim::applyPauli on that
+ * lane's statevector.
  */
 void applyPauliLane(double *re, double *im, std::size_t n_qubits,
                     std::size_t batch, std::size_t lane, std::size_t qubit,

@@ -14,13 +14,13 @@
  * anonymous namespace (no cross-TU symbol collisions); the only export
  * is the KernelTable builder the dispatcher links against.
  *
- * The loop bodies are the original src/sim/kernels.cc kernels,
- * unchanged: every simd:: lane replays the scalar reference operation
- * order (see simd.hh), short-stride sweeps fall back to the
- * sim::scalar references (compiled once, without ISA flags, in
- * kernels.cc), and batched Pauli noise replays the serial kernel's
- * stride-dependent negation flavour via the backend's
- * kNegIsSubFromZero trait. Backends with mask registers (kMaskedTails,
+ * Every kernel except the whole-register Pauli sweep is a group-range
+ * kernel: a full sweep is the range [0, groups). Every simd:: lane
+ * replays the scalar reference operation order (see simd.hh),
+ * short-stride sweeps fall back to the sim::scalar references
+ * (compiled once, without ISA flags, in kernels.cc), and per-lane
+ * Pauli noise replays the serial kernel's stride-dependent negation
+ * flavour via the backend's kNegIsSubFromZero trait. Backends with mask registers (kMaskedTails,
  * i.e. AVX-512) run the batch % kLanes lane tails of the batched
  * kernels through the vector body with masked loads/stores instead of
  * a scalar remainder loop — same per-lane operation sequence, so the
@@ -77,59 +77,11 @@ negLikeSerial(bool vector_path, double x)
 }
 
 // ---------------------------------------------------------------------
-// SIMD kernels. Each addressed contiguous run has power-of-two length,
-// so once a run is at least simd::kLanes wide it divides evenly — no
-// tail loops. Shorter runs (gate qubits within log2(kLanes) of the
-// least significant bit, or whole registers smaller than a vector)
+// Whole-register Pauli sweep (the serial noise kernel). Each addressed
+// contiguous run has power-of-two length, so once a run is at least
+// simd::kLanes wide it divides evenly — no tail loops. Shorter runs
 // take the scalar reference path.
 // ---------------------------------------------------------------------
-
-void
-apply1q(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-        const Complex m[4])
-{
-    const std::size_t dim = std::size_t{1} << n_qubits;
-    const std::size_t stride = std::size_t{1} << (n_qubits - 1 - qubit);
-    if (stride < simd::kLanes) {
-        scalar::apply1q(amps, n_qubits, qubit, m);
-        return;
-    }
-    const simd::CVec m00 = simd::broadcast(m[0]);
-    const simd::CVec m01 = simd::broadcast(m[1]);
-    const simd::CVec m10 = simd::broadcast(m[2]);
-    const simd::CVec m11 = simd::broadcast(m[3]);
-    for (std::size_t base = 0; base < dim; base += 2 * stride) {
-        for (std::size_t i = base; i < base + stride; i += simd::kLanes) {
-            const simd::CVec a0 = simd::loadc(amps + i);
-            const simd::CVec a1 = simd::loadc(amps + i + stride);
-            simd::storec(amps + i,
-                         simd::add(simd::mul(m00, a0), simd::mul(m01, a1)));
-            simd::storec(amps + i + stride,
-                         simd::add(simd::mul(m10, a0), simd::mul(m11, a1)));
-        }
-    }
-}
-
-void
-apply1qDiag(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-            Complex d0, Complex d1)
-{
-    const std::size_t dim = std::size_t{1} << n_qubits;
-    const std::size_t stride = std::size_t{1} << (n_qubits - 1 - qubit);
-    if (stride < simd::kLanes) {
-        scalar::apply1qDiag(amps, n_qubits, qubit, d0, d1);
-        return;
-    }
-    const simd::CVec v0 = simd::broadcast(d0);
-    const simd::CVec v1 = simd::broadcast(d1);
-    for (std::size_t base = 0; base < dim; base += 2 * stride) {
-        for (std::size_t i = base; i < base + stride; i += simd::kLanes) {
-            simd::storec(amps + i, simd::mul(simd::loadc(amps + i), v0));
-            simd::storec(amps + i + stride,
-                         simd::mul(simd::loadc(amps + i + stride), v1));
-        }
-    }
-}
 
 void
 applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
@@ -178,111 +130,10 @@ applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
     }
 }
 
-void
-apply2q(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-        std::size_t q_lo, const Complex m[16])
-{
-    const std::size_t dim = std::size_t{1} << n_qubits;
-    const std::size_t p_hi = n_qubits - 1 - q_hi; // weight-2 gate bit.
-    const std::size_t p_lo = n_qubits - 1 - q_lo; // weight-1 gate bit.
-    const std::size_t m_hi = std::size_t{1} << p_hi;
-    const std::size_t m_lo = std::size_t{1} << p_lo;
-    const std::size_t first = p_hi < p_lo ? p_hi : p_lo;
-    const std::size_t second = p_hi < p_lo ? p_lo : p_hi;
-    const std::size_t s1 = std::size_t{1} << first;
-    const std::size_t s2 = std::size_t{1} << second;
-    if (s1 < simd::kLanes) {
-        scalar::apply2q(amps, n_qubits, q_hi, q_lo, m);
-        return;
-    }
-    simd::CVec mv[16];
-    for (std::size_t i = 0; i < 16; ++i)
-        mv[i] = simd::broadcast(m[i]);
-    // Enumerate bases with both addressed bits zero as nested strided
-    // blocks; the innermost run of s1 consecutive bases vectorizes.
-    for (std::size_t blk = 0; blk < dim; blk += 2 * s2) {
-        for (std::size_t sub = blk; sub < blk + s2; sub += 2 * s1) {
-            for (std::size_t base = sub; base < sub + s1;
-                 base += simd::kLanes) {
-                const simd::CVec a0 = simd::loadc(amps + base);
-                const simd::CVec a1 = simd::loadc(amps + base + m_lo);
-                const simd::CVec a2 = simd::loadc(amps + base + m_hi);
-                const simd::CVec a3 =
-                    simd::loadc(amps + base + m_hi + m_lo);
-                simd::storec(
-                    amps + base,
-                    simd::add(simd::add(simd::add(simd::mul(mv[0], a0),
-                                                  simd::mul(mv[1], a1)),
-                                        simd::mul(mv[2], a2)),
-                              simd::mul(mv[3], a3)));
-                simd::storec(
-                    amps + base + m_lo,
-                    simd::add(simd::add(simd::add(simd::mul(mv[4], a0),
-                                                  simd::mul(mv[5], a1)),
-                                        simd::mul(mv[6], a2)),
-                              simd::mul(mv[7], a3)));
-                simd::storec(
-                    amps + base + m_hi,
-                    simd::add(simd::add(simd::add(simd::mul(mv[8], a0),
-                                                  simd::mul(mv[9], a1)),
-                                        simd::mul(mv[10], a2)),
-                              simd::mul(mv[11], a3)));
-                simd::storec(
-                    amps + base + m_hi + m_lo,
-                    simd::add(simd::add(simd::add(simd::mul(mv[12], a0),
-                                                  simd::mul(mv[13], a1)),
-                                        simd::mul(mv[14], a2)),
-                              simd::mul(mv[15], a3)));
-            }
-        }
-    }
-}
-
-void
-apply2qDiag(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-            std::size_t q_lo, const Complex d[4])
-{
-    const std::size_t dim = std::size_t{1} << n_qubits;
-    const std::size_t p_hi = n_qubits - 1 - q_hi;
-    const std::size_t p_lo = n_qubits - 1 - q_lo;
-    const std::size_t m_hi = std::size_t{1} << p_hi;
-    const std::size_t m_lo = std::size_t{1} << p_lo;
-    const std::size_t first = p_hi < p_lo ? p_hi : p_lo;
-    const std::size_t second = p_hi < p_lo ? p_lo : p_hi;
-    const std::size_t s1 = std::size_t{1} << first;
-    const std::size_t s2 = std::size_t{1} << second;
-    if (s1 < simd::kLanes) {
-        scalar::apply2qDiag(amps, n_qubits, q_hi, q_lo, d);
-        return;
-    }
-    const simd::CVec d0 = simd::broadcast(d[0]);
-    const simd::CVec d1 = simd::broadcast(d[1]);
-    const simd::CVec d2 = simd::broadcast(d[2]);
-    const simd::CVec d3 = simd::broadcast(d[3]);
-    for (std::size_t blk = 0; blk < dim; blk += 2 * s2) {
-        for (std::size_t sub = blk; sub < blk + s2; sub += 2 * s1) {
-            for (std::size_t base = sub; base < sub + s1;
-                 base += simd::kLanes) {
-                simd::storec(amps + base,
-                             simd::mul(simd::loadc(amps + base), d0));
-                simd::storec(
-                    amps + base + m_lo,
-                    simd::mul(simd::loadc(amps + base + m_lo), d1));
-                simd::storec(
-                    amps + base + m_hi,
-                    simd::mul(simd::loadc(amps + base + m_hi), d2));
-                simd::storec(
-                    amps + base + m_hi + m_lo,
-                    simd::mul(simd::loadc(amps + base + m_hi + m_lo), d3));
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// Group-range kernels (see kernels.hh): the same SIMD dispatch as the
-// full kernels, applied to one sub-interval of the group index space.
-// A range decomposes into whole contiguous stride runs plus partial
+// Group-range kernels (see kernels.hh): one sub-interval of the group
+// index space; runs narrower than a vector take the scalar reference
+// path. A range decomposes into whole contiguous stride runs plus partial
 // runs at its ends; within a run the base index advances with the
 // group counter, so the vector body applies unchanged and partial-
 // vector tails fall back to the scalar per-group body. Both bodies
@@ -483,8 +334,8 @@ apply2qDiagRange(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
 }
 
 // ---------------------------------------------------------------------
-// Batched SoA kernels (see kernels.hh): SIMD lanes run across the
-// trajectory axis. Per amplitude group the batch lanes are contiguous
+// Batched SoA kernels (batch_state.hh layout): SIMD lanes run across
+// the trajectory axis. Per amplitude group the batch lanes are contiguous
 // in the split re/im arrays, so the vector body consumes whole vectors
 // of lanes (simd::loads / stores, no permutation); the remaining
 // batch % kLanes lanes run through the same vector body with mask-
@@ -587,58 +438,6 @@ apply1qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
                 }
             }
         }
-    }
-}
-
-void
-applyPauliBatchRange(double *re, double *im, std::size_t n_qubits,
-                     std::size_t batch, std::size_t qubit,
-                     std::size_t pauli_index, std::size_t pair_begin,
-                     std::size_t pair_end)
-{
-    const std::size_t pos = n_qubits - 1 - qubit;
-    const std::size_t stride = (std::size_t{1} << pos) * batch;
-    // Which negation flavour the serial dispatching kernel used for
-    // this sweep (see negLikeSerial): pure moves and sign traffic are
-    // memory-bound, so plain per-lane loops suffice here.
-    const bool vec = (std::size_t{1} << pos) >= simd::kLanes;
-    switch (pauli_index) {
-      case 1: // X: swap the pair.
-        for (std::size_t p = pair_begin; p < pair_end; ++p) {
-            const std::size_t o0 = insertZeroBit(p, pos) * batch;
-            const std::size_t o1 = o0 + stride;
-            for (std::size_t t = 0; t < batch; ++t) {
-                std::swap(re[o0 + t], re[o1 + t]);
-                std::swap(im[o0 + t], im[o1 + t]);
-            }
-        }
-        return;
-      case 2: // Y = [[0, -i], [i, 0]].
-        for (std::size_t p = pair_begin; p < pair_end; ++p) {
-            const std::size_t o0 = insertZeroBit(p, pos) * batch;
-            const std::size_t o1 = o0 + stride;
-            for (std::size_t t = 0; t < batch; ++t) {
-                const double a0r = re[o0 + t], a0i = im[o0 + t];
-                const double a1r = re[o1 + t], a1i = im[o1 + t];
-                re[o0 + t] = a1i;                      // -i a1
-                im[o0 + t] = negLikeSerial(vec, a1r);
-                re[o1 + t] = negLikeSerial(vec, a0i);  //  i a0
-                im[o1 + t] = a0r;
-            }
-        }
-        return;
-      case 3: // Z: negate the |1> half of each pair.
-        for (std::size_t p = pair_begin; p < pair_end; ++p) {
-            const std::size_t o1 = insertZeroBit(p, pos) * batch + stride;
-            for (std::size_t t = 0; t < batch; ++t) {
-                re[o1 + t] = negLikeSerial(vec, re[o1 + t]);
-                im[o1 + t] = negLikeSerial(vec, im[o1 + t]);
-            }
-        }
-        return;
-      default:
-        throw std::invalid_argument(
-            "applyPauliBatch: index must be 1..3");
     }
 }
 
@@ -969,12 +768,7 @@ CRISC_KERNEL_TABLE_FN()
         t.backend = CRISC_KERNEL_BACKEND_ID;
         t.name = simd::kBackendName;
         t.lanes = simd::kLanes;
-        t.apply1q = &stamped::apply1q;
-        t.apply1qDiag = &stamped::apply1qDiag;
         t.applyPauli = &stamped::applyPauli;
-        t.apply2q = &stamped::apply2q;
-        t.apply2qDiag = &stamped::apply2qDiag;
-        t.applyDense = &applyDenseShared;
         t.apply1qRange = &stamped::apply1qRange;
         t.apply1qDiagRange = &stamped::apply1qDiagRange;
         t.apply2qRange = &stamped::apply2qRange;
@@ -982,7 +776,6 @@ CRISC_KERNEL_TABLE_FN()
         t.applyDenseRange = &applyDenseRangeShared;
         t.apply1qBatchRange = &stamped::apply1qBatchRange;
         t.apply1qDiagBatchRange = &stamped::apply1qDiagBatchRange;
-        t.applyPauliBatchRange = &stamped::applyPauliBatchRange;
         t.apply2qBatchRange = &stamped::apply2qBatchRange;
         t.apply2qDiagBatchRange = &stamped::apply2qDiagBatchRange;
         t.applyDenseBatchRange = &stamped::applyDenseBatchRange;

@@ -15,6 +15,9 @@
 namespace crisc {
 namespace sim {
 namespace detail {
+// Internal linkage, like simd.hh: the stamp TUs include this header
+// under different ISA flags, so no helper may be a shared weak symbol.
+namespace {
 
 /** Inserts a zero bit at position @p pos, shifting higher bits left. */
 inline std::size_t
@@ -38,6 +41,7 @@ setLane(double *re, double *im, std::size_t at, linalg::Complex v)
     im[at] = v.imag();
 }
 
+} // namespace
 } // namespace detail
 } // namespace sim
 } // namespace crisc

@@ -91,6 +91,11 @@
 namespace crisc {
 namespace sim {
 namespace simd {
+// Internal linkage: every stamp TU compiles these helpers with its own
+// ISA flags, and with external linkage they would be identically named
+// weak symbols across TUs — at -O0, where nothing is inlined, the
+// linker would keep one ISA's copy for every backend.
+namespace {
 
 #if defined(CRISC_SIMD_STAMP_AVX2)
 
@@ -481,6 +486,7 @@ storesTail(double *re, double *im, CVec a, std::size_t count)
 
 #endif
 
+} // namespace
 } // namespace simd
 } // namespace sim
 } // namespace crisc

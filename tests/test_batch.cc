@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for SoA-batched trajectory execution (sim/batch_state.hh, the
- * batched kernels in sim/kernels.hh, sim::executeBatched, and the
- * TrajectoryRunner SoA arm): pack/unpack round trips, bit-identity of
- * every batched kernel and of whole-plan batched execution against the
- * per-lane serial path — including non-power-of-two remainder lanes,
- * chunked pool sweeps, and the per-lane noise divergence — plus the
- * planBatch / QvConfig wiring of the third parallel axis.
+ * SoA kernels of the dispatch table, StateView execution, and the
+ * tiled TrajectoryRunner): pack/unpack round trips, bit-identity of
+ * every SoA kernel against the per-lane serial path — including
+ * non-power-of-two remainder lanes and the per-lane noise divergence —
+ * plus the planBatch / QvConfig wiring of the third parallel axis.
+ * Whole-plan SoA execution over every thread count and block exponent
+ * is pinned by the engine oracle (test_engine_oracle.cc).
  */
 
 #include <cmath>
@@ -23,6 +24,7 @@
 #include "qv/qv.hh"
 #include "sim/batch.hh"
 #include "sim/batch_state.hh"
+#include "sim/dispatch.hh"
 #include "sim/engine.hh"
 #include "sim/kernels.hh"
 #include "sim_test_util.hh"
@@ -33,73 +35,8 @@ using namespace crisc;
 using linalg::Complex;
 using linalg::CVector;
 using linalg::Matrix;
+using testutil::bitIdentical;
 using testutil::randomState;
-
-bool
-bitIdentical(const CVector &a, const CVector &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (a[i].real() != b[i].real() || a[i].imag() != b[i].imag())
-            return false;
-    return true;
-}
-
-/** One KernelOp of every kind on an n = 10 register, including a dense
- *  k = 3 fallback — the full dispatch surface of executeBatched. */
-std::vector<sim::KernelOp>
-opsOfEveryKind(linalg::Rng &rng)
-{
-    std::vector<sim::KernelOp> ops;
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::OneQ;
-        op.q0 = 4;
-        const Matrix u = linalg::haarUnitary(rng, 2);
-        for (std::size_t i = 0; i < 4; ++i)
-            op.m[i] = u(i / 2, i % 2);
-        ops.push_back(op);
-    }
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::OneQDiag;
-        op.q0 = 9; // shortest stride: the per-state scalar-fallback band.
-        const Matrix rz = qop::rz(0.377);
-        op.m[0] = rz(0, 0);
-        op.m[1] = rz(1, 1);
-        ops.push_back(op);
-    }
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::TwoQ;
-        op.q0 = 2;
-        op.q1 = 8;
-        const Matrix u = linalg::haarUnitary(rng, 4);
-        for (std::size_t i = 0; i < 16; ++i)
-            op.m[i] = u(i / 4, i % 4);
-        ops.push_back(op);
-    }
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::TwoQDiag;
-        op.q0 = 9;
-        op.q1 = 1;
-        op.m[0] = Complex{1.0, 0.0};
-        op.m[1] = std::polar(1.0, 0.7);
-        op.m[2] = std::polar(1.0, -0.2);
-        op.m[3] = std::polar(1.0, 1.9);
-        ops.push_back(op);
-    }
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::Dense;
-        op.dense = linalg::haarUnitary(rng, 8);
-        op.qubits = {7, 1, 5};
-        ops.push_back(op);
-    }
-    return ops;
-}
 
 TEST(BatchState, ValidatesArguments)
 {
@@ -172,7 +109,7 @@ TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
         for (std::size_t t = 0; t < B; ++t)
             states.push_back(randomState(rng, n));
 
-        for (int which = 0; which < 6; ++which) {
+        for (int which = 0; which < 5; ++which) {
             sim::BatchState batch = sim::BatchState::pack(states);
             std::vector<CVector> expect = states;
             for (std::size_t q = 0; q < n; ++q) {
@@ -192,13 +129,6 @@ TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
                                                  rz(1, 1));
                     break;
                   case 2:
-                    sim::scalar::applyPauliBatch(batch.re(), batch.im(),
-                                                 n, B, q, 1 + q % 3);
-                    for (CVector &e : expect)
-                        sim::scalar::applyPauli(e.data(), n, q,
-                                                1 + q % 3);
-                    break;
-                  case 3:
                     if (q + 1 >= n)
                         continue;
                     sim::scalar::apply2qBatch(batch.re(), batch.im(), n,
@@ -207,7 +137,7 @@ TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
                         sim::scalar::apply2q(e.data(), n, q, q + 1,
                                              u4.data());
                     break;
-                  case 4:
+                  case 3:
                     if (q + 1 >= n)
                         continue;
                     sim::scalar::apply2qDiagBatch(batch.re(), batch.im(),
@@ -216,7 +146,7 @@ TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
                         sim::scalar::apply2qDiag(e.data(), n, q + 1, q,
                                                  d4);
                     break;
-                  case 5:
+                  case 4:
                     if (q != 0)
                         continue;
                     sim::scalar::applyDenseBatch(batch.re(), batch.im(),
@@ -232,22 +162,18 @@ TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
                     << "which=" << which << " B=" << B << " lane=" << t;
         }
     }
-
-    EXPECT_THROW(
-        sim::scalar::applyPauliBatch(nullptr, nullptr, 1, 1, 0, 4),
-        std::invalid_argument);
 }
 
 TEST(BatchKernels, DispatchBatchMatchesPerLaneDispatch)
 {
-    // The dispatching batched kernels (SIMD lane loop + scalar tail)
-    // must equal the dispatching serial kernels per lane, bit for bit.
-    // Pauli matters most: the serial kernel's negation flavour depends
-    // on the sweep stride (AVX2 vectors negate as 0 - x, the scalar
-    // fallback as -x, which differ on signed zeros), and the batched
-    // kernel must replay it per (n, qubit).
+    // The dispatching SoA kernels (SIMD lane loop + lane tail) must
+    // equal the dispatching interleaved kernels per lane, bit for bit,
+    // at every stride and for batch widths below, at, and above the
+    // vector width.
     linalg::Rng rng(203);
     const std::size_t n = 7;
+    const std::size_t pairs = (std::size_t{1} << n) >> 1;
+    const std::size_t quads = pairs >> 1;
     const Matrix u2 = linalg::haarUnitary(rng, 2);
     const Complex m2[4] = {u2(0, 0), u2(0, 1), u2(1, 0), u2(1, 1)};
     const Matrix u4 = linalg::haarUnitary(rng, 4);
@@ -256,61 +182,38 @@ TEST(BatchKernels, DispatchBatchMatchesPerLaneDispatch)
                            Complex{1.0, 0.0}, std::polar(1.0, 1.5)};
     const Matrix dense = linalg::haarUnitary(rng, 8);
     const std::vector<std::size_t> denseQubits{6, 2, 4};
+    const sim::KernelTable &k = sim::activeKernels();
 
     for (const std::size_t B : {std::size_t{1}, std::size_t{2},
                                 std::size_t{5}, std::size_t{8}}) {
-        std::vector<CVector> states;
-        for (std::size_t t = 0; t < B; ++t) {
-            // |0...0>-adjacent states carry exact zeros, the inputs on
-            // which the two negation flavours can be told apart.
-            CVector s(std::size_t{1} << n, Complex{0.0, 0.0});
-            s[0] = 1.0;
-            sim::apply1q(s.data(), n, rng.index(n), m2);
-            states.push_back(std::move(s));
-        }
-
-        for (std::size_t q = 0; q < n; ++q) {
-            for (std::size_t pauli = 1; pauli <= 3; ++pauli) {
-                sim::BatchState batch = sim::BatchState::pack(states);
-                std::vector<CVector> expect = states;
-                sim::applyPauliBatch(batch.re(), batch.im(), n, B, q,
-                                     pauli);
-                for (CVector &e : expect)
-                    sim::applyPauli(e.data(), n, q, pauli);
-                for (std::size_t t = 0; t < B; ++t)
-                    EXPECT_TRUE(
-                        bitIdentical(batch.unpackLane(t), expect[t]))
-                        << "pauli=" << pauli << " q=" << q << " B=" << B
-                        << " lane=" << t;
-            }
-        }
-
         std::vector<CVector> randoms;
         for (std::size_t t = 0; t < B; ++t)
             randoms.push_back(randomState(rng, n));
         sim::BatchState batch = sim::BatchState::pack(randoms);
         std::vector<CVector> expect = randoms;
+        double *re = batch.re();
+        double *im = batch.im();
         for (std::size_t q = 0; q < n; ++q) {
-            sim::apply1qBatch(batch.re(), batch.im(), n, B, q, m2);
-            sim::apply1qDiagBatch(batch.re(), batch.im(), n, B, q,
-                                  rz(0, 0), rz(1, 1));
+            k.apply1qBatchRange(re, im, n, B, q, m2, 0, pairs);
+            k.apply1qDiagBatchRange(re, im, n, B, q, rz(0, 0), rz(1, 1), 0,
+                                    pairs);
             for (CVector &e : expect) {
                 sim::apply1q(e.data(), n, q, m2);
                 sim::apply1qDiag(e.data(), n, q, rz(0, 0), rz(1, 1));
             }
             if (q + 1 < n) {
-                sim::apply2qBatch(batch.re(), batch.im(), n, B, q, q + 1,
-                                  u4.data());
-                sim::apply2qDiagBatch(batch.re(), batch.im(), n, B,
-                                      q + 1, q, d4);
+                k.apply2qBatchRange(re, im, n, B, q, q + 1, u4.data(), 0,
+                                    quads);
+                k.apply2qDiagBatchRange(re, im, n, B, q + 1, q, d4, 0,
+                                        quads);
                 for (CVector &e : expect) {
                     sim::apply2q(e.data(), n, q, q + 1, u4.data());
                     sim::apply2qDiag(e.data(), n, q + 1, q, d4);
                 }
             }
         }
-        sim::applyDenseBatch(batch.re(), batch.im(), n, B, dense,
-                             denseQubits);
+        k.applyDenseBatchRange(re, im, n, B, dense, denseQubits, 0,
+                               quads >> 1);
         for (CVector &e : expect)
             sim::applyDense(e.data(), n, dense, denseQubits);
         for (std::size_t t = 0; t < B; ++t)
@@ -350,120 +253,6 @@ TEST(BatchKernels, PauliLaneMatchesSerialAndLeavesOtherLanesAlone)
     EXPECT_THROW(
         sim::applyPauliLane(batch.re(), batch.im(), 2, 1, 0, 0, 4),
         std::invalid_argument);
-}
-
-TEST(BatchEngine, ExecuteBatchedMatchesSerialPerLane)
-{
-    // Whole-plan batched execution must be bit-identical, per lane, to
-    // B independent serial executions — for every kernel kind and for
-    // batch widths below, at, and above the SIMD lane count (the 5
-    // exercises the remainder tail).
-    linalg::Rng rng(204);
-    const std::size_t n = 10;
-    const std::vector<sim::KernelOp> kinds = opsOfEveryKind(rng);
-    const sim::Plan plan(n, kinds, sim::PlanStats{});
-
-    for (const std::size_t B : {std::size_t{1}, std::size_t{2},
-                                std::size_t{5}, std::size_t{8}}) {
-        std::vector<CVector> states;
-        for (std::size_t t = 0; t < B; ++t)
-            states.push_back(randomState(rng, n));
-
-        sim::BatchState batch = sim::BatchState::pack(states);
-        sim::executeBatched(plan, batch);
-        for (std::size_t t = 0; t < B; ++t) {
-            CVector serial = states[t];
-            for (const sim::KernelOp &op : kinds)
-                sim::executeOp(op, serial.data(), n);
-            EXPECT_TRUE(bitIdentical(batch.unpackLane(t), serial))
-                << "B=" << B << " lane=" << t;
-        }
-    }
-
-    sim::BatchState wrong(n + 1, 2);
-    EXPECT_THROW(sim::executeBatched(plan, wrong), std::invalid_argument);
-}
-
-TEST(BatchEngine, ChunkedBatchedSweepsAreBitIdentical)
-{
-    // State-parallel chunking of a batched sweep must be bit-identical
-    // to the serial batched sweep for every kernel kind, every chunk
-    // size, and a remainder batch width. n = 14 clears the batched
-    // parallel cutoff for all kinds.
-    linalg::Rng rng(109); // the test_simd seed: same ops at n = 14.
-    const std::size_t n = 14;
-    const std::size_t B = 5;
-    sim::ThreadPool pool(3);
-
-    std::vector<sim::KernelOp> ops;
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::OneQ;
-        op.q0 = 5;
-        const Matrix u = linalg::haarUnitary(rng, 2);
-        for (std::size_t i = 0; i < 4; ++i)
-            op.m[i] = u(i / 2, i % 2);
-        ops.push_back(op);
-    }
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::OneQDiag;
-        op.q0 = 12;
-        const Matrix rz = qop::rz(0.377);
-        op.m[0] = rz(0, 0);
-        op.m[1] = rz(1, 1);
-        ops.push_back(op);
-    }
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::TwoQ;
-        op.q0 = 3;
-        op.q1 = 11;
-        const Matrix u = linalg::haarUnitary(rng, 4);
-        for (std::size_t i = 0; i < 16; ++i)
-            op.m[i] = u(i / 4, i % 4);
-        ops.push_back(op);
-    }
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::TwoQDiag;
-        op.q0 = 13;
-        op.q1 = 2;
-        op.m[0] = Complex{1.0, 0.0};
-        op.m[1] = std::polar(1.0, 0.7);
-        op.m[2] = std::polar(1.0, -0.2);
-        op.m[3] = std::polar(1.0, 1.9);
-        ops.push_back(op);
-    }
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::Dense;
-        op.dense = linalg::haarUnitary(rng, 8);
-        op.qubits = {9, 1, 6};
-        ops.push_back(op);
-    }
-
-    std::vector<CVector> states;
-    for (std::size_t t = 0; t < B; ++t)
-        states.push_back(randomState(rng, n));
-
-    for (const sim::KernelOp &op : ops) {
-        sim::BatchState serial = sim::BatchState::pack(states);
-        sim::executeOpBatched(op, serial);
-        for (const std::size_t chunk : {std::size_t{0}, std::size_t{100},
-                                        std::size_t{1024}}) {
-            sim::BatchState parallel = sim::BatchState::pack(states);
-            sim::ExecOptions exec;
-            exec.pool = &pool;
-            exec.chunk = chunk;
-            sim::executeOpBatched(op, parallel, exec);
-            for (std::size_t t = 0; t < B; ++t)
-                EXPECT_TRUE(bitIdentical(parallel.unpackLane(t),
-                                         serial.unpackLane(t)))
-                    << "kind=" << static_cast<int>(op.kind)
-                    << " chunk=" << chunk << " lane=" << t;
-        }
-    }
 }
 
 TEST(BatchNoise, LaneDepolarizingMatchesSerialTrajectory)
@@ -506,7 +295,7 @@ TEST(BatchNoise, LaneDepolarizingMatchesSerialTrajectory)
         rngs.emplace_back(sim::streamSeed(99, t));
     sim::BatchState batch(n, B);
     for (int step = 0; step < 6; ++step) {
-        sim::executeOpBatched(quad, batch);
+        sim::executeOp(quad, batch);
         for (std::size_t l = 0; l < B; ++l) {
             circuit::applyDepolarizing(batch, l, quad.q0, quad.q1, p2,
                                        rngs[l]);
@@ -528,12 +317,12 @@ TEST(BatchNoise, LaneDepolarizingMatchesSerialTrajectory)
                  std::invalid_argument);
 }
 
-TEST(BatchRunner, RunBatchedIsScheduleInvariantWithRemainder)
+TEST(BatchRunner, TiledRunIsScheduleInvariantWithRemainder)
 {
-    // runBatched must reproduce run() exactly — same RNG streams, same
-    // result slots — for any (trajWorkers, stateThreads) split and a
-    // count that is not a multiple of the lane width (11 = 2 full tiles
-    // of 4 plus a remainder of 3).
+    // A tiled run must reproduce the one-lane run exactly — same RNG
+    // streams, same result slots — for any (trajWorkers, stateThreads)
+    // split and a count that is not a multiple of the lane width (11 =
+    // 2 full tiles of 4 plus a remainder of 3).
     linalg::Rng crng(206);
     const std::size_t n = 8;
     circuit::Circuit c(n);
@@ -541,16 +330,11 @@ TEST(BatchRunner, RunBatchedIsScheduleInvariantWithRemainder)
         c.add(linalg::haarSU(crng, 4), {q, q + 1});
     const sim::Plan plan = sim::compile(c);
 
-    const sim::TrajectoryRunner::Body serialBody =
-        [&](std::size_t, linalg::Rng &rng, const sim::ExecOptions &) {
-            CVector amps = sim::run(plan);
-            return std::norm(amps[rng.index(amps.size())]);
-        };
-    const sim::TrajectoryRunner::BatchBody batchBody =
+    const sim::TrajectoryRunner::Body body =
         [&](std::size_t, std::size_t lanes, linalg::Rng *rngs,
-            const sim::ExecOptions &, double *out) {
+            const sim::ExecOptions &exec, double *out) {
             sim::BatchState batch(n, lanes);
-            sim::executeBatched(plan, batch);
+            sim::execute(plan, batch, exec);
             for (std::size_t l = 0; l < lanes; ++l) {
                 const std::size_t pick = rngs[l].index(batch.dim());
                 out[l] = std::norm(batch.amp(pick, l));
@@ -558,25 +342,22 @@ TEST(BatchRunner, RunBatchedIsScheduleInvariantWithRemainder)
         };
 
     sim::TrajectoryRunner serial(1, 1);
-    const std::vector<double> reference = serial.run(11, 88, serialBody);
+    const std::vector<double> reference = serial.run(11, 88, 1, body);
     ASSERT_EQ(reference.size(), 11u);
 
     for (const auto &[traj, state] :
          {std::pair<std::size_t, std::size_t>{1, 1}, {4, 1}, {2, 2}}) {
         sim::TrajectoryRunner runner(traj, state);
-        const std::vector<double> got =
-            runner.runBatched(11, 88, 4, batchBody);
+        const std::vector<double> got = runner.run(11, 88, 4, body);
         ASSERT_EQ(got.size(), reference.size());
         for (std::size_t i = 0; i < got.size(); ++i)
             EXPECT_EQ(got[i], reference[i])
                 << "traj=" << traj << " state=" << state << " i=" << i;
-        EXPECT_EQ(runner.sumBatched(11, 88, 4, batchBody),
-                  serial.sum(11, 88, serialBody));
+        EXPECT_EQ(runner.sum(11, 88, 4, body), serial.sum(11, 88, 1, body));
     }
 
-    EXPECT_THROW(serial.runBatched(4, 88, 0, batchBody),
-                 std::invalid_argument);
-    EXPECT_TRUE(serial.runBatched(0, 88, 4, batchBody).empty());
+    EXPECT_THROW(serial.run(4, 88, 0, body), std::invalid_argument);
+    EXPECT_TRUE(serial.run(0, 88, 4, body).empty());
 }
 
 TEST(BatchRunner, TrajParallelArmSpawnsNoStatePools)

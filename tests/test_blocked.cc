@@ -3,9 +3,10 @@
  * Cache-blocked execution suite (fast; runs under the CI sanitizer
  * matrix). executeBlocked inverts the sweep loop nest — amplitude
  * blocks outer, the ops of a blockable segment inner — and must stay
- * bit-identical to serial plan execution for every block exponent,
- * thread count, and SoA lane count, over random circuits covering all
- * five KernelKinds. The suite also pins the blockable-segment
+ * bit-identical to serial plan execution; the engine oracle
+ * (test_engine_oracle.cc) pins that over every block exponent, thread
+ * count, and SoA lane count. This suite pins the ExecOptions routing,
+ * the block-range substrate and argument validation, the blockable-segment
  * partition (blockSegments and the PlanStats counters), the
  * cache-geometry helpers in sim/cache.hh (CRISC_BLOCK_BYTES override,
  * clamping, the reject-loud sim/env.hh parse, the auto/forced
@@ -29,9 +30,7 @@
 namespace {
 
 using namespace crisc;
-using linalg::Complex;
 using linalg::CVector;
-using linalg::Matrix;
 using testutil::bitIdentical;
 using testutil::randomCircuit;
 using testutil::randomState;
@@ -208,59 +207,8 @@ TEST(BlockSegments, PlanStatsCountSegmentsAtAutoExponent)
 }
 
 // ---------------------------------------------------------------------
-// Bitwise equivalence: blocked vs. serial, every backend combination.
+// Blocked execution: routing, the range substrate, validation.
 // ---------------------------------------------------------------------
-
-TEST(BlockedExecution, BitIdenticalForEveryExponentThreadAndLaneCount)
-{
-    ScopedBlockBytes env("4096"); // auto exponent 8 at these widths
-    linalg::Rng rng(77);
-    const std::size_t n = 12;
-    bool sawKind[5] = {false, false, false, false, false};
-    for (int rep = 0; rep < 3; ++rep) {
-        const circuit::Circuit c = randomCircuit(rng, n, 40);
-        const sim::Plan plan = compileUnfused(c);
-        for (const sim::KernelOp &op : plan.ops())
-            sawKind[static_cast<int>(op.kind)] = true;
-
-        const CVector init = randomState(rng, n);
-        CVector ref = init;
-        sim::execute(plan, ref.data()); // serial unblocked reference
-
-        const std::size_t exps[] = {sim::autoBlockQubits(n), 3, n};
-        for (const std::size_t b : exps) {
-            for (const std::size_t threads : {1, 2, 4}) {
-                CVector amps = init;
-                sim::ExecOptions opts;
-                opts.threads = threads;
-                sim::executeBlocked(plan, amps.data(), b, opts);
-                EXPECT_TRUE(bitIdentical(amps, ref))
-                    << "b=" << b << " threads=" << threads
-                    << " rep=" << rep;
-            }
-            // SoA lanes {1, 4}: every lane must match the serial run
-            // on that lane's statevector.
-            for (const std::size_t lanes : {1, 4}) {
-                std::vector<CVector> states;
-                for (std::size_t l = 0; l < lanes; ++l)
-                    states.push_back(randomState(rng, n));
-                sim::BatchState batch = sim::BatchState::pack(states);
-                sim::ExecOptions opts;
-                opts.threads = 2;
-                sim::executeBlockedBatched(plan, batch, b, opts);
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    CVector lref = states[l];
-                    sim::execute(plan, lref.data());
-                    EXPECT_TRUE(bitIdentical(batch.unpackLane(l), lref))
-                        << "b=" << b << " lane=" << l << "/" << lanes
-                        << " rep=" << rep;
-                }
-            }
-        }
-    }
-    for (int k = 0; k < 5; ++k)
-        EXPECT_TRUE(sawKind[k]) << "kernel kind " << k << " never hit";
-}
 
 TEST(BlockedExecution, ExecOptionsDispatchMatchesExplicitCall)
 {
@@ -281,12 +229,12 @@ TEST(BlockedExecution, ExecOptionsDispatchMatchesExplicitCall)
         sim::execute(plan, amps.data(), opts);
         EXPECT_TRUE(bitIdentical(amps, ref)) << "req=" << req;
     }
-    // Batched dispatch path.
+    // SoA lanes take the same route.
     {
         sim::BatchState batch = sim::BatchState::pack({init, init});
         sim::ExecOptions opts;
         opts.blockQubits = 6;
-        sim::executeBatched(plan, batch, opts);
+        sim::execute(plan, batch, opts);
         EXPECT_TRUE(bitIdentical(batch.unpackLane(0), ref));
         EXPECT_TRUE(bitIdentical(batch.unpackLane(1), ref));
     }
@@ -324,8 +272,8 @@ TEST(BlockedExecution, RangeFormPartitionsReassembleTheSweep)
         CVector amps = init;
         for (std::size_t b0 = 0; b0 < blocks; b0 += step)
             sim::executeBlockedRange(plan, 0, plan.ops().size(),
-                                     amps.data(), b,
-                                     b0, std::min(b0 + step, blocks));
+                                     sim::StateView(amps.data(), n), b, b0,
+                                     std::min(b0 + step, blocks));
         EXPECT_TRUE(bitIdentical(amps, ref)) << "step=" << step;
     }
 }
@@ -339,24 +287,23 @@ TEST(BlockedExecution, ValidatesArguments)
     c.add(qop::cz(), {6, 7}, "low");
     const sim::Plan plan = compileUnfused(c);
     CVector amps = randomState(rng, n);
+    const sim::StateView view(amps.data(), n);
 
-    EXPECT_THROW(sim::executeBlocked(plan, amps.data(), 0, {}),
-                 std::invalid_argument);
-    EXPECT_THROW(sim::executeBlocked(plan, amps.data(), n + 1, {}),
+    EXPECT_THROW(sim::executeBlocked(plan, view, 0), std::invalid_argument);
+    EXPECT_THROW(sim::executeBlocked(plan, view, n + 1),
                  std::invalid_argument);
     // The range form rejects ops that are not blockable at b, and
     // out-of-range op/block intervals.
-    EXPECT_THROW(sim::executeBlockedRange(plan, 0, 2, amps.data(), 4, 0, 1),
+    EXPECT_THROW(sim::executeBlockedRange(plan, 0, 2, view, 4, 0, 1),
                  std::invalid_argument);
-    EXPECT_THROW(sim::executeBlockedRange(plan, 1, 2, amps.data(), 4, 0,
+    EXPECT_THROW(sim::executeBlockedRange(plan, 1, 2, view, 4, 0,
                                           (plan.dim() >> 4) + 1),
                  std::invalid_argument);
-    EXPECT_THROW(sim::executeBlockedRange(plan, 1, 3, amps.data(), 4, 0, 1),
+    EXPECT_THROW(sim::executeBlockedRange(plan, 1, 3, view, 4, 0, 1),
                  std::invalid_argument);
 
     sim::BatchState batch(n - 1, 2); // width mismatch
-    EXPECT_THROW(sim::executeBlockedBatched(plan, batch, 4, {}),
-                 std::invalid_argument);
+    EXPECT_THROW(sim::executeBlocked(plan, batch, 4), std::invalid_argument);
 }
 
 } // namespace

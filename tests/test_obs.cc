@@ -357,19 +357,20 @@ TEST(Obs, CountersSumDeterministicallyAcrossThreadCounts)
     for (const std::size_t threads : {1u, 2u, 4u}) {
         obs::TraceSession session;
         session.start();
-        sim::ThreadPool pool(threads);
-        sim::runTrajectories(pool, kTrajectories, 99,
-                             [](std::size_t, linalg::Rng &rng) {
-                                 OBS_COUNT("test.custom", 2);
-                                 return rng.uniform();
-                             });
+        sim::TrajectoryRunner runner(threads);
+        runner.run(kTrajectories, 99, 1,
+                   [](std::size_t, std::size_t, linalg::Rng *rng,
+                      const sim::ExecOptions &, double *out) {
+                       OBS_COUNT("test.custom", 2);
+                       *out = rng->uniform();
+                   });
         session.stop();
         const obs::Trace t = session.collect();
         EXPECT_EQ(counterValue(t, "traj.count"), kTrajectories)
             << "threads=" << threads;
         EXPECT_EQ(counterValue(t, "test.custom"), 2 * kTrajectories)
             << "threads=" << threads;
-        EXPECT_EQ(eventsNamed(t, "traj.trajectory").size(), kTrajectories)
+        EXPECT_EQ(eventsNamed(t, "traj.tile").size(), kTrajectories)
             << "threads=" << threads;
     }
 }

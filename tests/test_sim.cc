@@ -318,19 +318,19 @@ TEST(Batch, StreamSeedAdjacentBasesAndIndicesDoNotOverlap)
 
 TEST(Batch, ZeroTrajectoriesIsAWellDefinedNoOp)
 {
-    sim::ThreadPool pool(4);
+    sim::TrajectoryRunner runner(4);
     std::atomic<int> calls{0};
-    const auto body = [&](std::size_t, linalg::Rng &) {
-        ++calls;
-        return 1.0;
-    };
-    const std::vector<double> results =
-        sim::runTrajectories(pool, 0, 7, body);
-    EXPECT_TRUE(results.empty());
-    EXPECT_EQ(sim::sumTrajectories(pool, 0, 7, body), 0.0);
+    const sim::TrajectoryRunner::Body body =
+        [&](std::size_t, std::size_t lanes, linalg::Rng *,
+            const sim::ExecOptions &, double *out) {
+            calls += static_cast<int>(lanes);
+            std::fill(out, out + lanes, 1.0);
+        };
+    EXPECT_TRUE(runner.run(0, 7, 1, body).empty());
+    EXPECT_EQ(runner.sum(0, 7, 1, body), 0.0);
     EXPECT_EQ(calls.load(), 0);
-    // The pool is still fully serviceable afterwards.
-    EXPECT_EQ(sim::sumTrajectories(pool, 8, 7, body), 8.0);
+    // The runner is still fully serviceable afterwards.
+    EXPECT_EQ(runner.sum(8, 7, 1, body), 8.0);
     EXPECT_EQ(calls.load(), 8);
 }
 
@@ -485,15 +485,16 @@ TEST(Batch, TrajectoryRunnerIsScheduleInvariant)
     const sim::Plan plan = sim::compile(c);
 
     const sim::TrajectoryRunner::Body body =
-        [&](std::size_t, linalg::Rng &rng, const sim::ExecOptions &exec) {
+        [&](std::size_t, std::size_t, linalg::Rng *rng,
+            const sim::ExecOptions &exec, double *out) {
             CVector amps = sim::run(plan, exec);
             // A random amplitude's probability, so the result depends
             // on both the sweep outcome and the RNG stream.
-            return std::norm(amps[rng.index(amps.size())]);
+            *out = std::norm(amps[rng->index(amps.size())]);
         };
 
     sim::TrajectoryRunner serial(1, 1);
-    const std::vector<double> reference = serial.run(12, 77, body);
+    const std::vector<double> reference = serial.run(12, 77, 1, body);
     ASSERT_EQ(reference.size(), 12u);
 
     for (const auto &[traj, state] :
@@ -501,7 +502,7 @@ TEST(Batch, TrajectoryRunnerIsScheduleInvariant)
         sim::TrajectoryRunner runner(traj, state);
         EXPECT_EQ(runner.trajWorkers(), traj);
         EXPECT_EQ(runner.stateThreads(), state == 0 ? 1 : state);
-        const std::vector<double> got = runner.run(12, 77, body);
+        const std::vector<double> got = runner.run(12, 77, 1, body);
         ASSERT_EQ(got.size(), reference.size());
         for (std::size_t i = 0; i < got.size(); ++i)
             EXPECT_EQ(got[i], reference[i])
@@ -511,17 +512,17 @@ TEST(Batch, TrajectoryRunnerIsScheduleInvariant)
 
 TEST(Batch, TrajectoriesAreThreadCountInvariant)
 {
-    const auto body = [](std::size_t, linalg::Rng &rng) {
-        double acc = 0.0;
-        for (int i = 0; i < 100; ++i)
-            acc += rng.uniform();
-        return acc;
-    };
-    sim::ThreadPool serial(1), parallel(4);
-    const std::vector<double> a =
-        sim::runTrajectories(serial, 64, 42, body);
-    const std::vector<double> b =
-        sim::runTrajectories(parallel, 64, 42, body);
+    const sim::TrajectoryRunner::Body body =
+        [](std::size_t, std::size_t, linalg::Rng *rng,
+           const sim::ExecOptions &, double *out) {
+            double acc = 0.0;
+            for (int i = 0; i < 100; ++i)
+                acc += rng->uniform();
+            *out = acc;
+        };
+    sim::TrajectoryRunner serial(1), parallel(4);
+    const std::vector<double> a = serial.run(64, 42, 1, body);
+    const std::vector<double> b = parallel.run(64, 42, 1, body);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i], b[i]); // bit-for-bit

@@ -10,10 +10,11 @@
  * Register widths sweep past the vector length so both the vectorized
  * inner loops and the short-stride scalar fallback are exercised.
  *
- * The same pinning extends to the state-parallel backend: group-range
- * kernels over arbitrary partitions, the generic dense (k >= 3)
- * fallback, and chunked pool execution (engine.hh ExecOptions) must
- * all be bit-identical to the serial sweeps.
+ * The same pinning extends to the partition substrate: group-range
+ * kernels over arbitrary partitions and the generic dense (k >= 3)
+ * fallback must be bit-identical to the serial sweeps. Chunked pool,
+ * SoA and blocked execution are pinned by the engine oracle
+ * (test_engine_oracle.cc).
  */
 
 #include <algorithm>
@@ -21,11 +22,8 @@
 
 #include <gtest/gtest.h>
 
-#include "circuit/circuit.hh"
 #include "linalg/random.hh"
 #include "qop/gates.hh"
-#include "sim/batch.hh"
-#include "sim/engine.hh"
 #include "sim/kernels.hh"
 #include "sim_test_util.hh"
 
@@ -35,17 +33,9 @@ using namespace crisc;
 using linalg::Complex;
 using linalg::CVector;
 using linalg::Matrix;
+using testutil::bitIdentical;
 using testutil::maxDiff;
 using testutil::randomState;
-
-bool
-bitIdentical(const CVector &a, const CVector &b)
-{
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (a[i].real() != b[i].real() || a[i].imag() != b[i].imag())
-            return false;
-    return true;
-}
 
 TEST(Simd, BackendIsWellFormed)
 {
@@ -163,9 +153,9 @@ TEST(Simd, Apply2qDiagMatchesScalarOnAllPairs)
 TEST(Simd, RangeKernelsMatchFullKernelsOnArbitraryPartitions)
 {
     // Any partition of the group index space — including boundaries
-    // that are not SIMD- or cache-aligned — must reassemble the full
-    // sweep bit for bit, for both the dispatching and the scalar
-    // reference range kernels.
+    // that are not SIMD- or cache-aligned — must reassemble the scalar
+    // reference sweep bit for bit, for both the dispatching and the
+    // scalar reference range kernels.
     linalg::Rng rng(107);
     const Matrix u2 = linalg::haarUnitary(rng, 2);
     const Complex m2[4] = {u2(0, 0), u2(0, 1), u2(1, 0), u2(1, 1)};
@@ -190,7 +180,7 @@ TEST(Simd, RangeKernelsMatchFullKernelsOnArbitraryPartitions)
         for (std::size_t q = 0; q < n; ++q) {
             const CVector in = randomState(rng, n);
             CVector full = in, ranged = in, scalarRanged = in;
-            sim::apply1q(full.data(), n, q, m2);
+            sim::scalar::apply1q(full.data(), n, q, m2);
             const auto cuts = partitionPoints(pairs);
             for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
                 sim::apply1qRange(ranged.data(), n, q, m2, cuts[c],
@@ -204,7 +194,8 @@ TEST(Simd, RangeKernelsMatchFullKernelsOnArbitraryPartitions)
                 << "n=" << n << " q=" << q;
 
             CVector diagFull = in, diagRanged = in;
-            sim::apply1qDiag(diagFull.data(), n, q, rz(0, 0), rz(1, 1));
+            sim::scalar::apply1qDiag(diagFull.data(), n, q, rz(0, 0),
+                                     rz(1, 1));
             for (std::size_t c = 0; c + 1 < cuts.size(); ++c)
                 sim::apply1qDiagRange(diagRanged.data(), n, q, rz(0, 0),
                                       rz(1, 1), cuts[c], cuts[c + 1]);
@@ -217,7 +208,7 @@ TEST(Simd, RangeKernelsMatchFullKernelsOnArbitraryPartitions)
                     continue;
                 const CVector in = randomState(rng, n);
                 CVector full = in, ranged = in, scalarRanged = in;
-                sim::apply2q(full.data(), n, a, b, u4.data());
+                sim::scalar::apply2q(full.data(), n, a, b, u4.data());
                 const auto cuts = partitionPoints(quads);
                 for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
                     sim::apply2qRange(ranged.data(), n, a, b, u4.data(),
@@ -232,7 +223,7 @@ TEST(Simd, RangeKernelsMatchFullKernelsOnArbitraryPartitions)
                     << "n=" << n << " pair (" << a << ", " << b << ")";
 
                 CVector diagFull = in, diagRanged = in;
-                sim::apply2qDiag(diagFull.data(), n, a, b, d4);
+                sim::scalar::apply2qDiag(diagFull.data(), n, a, b, d4);
                 for (std::size_t c = 0; c + 1 < cuts.size(); ++c)
                     sim::apply2qDiagRange(diagRanged.data(), n, a, b, d4,
                                           cuts[c], cuts[c + 1]);
@@ -286,119 +277,6 @@ TEST(Simd, DenseKernelMatchesEmbeddingAndRangePartition)
                 << "n=" << n << " k=" << k;
         }
     }
-}
-
-TEST(Simd, ParallelExecuteOpMatchesSerialForEveryKernelKind)
-{
-    // Chunked pool execution of a single sweep must be bit-identical
-    // to the serial kernel for every KernelKind, including the dense
-    // fallback. n = 14 clears the engine's minimum parallel group
-    // count for all kinds.
-    linalg::Rng rng(109);
-    const std::size_t n = 14;
-    sim::ThreadPool pool(3);
-
-    std::vector<sim::KernelOp> ops;
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::OneQ;
-        op.q0 = 5;
-        const Matrix u = linalg::haarUnitary(rng, 2);
-        for (std::size_t i = 0; i < 4; ++i)
-            op.m[i] = u(i / 2, i % 2);
-        ops.push_back(op);
-    }
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::OneQDiag;
-        op.q0 = 12;
-        const Matrix rz = qop::rz(0.377);
-        op.m[0] = rz(0, 0);
-        op.m[1] = rz(1, 1);
-        ops.push_back(op);
-    }
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::TwoQ;
-        op.q0 = 3;
-        op.q1 = 11;
-        const Matrix u = linalg::haarUnitary(rng, 4);
-        for (std::size_t i = 0; i < 16; ++i)
-            op.m[i] = u(i / 4, i % 4);
-        ops.push_back(op);
-    }
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::TwoQDiag;
-        op.q0 = 13;
-        op.q1 = 2;
-        op.m[0] = Complex{1.0, 0.0};
-        op.m[1] = std::polar(1.0, 0.7);
-        op.m[2] = std::polar(1.0, -0.2);
-        op.m[3] = std::polar(1.0, 1.9);
-        ops.push_back(op);
-    }
-    {
-        sim::KernelOp op;
-        op.kind = sim::KernelKind::Dense;
-        op.dense = linalg::haarUnitary(rng, 8);
-        op.qubits = {9, 1, 6};
-        ops.push_back(op);
-    }
-
-    for (const sim::KernelOp &op : ops) {
-        ASSERT_GE(sim::opGroupCount(op, n), 1024u);
-        const CVector in = randomState(rng, n);
-        CVector serial = in;
-        sim::executeOp(op, serial.data(), n);
-        for (const std::size_t chunk : {std::size_t{0}, std::size_t{100},
-                                        std::size_t{1024}}) {
-            CVector parallel = in;
-            sim::ExecOptions exec;
-            exec.pool = &pool;
-            exec.chunk = chunk;
-            sim::executeOp(op, parallel.data(), n, exec);
-            EXPECT_TRUE(bitIdentical(parallel, serial))
-                << "kind=" << static_cast<int>(op.kind)
-                << " chunk=" << chunk;
-        }
-    }
-}
-
-TEST(Simd, ParallelPlanExecutionMatchesSerial)
-{
-    // Whole-plan state-parallel execution (transient pool from
-    // ExecOptions::threads) against the serial backend on a mixed
-    // circuit: 1q, diagonal, 2q, and a 3-qubit dense gate.
-    linalg::Rng rng(110);
-    const std::size_t n = 14;
-    circuit::Circuit c(n);
-    for (int layer = 0; layer < 3; ++layer) {
-        for (std::size_t q = 0; q < n; q += 2)
-            c.add(linalg::haarUnitary(rng, 2), {q});
-        for (std::size_t q = 0; q + 1 < n; q += 3)
-            c.add(linalg::haarUnitary(rng, 4), {q, q + 1});
-        c.add(qop::rz(0.31 * (layer + 1)), {std::size_t(layer)});
-        c.add(qop::cz(), {std::size_t(layer), std::size_t(layer + 4)});
-    }
-    c.add(linalg::haarUnitary(rng, 8), {1, 7, 12});
-
-    const sim::Plan plan = sim::compile(c);
-    const CVector serial = sim::run(plan);
-
-    sim::ExecOptions exec;
-    exec.threads = 4;
-    const CVector viaTransient = sim::run(plan, exec);
-    EXPECT_TRUE(bitIdentical(viaTransient, serial));
-    EXPECT_LT(maxDiff(viaTransient, serial), 1e-12);
-
-    sim::ThreadPool pool(4);
-    exec.pool = &pool;
-    exec.chunk = 100; // not a granule multiple: pins the round-up path
-    CVector viaPool(serial.size(), Complex{0.0, 0.0});
-    viaPool[0] = 1.0;
-    plan.execute(viaPool.data(), exec);
-    EXPECT_TRUE(bitIdentical(viaPool, serial));
 }
 
 TEST(Simd, LargeRegisterSpotCheck)
