@@ -110,7 +110,7 @@ reportSkeleton(const std::string &name, bool smoke)
     rep.name = name;
     rep.gitSha = bench::reportGitSha();
     rep.gitDirty = bench::reportGitDirty();
-    rep.simdBackend = sim::simdBackendName();
+    rep.simdBackend = sim::backendName();
     for (const sim::Backend b : sim::compiledBackends())
         rep.simdCompiled.push_back(sim::backendName(b));
     rep.simdLanes = sim::simdLanes();
@@ -154,7 +154,7 @@ bench::Report
 runMicro(const Options &opt)
 {
     std::printf("== micro (kernel SIMD backend: %s, %zu lanes) ==\n",
-                sim::simdBackendName(), sim::simdLanes());
+                sim::backendName(), sim::simdLanes());
     bench::Report rep = reportSkeleton("micro", opt.smoke);
 
     const std::vector<std::size_t> widths =
@@ -279,7 +279,7 @@ runSweep(const Options &opt)
 {
     std::printf("== sweep_scaling (state-parallel kernel sweeps, "
                 "backend %s) ==\n",
-                sim::simdBackendName());
+                sim::backendName());
     bench::Report rep = reportSkeleton("sweep_scaling", opt.smoke);
 
     const std::size_t n = opt.smoke ? 18 : 22;
@@ -360,7 +360,7 @@ runBatch(const Options &opt)
 {
     std::printf("== batch_soa (SoA trajectory batching, backend %s, "
                 "%zu lanes) ==\n",
-                sim::simdBackendName(), sim::simdLanes());
+                sim::backendName(), sim::simdLanes());
     bench::Report rep = reportSkeleton("batch_soa", opt.smoke);
 
     const std::vector<std::size_t> widths =
@@ -1077,7 +1077,7 @@ main(int argc, char **argv)
     std::printf("bench_runner: sha %s%s, backend %s, %u hw threads%s%s\n",
                 bench::reportGitSha().c_str(),
                 bench::reportGitDirty() ? "-dirty" : "",
-                sim::simdBackendName(),
+                sim::backendName(),
                 std::max(1u, std::thread::hardware_concurrency()),
                 opt.smoke ? " (smoke)" : "", tracing ? " (tracing)" : "");
 

@@ -11,7 +11,7 @@
  *     "git_sha": "abc1234",           // configure-time snapshot
  *     "git_dirty": false,             // working tree dirty at configure
  *     "simd_backend": "avx2",         // runtime-resolved: sim::backendName()
- *     "simd_compiled": ["scalar", "avx2", "avx512"],
+ *     "simd_compiled": ["scalar", "avx2"],
  *                                     // every backend in the binary
  *     "simd_lanes": 4,
  *     "threads": 8,                   // hardware concurrency

@@ -1,16 +1,47 @@
 #include "batch_state.hh"
 
+#include <unistd.h>
+
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace crisc {
 namespace sim {
 
+void
+checkStateFits(std::size_t n_qubits, std::size_t lanes)
+{
+    const std::string what = std::to_string(n_qubits) + "-qubit state x " +
+                             std::to_string(lanes) + " lane(s)";
+    constexpr std::size_t kAmpBytes = sizeof(linalg::Complex);
+    if (n_qubits >= std::numeric_limits<std::size_t>::digits ||
+        lanes > (std::numeric_limits<std::size_t>::max() / kAmpBytes) >>
+                    n_qubits)
+        throw std::length_error(what + ": " + std::to_string(kAmpBytes) +
+                                " * 2^" + std::to_string(n_qubits) + " * " +
+                                std::to_string(lanes) +
+                                " bytes overflows std::size_t");
+    const std::size_t bytes = (kAmpBytes << n_qubits) * lanes;
+    const long pages = sysconf(_SC_PHYS_PAGES);
+    const long pageSize = sysconf(_SC_PAGE_SIZE);
+    if (pages <= 0 || pageSize <= 0)
+        return; // Physical memory unknown: only the overflow check holds.
+    const std::size_t physical = static_cast<std::size_t>(pages) *
+                                 static_cast<std::size_t>(pageSize);
+    if (bytes > physical)
+        throw std::length_error(what + ": needs " + std::to_string(bytes) +
+                                " bytes, more than the host's " +
+                                std::to_string(physical) +
+                                " bytes of physical memory");
+}
+
 BatchState::BatchState(std::size_t n_qubits, std::size_t batch)
     : nQubits_(n_qubits), batch_(batch)
 {
     if (batch == 0)
         throw std::invalid_argument("BatchState: batch must be at least 1");
+    checkStateFits(n_qubits, batch_);
     const std::size_t total = dim() * batch_;
     re_.assign(total, 0.0);
     im_.assign(total, 0.0);

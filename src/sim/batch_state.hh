@@ -33,6 +33,15 @@
 namespace crisc {
 namespace sim {
 
+/**
+ * Checks, before the allocation is made, that @p lanes statevectors of
+ * 2^n_qubits complex doubles (16 * 2^n * lanes bytes) fit in memory.
+ * @throws std::length_error naming the width, the lanes and the bytes
+ *         when the size overflows std::size_t or exceeds the host's
+ *         physical memory.
+ */
+void checkStateFits(std::size_t n_qubits, std::size_t lanes);
+
 /** A batch of statevectors in trajectory-major SoA layout. */
 class BatchState
 {
@@ -41,6 +50,8 @@ class BatchState
      * Creates @p batch lanes of a 2^n statevector, every lane
      * initialized to |0...0>.
      * @throws std::invalid_argument when batch == 0.
+     * @throws std::length_error when the lanes do not fit in memory
+     *         (checkStateFits).
      */
     BatchState(std::size_t n_qubits, std::size_t batch);
 

@@ -29,9 +29,6 @@ struct BackendSlot
 };
 
 constexpr BackendSlot kSlots[] = {
-#if defined(CRISC_HAVE_KERNELS_AVX512)
-    {Backend::Avx512, &detail::avx512KernelTable},
-#endif
 #if defined(CRISC_HAVE_KERNELS_AVX2)
     {Backend::Avx2, &detail::avx2KernelTable},
 #endif
@@ -104,7 +101,6 @@ backendName(Backend b)
     switch (b) {
       case Backend::Scalar: return "scalar";
       case Backend::Avx2: return "avx2";
-      case Backend::Avx512: return "avx512";
       case Backend::Neon: return "neon";
     }
     return "unknown";
@@ -134,12 +130,6 @@ hostSupports(Backend b)
       case Backend::Avx2:
 #if defined(__x86_64__) || defined(_M_X64)
         return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
-      case Backend::Avx512:
-#if defined(__x86_64__) || defined(_M_X64)
-        return __builtin_cpu_supports("avx512f") != 0;
 #else
         return false;
 #endif
@@ -173,13 +163,11 @@ parseDispatchOverride(const std::string &value)
         return Backend::Scalar;
     if (value == "avx2")
         return Backend::Avx2;
-    if (value == "avx512")
-        return Backend::Avx512;
     if (value == "neon")
         return Backend::Neon;
     throw std::invalid_argument(
         "CRISC_SIMD_DISPATCH: unknown backend '" + value +
-        "' (expected scalar, avx2, avx512, neon, or auto)");
+        "' (expected scalar, avx2, neon, or auto)");
 }
 
 const KernelTable &
@@ -236,12 +224,6 @@ recordDispatchGauges()
 // through the resolved table. A whole-register sweep is the range
 // kernel over [0, groups).
 // ---------------------------------------------------------------------
-
-const char *
-simdBackendName()
-{
-    return backendName();
-}
 
 std::size_t
 simdLanes()

@@ -2,15 +2,15 @@
  * @file
  * Runtime ISA dispatch for the statevector kernels. Every binary
  * carries one translation unit per SIMD backend the compiler could
- * build (kernels_scalar.cc always; kernels_avx2.cc / kernels_avx512.cc
- * on x86-64; kernels_neon.cc on aarch64 — see CMakeLists.txt), each
+ * build (kernels_scalar.cc always; kernels_avx2.cc on x86-64;
+ * kernels_neon.cc on aarch64 — see CMakeLists.txt), each
  * exporting one KernelTable of function pointers. This header exposes
  * the probe-and-pick layer that chooses among them once per process:
  *
  *   - activeBackend() / backendName(): the resolved backend, decided on
  *     first kernel use from the CRISC_SIMD_DISPATCH environment
  *     variable, or by CPU probe when the variable is unset or "auto"
- *     (probe order avx512 > avx2 > neon > scalar, first backend that is
+ *     (probe order avx2 > neon > scalar, first backend that is
  *     both compiled in and supported by the host).
  *   - activeKernels(): the resolved KernelTable. The public sim::apply*
  *     wrappers in kernels.hh and the engine's executeOpRange fetch this
@@ -54,7 +54,6 @@ enum class Backend
 {
     Scalar = 0,
     Avx2,
-    Avx512,
     Neon,
 };
 
@@ -117,7 +116,7 @@ struct KernelTable
                            std::size_t) = nullptr;
 };
 
-/** Display name of a backend ("scalar", "avx2", "avx512", "neon"). */
+/** Display name of a backend ("scalar", "avx2", "neon"). */
 const char *backendName(Backend b);
 
 /** The backends compiled into this binary, in probe order (always
@@ -140,9 +139,8 @@ bool hostSupports(Backend b);
 const KernelTable &kernelTable(Backend b);
 
 /**
- * Parses a CRISC_SIMD_DISPATCH value: "scalar" / "avx2" / "avx512" /
- * "neon" name a backend; "auto" (or empty) returns nullopt, meaning
- * probe.
+ * Parses a CRISC_SIMD_DISPATCH value: "scalar" / "avx2" / "neon" name a
+ * backend; "auto" (or empty) returns nullopt, meaning probe.
  * @throws std::invalid_argument on any other value.
  */
 std::optional<Backend> parseDispatchOverride(const std::string &value);
@@ -150,8 +148,8 @@ std::optional<Backend> parseDispatchOverride(const std::string &value);
 /**
  * The backend serving this process, resolving it on first call: the
  * CRISC_SIMD_DISPATCH environment variable if set (reject-loud
- * semantics as above), else the CPU probe (avx512 > avx2 > neon >
- * scalar among compiled-in backends). Deterministic for a given
+ * semantics as above), else the CPU probe (avx2 > neon > scalar among
+ * compiled-in backends). Deterministic for a given
  * environment and host.
  */
 Backend activeBackend();
@@ -191,7 +189,6 @@ namespace detail {
 // the CRISC_HAVE_KERNELS_* definitions it sets).
 const KernelTable &scalarKernelTable();
 const KernelTable &avx2KernelTable();
-const KernelTable &avx512KernelTable();
 const KernelTable &neonKernelTable();
 
 // Shared backend-independent dense implementation (kernels.cc); every

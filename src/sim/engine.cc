@@ -553,6 +553,7 @@ execute(const Plan &plan, StateView state, const ExecOptions &opts)
 linalg::CVector
 run(const Plan &plan, const ExecOptions &opts)
 {
+    checkStateFits(plan.numQubits(), 1);
     linalg::CVector amps(plan.dim(), Complex{0.0, 0.0});
     amps[0] = 1.0;
     execute(plan, amps.data(), opts);

@@ -260,7 +260,9 @@ void executeBlockedRange(const Plan &plan, std::size_t op_begin,
                          std::size_t block_begin, std::size_t block_end);
 
 /** Executes a plan on |0...0> per @p opts and returns the resulting
- *  statevector. */
+ *  statevector.
+ *  @throws std::length_error when the statevector does not fit in
+ *          memory (checkStateFits). */
 linalg::CVector run(const Plan &plan, const ExecOptions &opts = {});
 
 } // namespace sim

@@ -12,7 +12,7 @@
  * runtime-dispatched table of group-range kernels (a full sweep is the
  * range [0, groups)): every binary carries one compiled
  * kernel set per SIMD backend the compiler could build (scalar always;
- * AVX2/AVX-512 on x86-64; NEON on aarch64), and src/sim/dispatch.hh
+ * AVX2 on x86-64; NEON on aarch64), and src/sim/dispatch.hh
  * picks among them once per process — by CPU probe, or forced via the
  * CRISC_SIMD_DISPATCH environment variable. Each backend's kernels run
  * split-complex SIMD inner loops whenever the addressed contiguous run
@@ -59,15 +59,8 @@ namespace sim {
 using linalg::Complex;
 using linalg::Matrix;
 
-/**
- * Name of the runtime-resolved SIMD backend serving this process
- * ("scalar", "avx2", "avx512", or "neon"); recorded by the benchmark
- * runner. Alias for sim::backendName() in dispatch.hh.
- */
-const char *simdBackendName();
-
-/** Complex lanes per SIMD vector of the resolved backend (8 for
- *  AVX-512, 4 for AVX2, 2 for NEON, 1 scalar). */
+/** Complex lanes per SIMD vector of the resolved backend (4 for AVX2,
+ *  2 for NEON, 1 scalar). */
 std::size_t simdLanes();
 
 /**

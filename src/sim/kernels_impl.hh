@@ -3,7 +3,7 @@
  * Backend-stamped kernel implementations. This header is the single
  * source of every SIMD-dependent statevector kernel; each per-backend
  * translation unit (kernels_scalar.cc, kernels_avx2.cc,
- * kernels_avx512.cc, kernels_neon.cc) defines
+ * kernels_neon.cc) defines
  *
  *   - one CRISC_SIMD_STAMP_* backend selector (consumed by simd.hh),
  *   - CRISC_KERNEL_TABLE_FN: the name of the exported table builder
@@ -20,12 +20,10 @@
  * short-stride sweeps fall back to the sim::scalar references
  * (compiled once, without ISA flags, in kernels.cc), and per-lane
  * Pauli noise replays the serial kernel's stride-dependent negation
- * flavour via the backend's kNegIsSubFromZero trait. Backends with mask registers (kMaskedTails,
- * i.e. AVX-512) run the batch % kLanes lane tails of the batched
- * kernels through the vector body with masked loads/stores instead of
- * a scalar remainder loop — same per-lane operation sequence, so the
- * bitwise contract holds either way. Compile every stamp TU with
- * -ffp-contract=off.
+ * flavour via the backend's kNegIsSubFromZero trait. The batched
+ * kernels run the batch % kLanes lane tails through a scalar per-lane
+ * remainder loop with the same per-lane operation sequence. Compile
+ * every stamp TU with -ffp-contract=off.
  */
 
 #ifndef CRISC_SIM_KERNELS_IMPL_HH
@@ -58,8 +56,8 @@ using detail::setLane;
 
 /**
  * Negation as this backend's serial dispatching Pauli kernel performs
- * it for a sweep whose addressed run takes the vector path: AVX2 and
- * AVX-512 neg computes 0 - x (mapping +0 to +0), scalar and NEON flip
+ * it for a sweep whose addressed run takes the vector path: AVX2 neg
+ * computes 0 - x (mapping +0 to +0), scalar and NEON flip
  * the sign bit (+0 to -0). Batched lanes replay the serial kernel's
  * stride-dependent choice so they stay bit-identical to the
  * per-trajectory run even on signed zeros.
@@ -338,12 +336,10 @@ apply2qDiagRange(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
 // the trajectory axis. Per amplitude group the batch lanes are contiguous
 // in the split re/im arrays, so the vector body consumes whole vectors
 // of lanes (simd::loads / stores, no permutation); the remaining
-// batch % kLanes lanes run through the same vector body with mask-
-// register loads/stores on backends that have them (kMaskedTails), or
-// a scalar per-lane tail otherwise. Either tail replays the serial
-// scalar operation sequence per lane, so lane t of any batched sweep —
-// over any partition of the group range — is bit-identical to the
-// serial kernel applied to statevector t.
+// batch % kLanes lanes run through a scalar per-lane tail. Both replay
+// the serial scalar operation sequence per lane, so lane t of any
+// batched sweep — over any partition of the group range — is
+// bit-identical to the serial kernel applied to statevector t.
 // ---------------------------------------------------------------------
 
 void
@@ -369,29 +365,11 @@ apply1qBatchRange(double *re, double *im, std::size_t n_qubits,
             simd::stores(re + o1 + t, im + o1 + t,
                          simd::add(simd::mul(m10, a0), simd::mul(m11, a1)));
         }
-        if (t < batch) {
-            if constexpr (simd::kMaskedTails) {
-                const std::size_t nt = batch - t;
-                const simd::CVec a0 =
-                    simd::loadsTail(re + o0 + t, im + o0 + t, nt);
-                const simd::CVec a1 =
-                    simd::loadsTail(re + o1 + t, im + o1 + t, nt);
-                simd::storesTail(re + o0 + t, im + o0 + t,
-                                 simd::add(simd::mul(m00, a0),
-                                           simd::mul(m01, a1)),
-                                 nt);
-                simd::storesTail(re + o1 + t, im + o1 + t,
-                                 simd::add(simd::mul(m10, a0),
-                                           simd::mul(m11, a1)),
-                                 nt);
-            } else {
-                for (; t < batch; ++t) {
-                    const Complex a0 = laneAmp(re, im, o0 + t);
-                    const Complex a1 = laneAmp(re, im, o1 + t);
-                    setLane(re, im, o0 + t, m[0] * a0 + m[1] * a1);
-                    setLane(re, im, o1 + t, m[2] * a0 + m[3] * a1);
-                }
-            }
+        for (; t < batch; ++t) {
+            const Complex a0 = laneAmp(re, im, o0 + t);
+            const Complex a1 = laneAmp(re, im, o1 + t);
+            setLane(re, im, o0 + t, m[0] * a0 + m[1] * a1);
+            setLane(re, im, o1 + t, m[2] * a0 + m[3] * a1);
         }
     }
 }
@@ -418,25 +396,9 @@ apply1qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
                 re + o1 + t, im + o1 + t,
                 simd::mul(simd::loads(re + o1 + t, im + o1 + t), v1));
         }
-        if (t < batch) {
-            if constexpr (simd::kMaskedTails) {
-                const std::size_t nt = batch - t;
-                simd::storesTail(
-                    re + o0 + t, im + o0 + t,
-                    simd::mul(
-                        simd::loadsTail(re + o0 + t, im + o0 + t, nt), v0),
-                    nt);
-                simd::storesTail(
-                    re + o1 + t, im + o1 + t,
-                    simd::mul(
-                        simd::loadsTail(re + o1 + t, im + o1 + t, nt), v1),
-                    nt);
-            } else {
-                for (; t < batch; ++t) {
-                    setLane(re, im, o0 + t, laneAmp(re, im, o0 + t) * d0);
-                    setLane(re, im, o1 + t, laneAmp(re, im, o1 + t) * d1);
-                }
-            }
+        for (; t < batch; ++t) {
+            setLane(re, im, o0 + t, laneAmp(re, im, o0 + t) * d0);
+            setLane(re, im, o1 + t, laneAmp(re, im, o1 + t) * d1);
         }
     }
 }
@@ -537,63 +499,21 @@ apply2qBatchRange(double *re, double *im, std::size_t n_qubits,
                                     simd::mul(mv[14], a2)),
                           simd::mul(mv[15], a3)));
         }
-        if (t < batch) {
-            if constexpr (simd::kMaskedTails) {
-                const std::size_t nt = batch - t;
-                const simd::CVec a0 =
-                    simd::loadsTail(re + b0 + t, im + b0 + t, nt);
-                const simd::CVec a1 =
-                    simd::loadsTail(re + b1 + t, im + b1 + t, nt);
-                const simd::CVec a2 =
-                    simd::loadsTail(re + b2 + t, im + b2 + t, nt);
-                const simd::CVec a3 =
-                    simd::loadsTail(re + b3 + t, im + b3 + t, nt);
-                simd::storesTail(
-                    re + b0 + t, im + b0 + t,
-                    simd::add(simd::add(simd::add(simd::mul(mv[0], a0),
-                                                  simd::mul(mv[1], a1)),
-                                        simd::mul(mv[2], a2)),
-                              simd::mul(mv[3], a3)),
-                    nt);
-                simd::storesTail(
-                    re + b1 + t, im + b1 + t,
-                    simd::add(simd::add(simd::add(simd::mul(mv[4], a0),
-                                                  simd::mul(mv[5], a1)),
-                                        simd::mul(mv[6], a2)),
-                              simd::mul(mv[7], a3)),
-                    nt);
-                simd::storesTail(
-                    re + b2 + t, im + b2 + t,
-                    simd::add(simd::add(simd::add(simd::mul(mv[8], a0),
-                                                  simd::mul(mv[9], a1)),
-                                        simd::mul(mv[10], a2)),
-                              simd::mul(mv[11], a3)),
-                    nt);
-                simd::storesTail(
-                    re + b3 + t, im + b3 + t,
-                    simd::add(simd::add(simd::add(simd::mul(mv[12], a0),
-                                                  simd::mul(mv[13], a1)),
-                                        simd::mul(mv[14], a2)),
-                              simd::mul(mv[15], a3)),
-                    nt);
-            } else {
-                for (; t < batch; ++t) {
-                    const Complex a0 = laneAmp(re, im, b0 + t);
-                    const Complex a1 = laneAmp(re, im, b1 + t);
-                    const Complex a2 = laneAmp(re, im, b2 + t);
-                    const Complex a3 = laneAmp(re, im, b3 + t);
-                    setLane(re, im, b0 + t,
-                            m[0] * a0 + m[1] * a1 + m[2] * a2 + m[3] * a3);
-                    setLane(re, im, b1 + t,
-                            m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3);
-                    setLane(re, im, b2 + t,
-                            m[8] * a0 + m[9] * a1 + m[10] * a2 +
-                                m[11] * a3);
-                    setLane(re, im, b3 + t,
-                            m[12] * a0 + m[13] * a1 + m[14] * a2 +
-                                m[15] * a3);
-                }
-            }
+        for (; t < batch; ++t) {
+            const Complex a0 = laneAmp(re, im, b0 + t);
+            const Complex a1 = laneAmp(re, im, b1 + t);
+            const Complex a2 = laneAmp(re, im, b2 + t);
+            const Complex a3 = laneAmp(re, im, b3 + t);
+            setLane(re, im, b0 + t,
+                    m[0] * a0 + m[1] * a1 + m[2] * a2 + m[3] * a3);
+            setLane(re, im, b1 + t,
+                    m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3);
+            setLane(re, im, b2 + t,
+                    m[8] * a0 + m[9] * a1 + m[10] * a2 +
+                        m[11] * a3);
+            setLane(re, im, b3 + t,
+                    m[12] * a0 + m[13] * a1 + m[14] * a2 +
+                        m[15] * a3);
         }
     }
 }
@@ -635,37 +555,11 @@ apply2qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
                 re + b3 + t, im + b3 + t,
                 simd::mul(simd::loads(re + b3 + t, im + b3 + t), d3));
         }
-        if (t < batch) {
-            if constexpr (simd::kMaskedTails) {
-                const std::size_t nt = batch - t;
-                simd::storesTail(
-                    re + b0 + t, im + b0 + t,
-                    simd::mul(
-                        simd::loadsTail(re + b0 + t, im + b0 + t, nt), d0),
-                    nt);
-                simd::storesTail(
-                    re + b1 + t, im + b1 + t,
-                    simd::mul(
-                        simd::loadsTail(re + b1 + t, im + b1 + t, nt), d1),
-                    nt);
-                simd::storesTail(
-                    re + b2 + t, im + b2 + t,
-                    simd::mul(
-                        simd::loadsTail(re + b2 + t, im + b2 + t, nt), d2),
-                    nt);
-                simd::storesTail(
-                    re + b3 + t, im + b3 + t,
-                    simd::mul(
-                        simd::loadsTail(re + b3 + t, im + b3 + t, nt), d3),
-                    nt);
-            } else {
-                for (; t < batch; ++t) {
-                    setLane(re, im, b0 + t, laneAmp(re, im, b0 + t) * d[0]);
-                    setLane(re, im, b1 + t, laneAmp(re, im, b1 + t) * d[1]);
-                    setLane(re, im, b2 + t, laneAmp(re, im, b2 + t) * d[2]);
-                    setLane(re, im, b3 + t, laneAmp(re, im, b3 + t) * d[3]);
-                }
-            }
+        for (; t < batch; ++t) {
+            setLane(re, im, b0 + t, laneAmp(re, im, b0 + t) * d[0]);
+            setLane(re, im, b1 + t, laneAmp(re, im, b1 + t) * d[1]);
+            setLane(re, im, b2 + t, laneAmp(re, im, b2 + t) * d[2]);
+            setLane(re, im, b3 + t, laneAmp(re, im, b3 + t) * d[3]);
         }
     }
 }
@@ -721,29 +615,13 @@ applyDenseBatchRange(double *re, double *im, std::size_t n_qubits,
                 simd::stores(outRe.data() + r * batch + t,
                              outIm.data() + r * batch + t, s);
             }
-            if (t < batch) {
-                if constexpr (simd::kMaskedTails) {
-                    const std::size_t nt = batch - t;
-                    simd::CVec s = zero;
-                    for (std::size_t c = 0; c < gdim; ++c)
-                        s = simd::add(
-                            s, simd::mul(
-                                   simd::broadcast(op(r, c)),
-                                   simd::loadsTail(
-                                       inRe.data() + c * batch + t,
-                                       inIm.data() + c * batch + t, nt)));
-                    simd::storesTail(outRe.data() + r * batch + t,
-                                     outIm.data() + r * batch + t, s, nt);
-                } else {
-                    for (; t < batch; ++t) {
-                        Complex s = 0.0;
-                        for (std::size_t c = 0; c < gdim; ++c)
-                            s += op(r, c) * Complex{inRe[c * batch + t],
-                                                    inIm[c * batch + t]};
-                        outRe[r * batch + t] = s.real();
-                        outIm[r * batch + t] = s.imag();
-                    }
-                }
+            for (; t < batch; ++t) {
+                Complex s = 0.0;
+                for (std::size_t c = 0; c < gdim; ++c)
+                    s += op(r, c) * Complex{inRe[c * batch + t],
+                                            inIm[c * batch + t]};
+                outRe[r * batch + t] = s.real();
+                outIm[r * batch + t] = s.imag();
             }
         }
         for (std::size_t g = 0; g < gdim; ++g) {

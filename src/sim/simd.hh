@@ -14,16 +14,15 @@
  *
  *   CRISC_SIMD_STAMP_SCALAR   portable scalar (kLanes == 1)
  *   CRISC_SIMD_STAMP_AVX2     AVX2, 4 lanes   (requires -mavx2)
- *   CRISC_SIMD_STAMP_AVX512   AVX-512F, 8 lanes (requires -mavx512f)
  *   CRISC_SIMD_STAMP_NEON     NEON, 2 lanes   (aarch64)
  *
  * before including this header (via kernels_impl.hh). All stamped
  * backends are compiled into the same binary and selected at runtime by
  * src/sim/dispatch.cc (CPU probe + CRISC_SIMD_DISPATCH override). A
  * stamp whose ISA the compiler has not enabled is a hard #error — never
- * a silent downgrade; CMake removes uncompilable stamp TUs from the
- * build (and rejects explicitly requested ones with FATAL_ERROR), so
- * hitting the #error means the build system and this header disagree.
+ * a silent downgrade; CMake compiles only the stamp TUs the target and
+ * compiler can build, so hitting the #error means the build system and
+ * this header disagree.
  *
  * Numerical contract: every lane of every operation performs exactly
  * the same IEEE-754 double operations, in the same order, as the
@@ -36,24 +35,17 @@
  * pinned tests, and compile every stamp TU with -ffp-contract=off.
  *
  * Besides kLanes / kBackendName / CVec and the arithmetic ops, each
- * backend exposes two traits the kernels branch on at compile time:
+ * backend exposes one trait the kernels branch on at compile time:
  *
- *   kNegIsSubFromZero  how neg() treats signed zero: the AVX2 and
- *                      AVX-512 backends compute 0 - x (mapping +0 to
- *                      +0), scalar and NEON flip the sign bit (+0 to
- *                      -0). The batched Pauli kernels replay the serial
- *                      kernel's flavour per backend (see negLikeSerial
- *                      in kernels_impl.hh).
- *   kMaskedTails       whether loadsTail / storesTail use mask
- *                      registers (AVX-512) so batched kernels can run
- *                      their batch % kLanes lane tails through the
- *                      vector body instead of a scalar remainder loop.
- *                      The generic fallback below is correct everywhere
- *                      but only profitable with real mask support.
+ *   kNegIsSubFromZero  how neg() treats signed zero: the AVX2 backend
+ *                      computes 0 - x (mapping +0 to +0), scalar and
+ *                      NEON flip the sign bit (+0 to -0). The batched
+ *                      Pauli kernels replay the serial kernel's flavour
+ *                      per backend (see negLikeSerial in
+ *                      kernels_impl.hh).
  *
- * AVX2/AVX-512 lane order note: the deinterleaving load permutes lanes
- * (unpacklo/unpackhi yield element order 0,2,1,3 per 256-bit vector,
- * and the analogous per-128-bit-lane interleave on 512-bit vectors),
+ * AVX2 lane order note: the deinterleaving load permutes lanes
+ * (unpacklo/unpackhi yield element order 0,2,1,3 per 256-bit vector),
  * which is harmless — all CVec operations are elementwise, every CVec
  * in flight uses the same permutation, and the store applies the exact
  * inverse.
@@ -66,7 +58,7 @@
 #include <cstddef>
 
 #if defined(CRISC_SIMD_STAMP_SCALAR) + defined(CRISC_SIMD_STAMP_AVX2) +     \
-        defined(CRISC_SIMD_STAMP_AVX512) + defined(CRISC_SIMD_STAMP_NEON) !=\
+        defined(CRISC_SIMD_STAMP_NEON) !=                                   \
     1
 #error "simd.hh: define exactly one CRISC_SIMD_STAMP_* before including"
 #endif
@@ -74,15 +66,12 @@
 #if defined(CRISC_SIMD_STAMP_AVX2) && !defined(__AVX2__)
 #error "simd.hh: CRISC_SIMD_STAMP_AVX2 requires -mavx2 (build system bug)"
 #endif
-#if defined(CRISC_SIMD_STAMP_AVX512) && !defined(__AVX512F__)
-#error "simd.hh: CRISC_SIMD_STAMP_AVX512 requires -mavx512f (build system bug)"
-#endif
 #if defined(CRISC_SIMD_STAMP_NEON) &&                                       \
     !(defined(__ARM_NEON) || defined(__aarch64__))
 #error "simd.hh: CRISC_SIMD_STAMP_NEON requires an ARM NEON target"
 #endif
 
-#if defined(CRISC_SIMD_STAMP_AVX2) || defined(CRISC_SIMD_STAMP_AVX512)
+#if defined(CRISC_SIMD_STAMP_AVX2)
 #include <immintrin.h>
 #elif defined(CRISC_SIMD_STAMP_NEON)
 #include <arm_neon.h>
@@ -102,7 +91,6 @@ namespace {
 inline constexpr std::size_t kLanes = 4;
 inline constexpr const char *kBackendName = "avx2";
 inline constexpr bool kNegIsSubFromZero = true;
-inline constexpr bool kMaskedTails = false;
 
 /** kLanes complex doubles in split (SoA) form. */
 struct CVec
@@ -189,117 +177,11 @@ mulPosI(CVec a)
     return {_mm256_sub_pd(_mm256_setzero_pd(), a.im), a.re};
 }
 
-#elif defined(CRISC_SIMD_STAMP_AVX512)
-
-inline constexpr std::size_t kLanes = 8;
-inline constexpr const char *kBackendName = "avx512";
-inline constexpr bool kNegIsSubFromZero = true;
-inline constexpr bool kMaskedTails = true;
-
-struct CVec
-{
-    __m512d re;
-    __m512d im;
-};
-
-/** Deinterleaving load: unpacklo/unpackhi interleave per 128-bit lane,
- *  yielding element order 0,4,1,5,2,6,3,7 — the same trick as AVX2,
- *  inverted exactly by storec. */
-inline CVec
-loadc(const std::complex<double> *p)
-{
-    const double *d = reinterpret_cast<const double *>(p);
-    const __m512d lo = _mm512_loadu_pd(d);     // r0 i0 .. r3 i3
-    const __m512d hi = _mm512_loadu_pd(d + 8); // r4 i4 .. r7 i7
-    return {_mm512_unpacklo_pd(lo, hi),        // r0 r4 r1 r5 r2 r6 r3 r7
-            _mm512_unpackhi_pd(lo, hi)};       // i0 i4 i1 i5 i2 i6 i3 i7
-}
-
-inline void
-storec(std::complex<double> *p, CVec a)
-{
-    double *d = reinterpret_cast<double *>(p);
-    _mm512_storeu_pd(d, _mm512_unpacklo_pd(a.re, a.im));
-    _mm512_storeu_pd(d + 8, _mm512_unpackhi_pd(a.re, a.im));
-}
-
-inline CVec
-loads(const double *re, const double *im)
-{
-    return {_mm512_loadu_pd(re), _mm512_loadu_pd(im)};
-}
-
-inline void
-stores(double *re, double *im, CVec a)
-{
-    _mm512_storeu_pd(re, a.re);
-    _mm512_storeu_pd(im, a.im);
-}
-
-/** Mask-register tail load of @p count < kLanes split amplitudes;
- *  masked-off lanes read as zero and are never stored back. */
-inline CVec
-loadsTail(const double *re, const double *im, std::size_t count)
-{
-    const __mmask8 k = static_cast<__mmask8>((1u << count) - 1u);
-    return {_mm512_maskz_loadu_pd(k, re), _mm512_maskz_loadu_pd(k, im)};
-}
-
-inline void
-storesTail(double *re, double *im, CVec a, std::size_t count)
-{
-    const __mmask8 k = static_cast<__mmask8>((1u << count) - 1u);
-    _mm512_mask_storeu_pd(re, k, a.re);
-    _mm512_mask_storeu_pd(im, k, a.im);
-}
-
-inline CVec
-broadcast(std::complex<double> c)
-{
-    return {_mm512_set1_pd(c.real()), _mm512_set1_pd(c.imag())};
-}
-
-inline CVec
-add(CVec a, CVec b)
-{
-    return {_mm512_add_pd(a.re, b.re), _mm512_add_pd(a.im, b.im)};
-}
-
-/** 0 - x like the AVX2 backend (maps +0 to +0); see kNegIsSubFromZero. */
-inline CVec
-neg(CVec a)
-{
-    const __m512d zero = _mm512_setzero_pd();
-    return {_mm512_sub_pd(zero, a.re), _mm512_sub_pd(zero, a.im)};
-}
-
-inline CVec
-mul(CVec a, CVec b)
-{
-    return {_mm512_sub_pd(_mm512_mul_pd(a.re, b.re),
-                          _mm512_mul_pd(a.im, b.im)),
-            _mm512_add_pd(_mm512_mul_pd(a.re, b.im),
-                          _mm512_mul_pd(a.im, b.re))};
-}
-
-inline CVec
-mulNegI(CVec a)
-{
-    return {a.im, _mm512_sub_pd(_mm512_setzero_pd(), a.re)};
-}
-
-inline CVec
-mulPosI(CVec a)
-{
-    return {_mm512_sub_pd(_mm512_setzero_pd(), a.im), a.re};
-}
-
 #elif defined(CRISC_SIMD_STAMP_NEON)
 
 inline constexpr std::size_t kLanes = 2;
 inline constexpr const char *kBackendName = "neon";
 inline constexpr bool kNegIsSubFromZero = false;
-inline constexpr bool kMaskedTails = false;
 
 struct CVec
 {
@@ -379,7 +261,6 @@ mulPosI(CVec a)
 inline constexpr std::size_t kLanes = 1;
 inline constexpr const char *kBackendName = "scalar";
 inline constexpr bool kNegIsSubFromZero = false;
-inline constexpr bool kMaskedTails = false;
 
 struct CVec
 {
@@ -446,42 +327,6 @@ inline CVec
 mulPosI(CVec a)
 {
     return {-a.im, a.re};
-}
-
-#endif
-
-#if !defined(CRISC_SIMD_STAMP_AVX512)
-
-/**
- * Generic tail load/store for backends without mask registers: buffer
- * through a stack array so the vector ops see zeros in the unused
- * lanes. Correct everywhere (active lanes run the exact vector-body
- * operation sequence) but only called when a kernel chooses the masked
- * tail path, which is gated on kMaskedTails — these exist so that
- * branch compiles on every backend.
- */
-inline CVec
-loadsTail(const double *re, const double *im, std::size_t count)
-{
-    double bufRe[kLanes] = {};
-    double bufIm[kLanes] = {};
-    for (std::size_t i = 0; i < count; ++i) {
-        bufRe[i] = re[i];
-        bufIm[i] = im[i];
-    }
-    return loads(bufRe, bufIm);
-}
-
-inline void
-storesTail(double *re, double *im, CVec a, std::size_t count)
-{
-    double bufRe[kLanes];
-    double bufIm[kLanes];
-    stores(bufRe, bufIm, a);
-    for (std::size_t i = 0; i < count; ++i) {
-        re[i] = bufRe[i];
-        im[i] = bufIm[i];
-    }
 }
 
 #endif

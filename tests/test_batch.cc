@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -49,6 +50,30 @@ TEST(BatchState, ValidatesArguments)
     EXPECT_THROW(batch.packLane(2, CVector(8)), std::invalid_argument);
     EXPECT_THROW(batch.packLane(0, CVector(4)), std::invalid_argument);
     EXPECT_THROW(batch.unpackLane(2), std::invalid_argument);
+}
+
+TEST(BatchState, RejectsStatesThatCannotBeAllocated)
+{
+    // 2^64 amplitudes: the shift itself would be undefined.
+    EXPECT_THROW(sim::BatchState(64, 1), std::length_error);
+    // 16 * 2^40 * 2^24 bytes wraps std::size_t to 0.
+    EXPECT_THROW(sim::BatchState(40, std::size_t{1} << 24),
+                 std::length_error);
+    // 16 TiB fits std::size_t but no host's physical memory.
+    const sim::Plan wide(40, {}, {});
+    EXPECT_THROW(sim::run(wide), std::length_error);
+    try {
+        sim::checkStateFits(40, 3);
+        FAIL() << "a 40-qubit, 3-lane state must not fit";
+    } catch (const std::length_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("40-qubit"), std::string::npos) << what;
+        EXPECT_NE(what.find("3 lane"), std::string::npos) << what;
+        EXPECT_NE(what.find(std::to_string(std::size_t{48} << 40)),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_NO_THROW(sim::checkStateFits(10, 4));
 }
 
 TEST(BatchState, InitializesEveryLaneToGroundState)

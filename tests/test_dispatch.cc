@@ -31,8 +31,7 @@ struct DispatchRestore
 };
 
 constexpr sim::Backend kAllBackends[] = {
-    sim::Backend::Scalar, sim::Backend::Avx2, sim::Backend::Avx512,
-    sim::Backend::Neon};
+    sim::Backend::Scalar, sim::Backend::Avx2, sim::Backend::Neon};
 
 // ---------------------------------------------------------------------
 // Override parsing and reject-loud forcing.
@@ -44,13 +43,17 @@ TEST(Dispatch, ParseOverrideAcceptsNamesAndAuto)
     EXPECT_EQ(sim::parseDispatchOverride(""), std::nullopt);
     EXPECT_EQ(sim::parseDispatchOverride("scalar"), sim::Backend::Scalar);
     EXPECT_EQ(sim::parseDispatchOverride("avx2"), sim::Backend::Avx2);
-    EXPECT_EQ(sim::parseDispatchOverride("avx512"), sim::Backend::Avx512);
     EXPECT_EQ(sim::parseDispatchOverride("neon"), sim::Backend::Neon);
 }
 
 TEST(Dispatch, ParseOverrideRejectsUnknownNames)
 {
     EXPECT_THROW(sim::parseDispatchOverride("sse2"),
+                 std::invalid_argument);
+    // The retired AVX-512 backend is an unknown name like any typo.
+    EXPECT_THROW(sim::parseDispatchOverride("avx512"),
+                 std::invalid_argument);
+    EXPECT_THROW(sim::setDispatchOverride("avx512"),
                  std::invalid_argument);
     EXPECT_THROW(sim::parseDispatchOverride("AVX2"),
                  std::invalid_argument);
@@ -63,7 +66,7 @@ TEST(Dispatch, ParseOverrideRejectsUnknownNames)
 TEST(Dispatch, ForcingUncompiledBackendThrows)
 {
     // A binary never carries both x86 and aarch64 backends, so at least
-    // one of the four is always absent — forcing it must throw, not
+    // one of the three is always absent — forcing it must throw, not
     // fall back.
     DispatchRestore restore;
     bool sawUncompiled = false;
@@ -77,8 +80,8 @@ TEST(Dispatch, ForcingUncompiledBackendThrows)
     }
     EXPECT_TRUE(sawUncompiled);
 
-    // Compiled but host-unsupported (e.g. an avx512 TU on a non-avx512
-    // machine) must throw the same way.
+    // Compiled but host-unsupported (e.g. the avx2 TU on a pre-AVX2
+    // x86-64 host) must throw the same way.
     for (const sim::Backend b : kAllBackends) {
         if (!sim::backendCompiled(b) || sim::hostSupports(b))
             continue;
@@ -101,7 +104,6 @@ TEST(Dispatch, AutoResolvesDeterministically)
     EXPECT_EQ(sim::activeBackend(), first);
     EXPECT_EQ(sim::activeKernels().backend, first);
     EXPECT_STREQ(sim::backendName(), sim::backendName(first));
-    EXPECT_STREQ(sim::simdBackendName(), sim::backendName(first));
     EXPECT_EQ(sim::simdLanes(), sim::activeKernels().lanes);
 
     // The probe picks the first compiled backend the host supports, in
