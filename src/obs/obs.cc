@@ -197,26 +197,5 @@ TraceSession::collect() const
     return trace;
 }
 
-void
-mergeInto(Trace &into, const Trace &from)
-{
-    into.events.insert(into.events.end(), from.events.begin(),
-                       from.events.end());
-    into.dropped += from.dropped;
-    for (const CounterSample &c : from.counters) {
-        auto it = std::find_if(
-            into.counters.begin(), into.counters.end(),
-            [&](const CounterSample &e) { return e.name == c.name; });
-        if (it == into.counters.end())
-            into.counters.push_back(c);
-        else
-            it->value += c.value;
-    }
-    std::sort(into.counters.begin(), into.counters.end(),
-              [](const CounterSample &a, const CounterSample &b) {
-                  return a.name < b.name;
-              });
-}
-
 } // namespace obs
 } // namespace crisc

@@ -4,14 +4,16 @@
  * counters/gauges recorded into lock-free per-thread buffers, collected
  * by a TraceSession into Chrome trace-event JSON (loadable in
  * chrome://tracing or https://ui.perfetto.dev) plus per-span-name
- * aggregates (count, total/mean/p95 ns) that the benchmark runner
- * merges into the schema-versioned BENCH_*.json reports.
+ * aggregates (count, total/mean/p95 ns). `bench_fig7_qv --trace PATH`
+ * writes both for the Figure-7 run; perfbench/ reads the same sessions
+ * for its span coverage and tracing-overhead metrics.
  *
  * Hot-path contract:
  *   - `OBS_SPAN("name")`, `OBS_COUNT("name", n)` and
  *     `OBS_GAUGE("name", v)` cost one relaxed atomic load and a branch
  *     while tracing is off; configured with -DCRISC_OBS=OFF they
- *     compile to nothing.
+ *     compile to nothing. perfbench/ reports the traced-vs-untraced
+ *     cost on every workload as `obs.overhead_pct`.
  *   - Span names must have static storage duration: string literals,
  *     `Pass::name()`-style stable pointers, or `obs::internName()`
  *     results. The recorded event stores the pointer, not a copy.
@@ -296,10 +298,6 @@ std::string chromeTraceJson(const Trace &trace);
  * @throws std::runtime_error if the file cannot be written.
  */
 void writeChromeTrace(const Trace &trace, const std::string &path);
-
-/** Appends @p from's events into @p into, summing counters by name
- *  and accumulating drops (for multi-session traces). */
-void mergeInto(Trace &into, const Trace &from);
 
 } // namespace obs
 } // namespace crisc

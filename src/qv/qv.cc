@@ -81,10 +81,6 @@ validate(const QvConfig &config)
     if (config.soaLanes < 0)
         fail("soaLanes must be non-negative (0 = width heuristic), got " +
              std::to_string(config.soaLanes));
-    if (config.blockQubits < 0)
-        fail("blockQubits must be non-negative (0 = width heuristic), "
-             "got " +
-             std::to_string(config.blockQubits));
     if (!(config.czError >= 0.0 && config.czError <= 1.0))
         fail("czError must lie in [0, 1], got " +
              std::to_string(config.czError));
@@ -172,13 +168,6 @@ heavyOutputExperiment(const QvConfig &config)
                        ? heur.soaLanes
                        : static_cast<std::size_t>(config.soaLanes);
         runner.emplace(split.trajWorkers, split.stateThreads);
-        // Cache-blocked execution applies to the ideal whole-plan
-        // simulation only (trajectory bodies interleave noise between
-        // ops); bit-identical to unblocked execution either way.
-        idealExec.blockQubits =
-            config.blockQubits == 0
-                ? heur.blockQubits
-                : static_cast<std::size_t>(config.blockQubits);
         // The per-circuit ideal simulation runs before the trajectory
         // fan-out, so it may use the whole budget for its sweeps
         // (bit-identical to serial execution either way).

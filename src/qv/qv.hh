@@ -30,8 +30,9 @@ namespace qv {
 /** Native two-qubit instruction set used for compilation. */
 using NativeSet = device::NativeKind;
 
-/** Experiment configuration. Knobs cover the three parallel axes and
- *  blocking; the kernel SIMD backend is not configurable here — it is
+/** Experiment configuration. Knobs cover the three parallel axes;
+ *  cache blocking follows the engine's auto policy (sim/cache.hh). The
+ *  kernel SIMD backend is not configurable here — it is
  *  process-global, resolved from CRISC_SIMD_DISPATCH or the CPU probe
  *  (sim/dispatch.hh), and every backend is bit-identical anyway. */
 struct QvConfig
@@ -74,17 +75,6 @@ struct QvConfig
      */
     int soaLanes = 0;
     /**
-     * Cache-blocked plan execution for the per-circuit ideal
-     * simulation (sim::ExecOptions::blockQubits): 0 = auto (the width
-     * heuristic turns blocking on from sim::kAutoBlockFromWidth
-     * qubits), n >= 1 = force block exponent n (clamped to the
-     * simulated width). The noisy trajectory bodies interleave noise
-     * between individual ops, so blocking only applies to whole-plan
-     * execution. Results are bit-for-bit identical for any value;
-     * negative values are rejected with std::invalid_argument.
-     */
-    int blockQubits = 0;
-    /**
      * Run against this device instead of the canned grid preset built
      * from (width, native, ashnCutoff, czError, singleQubitError).
      * Must have at least `width` qubits.
@@ -101,8 +91,7 @@ struct QvResult
     double avgSwapsPerCircuit = 0.0;
     /**
      * Wall-clock time of the experiment in seconds (timing only — not
-     * part of the deterministic result; the benchmark runner records
-     * it in BENCH_fig7.json).
+     * part of the deterministic result).
      */
     double wallSeconds = 0.0;
 };

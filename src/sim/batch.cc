@@ -198,7 +198,7 @@ planBatch(std::size_t total_threads, std::size_t width, std::size_t count)
     const std::size_t soa =
         width < kTrajOnlyBelowWidth ? simdLanes() : 1;
     // Statevectors past the LLC execute cache-blocked (engine.hh); the
-    // same auto policy ExecOptions::blockQubits == 0 resolves to.
+    // auto policy execute() resolves for every plan.
     const std::size_t block = resolveBlockQubits(0, width);
     if (count == 0)
         return {1, 1, 1, block};

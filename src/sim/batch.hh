@@ -130,16 +130,6 @@ struct ExecOptions
      * which creates a transient pool from `threads` when unset.
      */
     ThreadPool *pool = nullptr;
-    /**
-     * Cache-blocked plan execution (engine.hh executeBlocked): 0 =
-     * auto (blocking turns on at sim::autoBlockQubits for registers of
-     * at least sim::kAutoBlockFromWidth qubits, stays off below);
-     * 1..n = force that block exponent (values above the register
-     * width clamp to it — b == n is the degenerate single-block form).
-     * Only Plan-level execution consults this; results are
-     * bit-identical for every value.
-     */
-    std::size_t blockQubits = 0;
 };
 
 /**
@@ -156,8 +146,8 @@ struct BatchPlan
     /**
      * Cache-blocked execution choice for Plan-level sweeps (engine.hh):
      * 0 = off (the register fits cache levels where per-op sweeps are
-     * cheap), else the block exponent to pass as
-     * ExecOptions::blockQubits. On when width >= kAutoBlockFromWidth.
+     * cheap), else the block exponent execute() blocks at. On when
+     * width >= kAutoBlockFromWidth.
      */
     std::size_t blockQubits = 0;
 };

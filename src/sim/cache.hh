@@ -9,8 +9,7 @@
  * This header owns the geometry questions that sizing needs: how many
  * bytes one block should occupy (cacheBlockBytes), the block exponent
  * that footprint implies for a given register (autoBlockQubits), and
- * the resolution of the user-facing ExecOptions::blockQubits knob
- * (resolveBlockQubits).
+ * the block exponent a requested one resolves to (resolveBlockQubits).
  */
 
 #ifndef CRISC_SIM_CACHE_HH
@@ -35,9 +34,9 @@ constexpr std::size_t kFallbackBlockBytes = std::size_t{512} * 1024;
 
 /**
  * Registers at least this wide turn blocking on under the auto policy
- * (ExecOptions::blockQubits == 0): 2^24 amplitudes are 256 MiB —
- * past every L2 and most LLCs — while narrower registers fit some
- * cache level and per-op sweeps stay cheap.
+ * (resolveBlockQubits(0, n), which execute() applies): 2^24 amplitudes
+ * are 256 MiB — past every L2 and most LLCs — while narrower registers
+ * fit some cache level and per-op sweeps stay cheap.
  */
 constexpr std::size_t kAutoBlockFromWidth = 24;
 
@@ -68,8 +67,8 @@ std::size_t cacheBlockBytes();
 std::size_t autoBlockQubits(std::size_t n_qubits);
 
 /**
- * Resolves the ExecOptions::blockQubits knob for an n-qubit plan into
- * an effective block exponent: 0 (auto) enables blocking at
+ * Resolves a requested block exponent for an n-qubit plan into an
+ * effective one: 0 (auto, what execute() uses) enables blocking at
  * autoBlockQubits(n) for registers of at least kAutoBlockFromWidth
  * qubits and disables it (returns 0) below; any other value forces
  * blocking at that exponent, clamped to [1, n_qubits] (b == n_qubits

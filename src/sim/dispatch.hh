@@ -17,9 +17,9 @@
  *     once per sweep — one atomic load plus one indirect call per
  *     kernel sweep, never per amplitude.
  *   - setDispatchOverride(): in-process re-resolution with the same
- *     semantics as the environment variable, used by tests and the
- *     bench_runner `dispatch` family to force each backend on one
- *     binary.
+ *     semantics as the environment variable, used by tests to force
+ *     each backend on one binary and by perfbench/ for its
+ *     forced-scalar correctness oracle.
  *
  * The choice is process-global: one table pointer serves every thread,
  * plan, and trajectory (per-plan backends would break the bit-identity
@@ -132,8 +132,8 @@ bool backendCompiled(Backend b);
 bool hostSupports(Backend b);
 
 /**
- * The kernel table of a specific compiled backend (tests and the bench
- * `dispatch` family iterate these).
+ * The kernel table of a specific compiled backend (tests iterate
+ * these).
  * @throws std::runtime_error if @p b is not compiled into this binary.
  */
 const KernelTable &kernelTable(Backend b);
@@ -165,8 +165,8 @@ const KernelTable &activeKernels();
  * Re-resolves the process-global backend from @p value with the exact
  * CRISC_SIMD_DISPATCH semantics ("auto" re-probes). Takes effect for
  * every subsequent sweep in the process; in-flight sweeps keep the
- * table they fetched. Intended for tests and the bench_runner
- * `dispatch` family — production binaries use the environment variable.
+ * table they fetched. Intended for tests and perfbench/ — production
+ * binaries use the environment variable.
  * @throws std::invalid_argument on an unknown name.
  * @throws std::runtime_error on a backend that is not compiled in or
  *         not supported by this CPU.

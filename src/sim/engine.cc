@@ -534,8 +534,7 @@ executeBlocked(const Plan &plan, StateView state, std::size_t block_qubits,
 void
 execute(const Plan &plan, StateView state, const ExecOptions &opts)
 {
-    const std::size_t block =
-        resolveBlockQubits(opts.blockQubits, plan.numQubits());
+    const std::size_t block = resolveBlockQubits(0, plan.numQubits());
     if (block != 0) {
         executeBlocked(plan, state, block, opts);
         return;

@@ -35,7 +35,8 @@
  * interleaved execution.
  *
  * Plan-level execution additionally supports a cache-blocked mode
- * (ExecOptions::blockQubits, see sim/cache.hh for the auto policy):
+ * (executeBlocked; execute() turns it on by the auto policy in
+ * sim/cache.hh):
  * the ops are partitioned into maximal *blockable segments* — runs of
  * consecutive ops whose target index bits all lie below a block
  * exponent b (in this library's convention, qubit q addresses index
@@ -209,10 +210,10 @@ executeOp(const KernelOp &op, Complex *amps, std::size_t n_qubits,
  * Executes a plan in place on every lane of @p state, running each
  * kernel sweep state-parallel per @p opts (serial by default). When
  * opts.pool is unset and opts.threads != 1, one transient pool serves
- * the whole execution. When opts.blockQubits resolves to a block
- * exponent (resolveBlockQubits, cache.hh — auto-on from
- * kAutoBlockFromWidth qubits), dispatches to executeBlocked; results
- * are bit-identical either way.
+ * the whole execution. Registers of at least kAutoBlockFromWidth
+ * qubits dispatch to executeBlocked at the auto exponent
+ * (resolveBlockQubits(0, n), cache.hh); results are bit-identical
+ * either way.
  * @throws std::invalid_argument when the state width does not match
  *         the plan width.
  */
@@ -239,8 +240,7 @@ execute(const Plan &plan, Complex *amps, const ExecOptions &opts = {})
  * every block exponent, thread count, and lane count.
  * @throws std::invalid_argument on a width mismatch or when
  *         block_qubits is 0 or exceeds the plan width
- *         (resolveBlockQubits clamps the user-facing knob before it
- *         reaches here).
+ *         (resolveBlockQubits clamps a requested exponent into range).
  */
 void executeBlocked(const Plan &plan, StateView state,
                     std::size_t block_qubits, const ExecOptions &opts = {});

@@ -19,9 +19,8 @@
  * is at least one vector wide and fall back to the scalar reference
  * kernels in sim::scalar otherwise. The SIMD lanes execute exactly the
  * scalar operation sequence, so every backend produces bit-identical
- * results for finite amplitudes; tests and the benchmark runner pin
- * this equivalence per selectable backend, and benchmarks report the
- * speedup against the sim::scalar baseline.
+ * results for finite amplitudes; the tests pin this equivalence per
+ * selectable backend.
  *
  * Every kernel sweep enumerates an independent *group* per iteration —
  * an amplitude pair (1q), quad (2q), or 2^k-tuple (dense) — and groups
@@ -66,8 +65,7 @@ std::size_t simdLanes();
 /**
  * Scalar reference kernels. These are the original, non-vectorized
  * loops; the SIMD top-level kernels must match them bit for bit on
- * finite inputs. Exported for equivalence tests and as the benchmark
- * runner's speedup baseline.
+ * finite inputs. Exported for the equivalence tests.
  */
 namespace scalar {
 

@@ -5,8 +5,9 @@
  * blocks outer, the ops of a blockable segment inner — and must stay
  * bit-identical to serial plan execution; the engine oracle
  * (test_engine_oracle.cc) pins that over every block exponent, thread
- * count, and SoA lane count. This suite pins the ExecOptions routing,
- * the block-range substrate and argument validation, the blockable-segment
+ * count, and SoA lane count. This suite pins forced exponents through
+ * resolveBlockQubits, the block-range substrate and argument
+ * validation, the blockable-segment
  * partition (blockSegments and the PlanStats counters), the
  * cache-geometry helpers in sim/cache.hh (CRISC_BLOCK_BYTES override,
  * clamping, the reject-loud sim/env.hh parse, the auto/forced
@@ -210,7 +211,7 @@ TEST(BlockSegments, PlanStatsCountSegmentsAtAutoExponent)
 // Blocked execution: routing, the range substrate, validation.
 // ---------------------------------------------------------------------
 
-TEST(BlockedExecution, ExecOptionsDispatchMatchesExplicitCall)
+TEST(BlockedExecution, ForcedExponentsMatchUnblockedExecute)
 {
     ScopedBlockBytes env("4096");
     linalg::Rng rng(91);
@@ -220,31 +221,21 @@ TEST(BlockedExecution, ExecOptionsDispatchMatchesExplicitCall)
     CVector ref = init;
     sim::execute(plan, ref.data());
 
-    // Forced through the user-facing knob (values above n clamp).
+    // Forced exponents, resolved as requested (values above n clamp).
     for (const std::size_t req : {std::size_t{5}, std::size_t{40}}) {
         CVector amps = init;
         sim::ExecOptions opts;
-        opts.blockQubits = req;
         opts.threads = 2;
-        sim::execute(plan, amps.data(), opts);
+        sim::executeBlocked(plan, sim::StateView(amps.data(), n),
+                            sim::resolveBlockQubits(req, n), opts);
         EXPECT_TRUE(bitIdentical(amps, ref)) << "req=" << req;
     }
     // SoA lanes take the same route.
     {
         sim::BatchState batch = sim::BatchState::pack({init, init});
-        sim::ExecOptions opts;
-        opts.blockQubits = 6;
-        sim::execute(plan, batch, opts);
+        sim::executeBlocked(plan, batch, 6);
         EXPECT_TRUE(bitIdentical(batch.unpackLane(0), ref));
         EXPECT_TRUE(bitIdentical(batch.unpackLane(1), ref));
-    }
-    // Auto below kAutoBlockFromWidth stays on the unblocked path and
-    // still matches, of course.
-    {
-        CVector amps = init;
-        sim::ExecOptions opts;
-        sim::execute(plan, amps.data(), opts);
-        EXPECT_TRUE(bitIdentical(amps, ref));
     }
 }
 

@@ -100,21 +100,28 @@ TEST(EngineOracle, EveryConfigurationMatchesScalarSerialInterleaved)
                     const OracleCase &oc = cases[index % cases.size()];
                     sim::ExecOptions opts;
                     opts.threads = threads;
-                    opts.blockQubits = block;
                     // Alternate a caller pool with a transient one.
                     if (index++ % 2 == 0 && threads > 1)
                         opts.pool = threads == 2 ? &pool2 : &pool4;
+                    // Block exponent 0 is plain execute() (auto stays
+                    // off at this width); others force executeBlocked.
+                    const auto run = [&](sim::StateView state) {
+                        if (block == 0)
+                            sim::execute(oc.plan, state, opts);
+                        else
+                            sim::executeBlocked(oc.plan, state, block, opts);
+                    };
 
                     std::vector<CVector> got;
                     if (lanes == 0) {
                         got.push_back(oc.inputs[0]);
-                        sim::execute(oc.plan, got[0].data(), opts);
+                        run(sim::StateView(got[0].data(), kWidth));
                     } else {
                         sim::BatchState batch =
                             sim::BatchState::pack(std::vector<CVector>(
                                 oc.inputs.begin(),
                                 oc.inputs.begin() + lanes));
-                        sim::execute(oc.plan, batch, opts);
+                        run(batch);
                         got = batch.unpack();
                     }
                     for (std::size_t l = 0; l < got.size(); ++l)

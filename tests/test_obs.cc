@@ -439,24 +439,6 @@ TEST(Obs, SummarizeAggregatesByName)
     EXPECT_EQ(sums[1].p95Ns, 40u);
 }
 
-TEST(Obs, MergeIntoSumsCountersAndConcatenatesEvents)
-{
-    obs::Trace a;
-    a.events = {{"x", 0, 10, 5}};
-    a.counters = {{"c1", 3}, {"c2", 1}};
-    a.dropped = 2;
-    obs::Trace b;
-    b.events = {{"y", 1, 0, 5}};
-    b.counters = {{"c1", 4}, {"c3", 7}};
-    b.dropped = 1;
-    obs::mergeInto(a, b);
-    EXPECT_EQ(a.events.size(), 2u);
-    EXPECT_EQ(counterValue(a, "c1"), 7u);
-    EXPECT_EQ(counterValue(a, "c2"), 1u);
-    EXPECT_EQ(counterValue(a, "c3"), 7u);
-    EXPECT_EQ(a.dropped, 3u);
-}
-
 TEST(Obs, ChromeTraceJsonParsesAndRoundTrips)
 {
     // Hand-built trace: valid in every build configuration.
