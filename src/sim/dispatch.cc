@@ -213,7 +213,8 @@ setDispatchOverride(const std::string &value)
 void
 recordDispatchGauges()
 {
-    const KernelTable &t = activeKernels();
+    // Unused when -DCRISC_OBS=OFF compiles the gauges away.
+    [[maybe_unused]] const KernelTable &t = activeKernels();
     OBS_GAUGE("sim.dispatch.backend",
               static_cast<std::int64_t>(t.backend));
     OBS_GAUGE("sim.dispatch.lanes", static_cast<std::int64_t>(t.lanes));

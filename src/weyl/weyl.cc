@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "linalg/decomp.hh"
 #include "qop/gates.hh"
@@ -28,14 +31,14 @@ constexpr double kPi = M_PI;
 constexpr double kEps = 1e-9;
 
 /**
- * KAK state with the invariant
- *   u = e^{i phase} (a1 x a2) canonicalGate(eta) (b1 x b2)
- * maintained by every chamber move.
+ * The chamber moves applied to the point alone. Each move maps eta to
+ * a point of the same local equivalence class. canonicalStep() decides
+ * every move from eta and applies it through this interface, so Tracked
+ * (which also updates its local gates) and the point-only path share
+ * one set of rules.
  */
-struct Tracked
+struct PointMoves
 {
-    double phase;
-    Matrix a1, a2, b1, b2;
     WeylPoint eta;
 
     double &coord(int axis)
@@ -43,19 +46,44 @@ struct Tracked
         return axis == 0 ? eta.x : axis == 1 ? eta.y : eta.z;
     }
 
+    /** Shifts coordinate @p axis by steps * pi/2. */
+    void shift(int axis, int steps) { coord(axis) += steps * (kPi / 2.0); }
+
+    /** Negates the two coordinates other than @p fixedAxis. */
+    void
+    flip(int fixedAxis)
+    {
+        for (int axis = 0; axis < 3; ++axis)
+            if (axis != fixedAxis)
+                coord(axis) = -coord(axis);
+    }
+
+    /** Exchanges coordinates @p i and @p j. */
+    void swapAxes(int i, int j) { std::swap(coord(i), coord(j)); }
+};
+
+/**
+ * KAK state with the invariant
+ *   u = e^{i phase} (a1 x a2) canonicalGate(eta) (b1 x b2)
+ * maintained by every chamber move: each move updates eta exactly as
+ * PointMoves does, then absorbs its inverse into the local gates.
+ */
+struct Tracked : PointMoves
+{
+    double phase;
+    Matrix a1, a2, b1, b2;
+
     /**
-     * Shifts coordinate @p axis by steps * pi/2. Each pi/2 step absorbs
-     * a factor exp(+-i pi/2 PP) = +-i (P x P) into the right locals.
+     * Each pi/2 step absorbs a factor exp(+-i pi/2 PP) = +-i (P x P)
+     * into the right locals.
      */
     void
     shift(int axis, int steps)
     {
-        if (steps == 0)
-            return;
         const Matrix &p = axis == 0   ? qop::pauliX()
                           : axis == 1 ? qop::pauliY()
                                       : qop::pauliZ();
-        coord(axis) += steps * (kPi / 2.0);
+        PointMoves::shift(axis, steps);
         phase -= steps * (kPi / 2.0);
         if (steps % 2 != 0) {
             b1 = p * b1;
@@ -64,8 +92,8 @@ struct Tracked
     }
 
     /**
-     * Negates the two coordinates other than @p fixedAxis by conjugating
-     * the canonical gate with (P x I), P the Pauli of the fixed axis.
+     * Conjugates the canonical gate with (P x I), P the Pauli of the
+     * fixed axis.
      */
     void
     flip(int fixedAxis)
@@ -73,16 +101,14 @@ struct Tracked
         const Matrix &p = fixedAxis == 0   ? qop::pauliX()
                           : fixedAxis == 1 ? qop::pauliY()
                                            : qop::pauliZ();
-        for (int axis = 0; axis < 3; ++axis)
-            if (axis != fixedAxis)
-                coord(axis) = -coord(axis);
+        PointMoves::flip(fixedAxis);
         a1 = a1 * p;
         b1 = p * b1;
     }
 
     /**
-     * Exchanges two coordinates by conjugating with (V x V), V the
-     * single-qubit Clifford that permutes the corresponding Pauli axes.
+     * Conjugates with (V x V), V the single-qubit Clifford that permutes
+     * the corresponding Pauli axes.
      */
     void
     swapAxes(int i, int j)
@@ -95,7 +121,7 @@ struct Tracked
         } else {
             v = qop::hadamard(); // X<->Z; swaps x and z.
         }
-        std::swap(coord(i), coord(j));
+        PointMoves::swapAxes(i, j);
         const Matrix vd = v.dagger();
         a1 = a1 * vd;
         a2 = a2 * vd;
@@ -103,18 +129,28 @@ struct Tracked
         b2 = v * b2;
     }
 
-    Matrix
-    compose() const
+    KAKDecomposition
+    decomposition() const
     {
-        return std::polar(1.0, phase) *
-               (kron(a1, a2) * canonicalGate(eta.x, eta.y, eta.z) *
-                kron(b1, b2));
+        KAKDecomposition out;
+        out.phase = phase;
+        out.a1 = a1;
+        out.a2 = a2;
+        out.point = eta;
+        out.b1 = b1;
+        out.b2 = b2;
+        return out;
     }
 };
 
-/** One canonicalization pass; returns true when eta is already in W. */
+/**
+ * One canonicalization pass over @p t, a PointMoves or a Tracked: the
+ * only copy of the chamber-move rules. Returns true when eta is already
+ * in W.
+ */
+template <class Moves>
 bool
-canonicalStep(Tracked &t)
+canonicalStep(Moves &t)
 {
     // Fold every coordinate into (-pi/4, pi/4] (up to kEps of slack so
     // boundary values do not oscillate across the fold).
@@ -162,8 +198,9 @@ canonicalStep(Tracked &t)
     return isCanonical(t.eta, 1e-9);
 }
 
+template <class Moves>
 void
-canonicalize(Tracked &t)
+canonicalize(Moves &t)
 {
     std::ostringstream trace;
     for (int iter = 0; iter < 64; ++iter) {
@@ -176,6 +213,87 @@ canonicalize(Tracked &t)
     }
     throw std::runtime_error(
         "weyl: canonicalization did not converge; tail:" + trace.str());
+}
+
+/** Output of the spectral step shared by kak() and weylCoordinates(). */
+struct Spectral
+{
+    /** u = e^{i phase} (M q M^dag) canonicalGate(eta) (M v M^dag). */
+    double phase;
+    Matrix q;      ///< Real orthogonal diagonalizer of gamma.
+    Matrix v;      ///< Real orthogonal right factor.
+    WeylPoint eta; ///< Raw (not yet canonical) interaction coefficients.
+};
+
+/**
+ * Diagonalizes the symmetric unitary gamma = U_B U_B^T of @p u in the
+ * magic basis and returns the raw Weyl point with the factors that
+ * produced it. @p caller names the public entry point in error messages.
+ */
+Spectral
+spectralStep(const Matrix &u, const char *caller)
+{
+    if (u.rows() != 4 || u.cols() != 4 || !linalg::isUnitary(u, 1e-8))
+        throw std::invalid_argument(std::string(caller) +
+                                    ": expected a 4x4 unitary");
+
+    // Split off the global phase so we work inside SU(4).
+    const double theta0 = std::arg(u.det()) / 4.0;
+    const Matrix su = std::polar(1.0, -theta0) * u;
+
+    const Matrix &m = magicBasis();
+    const Matrix um = m.dagger() * su * m;
+    const Matrix gamma = um * um.transpose();
+
+    // gamma is symmetric unitary: its real and imaginary parts commute
+    // and are diagonalized by a common real orthogonal Q.
+    const std::size_t n = 4;
+    Matrix re(n, n), im(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            re(i, j) = gamma(i, j).real();
+            im(i, j) = gamma(i, j).imag();
+        }
+    Spectral out;
+    out.q = linalg::simultaneousDiagonalize(re, im);
+    const Matrix &q = out.q;
+    const Matrix d = q.transpose() * gamma * q;
+
+    std::array<double, 4> lambda;
+    for (std::size_t i = 0; i < 4; ++i)
+        lambda[i] = std::arg(d(i, i)) / 2.0;
+
+    auto makeV = [&](const std::array<double, 4> &lam) {
+        Matrix dinv(4, 4);
+        for (std::size_t i = 0; i < 4; ++i)
+            dinv(i, i) = std::polar(1.0, -lam[i]);
+        return dinv * q.transpose() * um;
+    };
+    out.v = makeV(lambda);
+    if (out.v.det().real() < 0.0) {
+        lambda[0] += kPi;
+        out.v = makeV(lambda);
+    }
+    // V must be real orthogonal at this point.
+    double imax = 0.0;
+    for (std::size_t i = 0; i < 4; ++i)
+        for (std::size_t j = 0; j < 4; ++j)
+            imax = std::max(imax, std::abs(out.v(i, j).imag()));
+    if (imax > 1e-7)
+        throw std::runtime_error(std::string(caller) +
+                                 ": orthogonal factor not real");
+
+    // Remove the residual trace phase so the lambdas sum to zero.
+    const double s =
+        (lambda[0] + lambda[1] + lambda[2] + lambda[3]) / 4.0;
+    for (auto &l : lambda)
+        l -= s;
+
+    out.phase = theta0 + s;
+    out.eta.x = (lambda[0] + lambda[1]) / 2.0;
+    out.eta.y = (lambda[1] + lambda[3]) / 2.0;
+    out.eta.z = (lambda[0] + lambda[3]) / 2.0;
+    return out;
 }
 
 } // namespace
@@ -202,10 +320,7 @@ isCanonical(const WeylPoint &p, double tol)
 WeylPoint
 canonicalizePoint(const WeylPoint &raw)
 {
-    Tracked t;
-    t.phase = 0.0;
-    t.a1 = t.a2 = t.b1 = t.b2 = Matrix::identity(2);
-    t.eta = raw;
+    PointMoves t{raw};
     canonicalize(t);
     return t.eta;
 }
@@ -233,87 +348,21 @@ magicBasis()
 KAKDecomposition
 kak(const Matrix &u)
 {
-    if (u.rows() != 4 || u.cols() != 4 || !linalg::isUnitary(u, 1e-8))
-        throw std::invalid_argument("kak: expected a 4x4 unitary");
-
-    // Split off the global phase so we work inside SU(4).
-    const double theta0 = std::arg(u.det()) / 4.0;
-    const Matrix su = std::polar(1.0, -theta0) * u;
+    const Spectral sp = spectralStep(u, "kak");
+    Tracked t;
+    t.phase = sp.phase;
+    t.eta = sp.eta;
 
     const Matrix &m = magicBasis();
-    const Matrix um = m.dagger() * su * m;
-    const Matrix gamma = um * um.transpose();
-
-    // gamma is symmetric unitary: its real and imaginary parts commute
-    // and are diagonalized by a common real orthogonal Q.
-    const std::size_t n = 4;
-    Matrix re(n, n), im(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j) {
-            re(i, j) = gamma(i, j).real();
-            im(i, j) = gamma(i, j).imag();
-        }
-    const Matrix q = linalg::simultaneousDiagonalize(re, im);
-    const Matrix d = q.transpose() * gamma * q;
-
-    std::array<double, 4> lambda;
-    for (std::size_t i = 0; i < 4; ++i)
-        lambda[i] = std::arg(d(i, i)) / 2.0;
-
-    auto makeV = [&](const std::array<double, 4> &lam) {
-        Matrix dinv(4, 4);
-        for (std::size_t i = 0; i < 4; ++i)
-            dinv(i, i) = std::polar(1.0, -lam[i]);
-        return dinv * q.transpose() * um;
-    };
-    Matrix v = makeV(lambda);
-    if (v.det().real() < 0.0) {
-        lambda[0] += kPi;
-        v = makeV(lambda);
-    }
-    // V must be real orthogonal at this point.
-    double imax = 0.0;
-    for (std::size_t i = 0; i < 4; ++i)
-        for (std::size_t j = 0; j < 4; ++j)
-            imax = std::max(imax, std::abs(v(i, j).imag()));
-    if (imax > 1e-7)
-        throw std::runtime_error("kak: orthogonal factor not real");
-
-    // Remove the residual trace phase so the lambdas sum to zero.
-    const double s =
-        (lambda[0] + lambda[1] + lambda[2] + lambda[3]) / 4.0;
-    for (auto &l : lambda)
-        l -= s;
-
-    Tracked t;
-    t.phase = theta0 + s;
-    t.eta.x = (lambda[0] + lambda[1]) / 2.0;
-    t.eta.y = (lambda[1] + lambda[3]) / 2.0;
-    t.eta.z = (lambda[0] + lambda[3]) / 2.0;
-
-    const Matrix amat = m * q * m.dagger();
-    const Matrix bmat = m * v * m.dagger();
-    auto [a1, a2] = qop::factorKron(amat);
-    auto [b1, b2] = qop::factorKron(bmat);
-    t.a1 = a1;
-    t.a2 = a2;
-    t.b1 = b1;
-    t.b2 = b2;
+    std::tie(t.a1, t.a2) = qop::factorKron(m * sp.q * m.dagger());
+    std::tie(t.b1, t.b2) = qop::factorKron(m * sp.v * m.dagger());
 
     canonicalize(t);
+    KAKDecomposition out = t.decomposition();
 
     // Snap the accumulated phase against the input to absorb roundoff.
-    const Matrix recomposed = t.compose();
-    const Complex overlap = (recomposed.dagger() * u).trace();
-    t.phase += std::arg(overlap);
-
-    KAKDecomposition out;
-    out.phase = t.phase;
-    out.a1 = t.a1;
-    out.a2 = t.a2;
-    out.b1 = t.b1;
-    out.b2 = t.b2;
-    out.point = t.eta;
+    const Complex overlap = (out.compose().dagger() * u).trace();
+    out.phase += std::arg(overlap);
 
     if (linalg::maxAbsDiff(out.compose(), u) > 1e-7)
         throw std::runtime_error("kak: recomposition check failed");
@@ -323,7 +372,18 @@ kak(const Matrix &u)
 WeylPoint
 weylCoordinates(const Matrix &u)
 {
-    return kak(u).point;
+    return canonicalizePoint(spectralStep(u, "weylCoordinates").eta);
+}
+
+KAKDecomposition
+detail::trackedCanonicalization(const WeylPoint &raw)
+{
+    Tracked t;
+    t.eta = raw;
+    t.phase = 0.0;
+    t.a1 = t.a2 = t.b1 = t.b2 = Matrix::identity(2);
+    canonicalize(t);
+    return t.decomposition();
 }
 
 bool

@@ -8,9 +8,14 @@
  * with (x, y, z) unique inside the Weyl chamber
  * W = { pi/4 >= x >= y >= |z|, z >= 0 if x = pi/4 }.
  *
- * The implementation diagonalizes the symmetric unitary gamma matrix in
- * the magic (Bell) basis, then canonicalizes the interaction coefficients
- * by explicit, local-gate-tracked chamber moves.
+ * Both kak() and weylCoordinates() start with the same spectral step:
+ * the phase split into SU(4), the symmetric unitary gamma = U_B U_B^T
+ * in the magic (Bell) basis, its real orthogonal diagonalization and
+ * the raw interaction coefficients read off its eigenphases. One set of
+ * chamber-move rules then canonicalizes the point. Only kak() builds
+ * local gates: it factors them out of the diagonalization and replays
+ * every chamber move on them. weylCoordinates() moves the point alone,
+ * and its result is bitwise equal to kak(u).point.
  */
 
 #ifndef CRISC_WEYL_WEYL_HH
@@ -44,8 +49,10 @@ bool isCanonical(const WeylPoint &p, double tol = 1e-9);
 
 /**
  * Canonicalizes arbitrary interaction coefficients into W using the
- * chamber symmetries (coordinate-only variant; the KAK decomposition
- * tracks the same moves through local gates).
+ * chamber symmetries. Point-only: it allocates nothing, and its moves
+ * are decided by the same rules kak() replays on its local gates, so
+ * the result is bitwise equal to the point of
+ * detail::trackedCanonicalization(raw).
  */
 WeylPoint canonicalizePoint(const WeylPoint &raw);
 
@@ -71,7 +78,14 @@ struct KAKDecomposition
  */
 KAKDecomposition kak(const Matrix &u);
 
-/** Interaction coefficients of @p u (canonical chamber point). */
+/**
+ * Interaction coefficients of @p u (canonical chamber point): kak()'s
+ * spectral step followed by canonicalizePoint(), with no local gates.
+ * The result is bitwise equal to kak(u).point.
+ *
+ * @throws std::invalid_argument naming weylCoordinates when @p u is not
+ * a 4x4 unitary.
+ */
 WeylPoint weylCoordinates(const Matrix &u);
 
 /** @return true when u and v are equal up to single-qubit gates. */
@@ -97,6 +111,18 @@ struct LocalCorrection
     Matrix l1, l2, r1, r2;
 };
 LocalCorrection localCorrections(const Matrix &target, const Matrix &realized);
+
+namespace detail {
+
+/**
+ * KAK decomposition of canonicalGate(raw) obtained by replaying kak()'s
+ * tracked chamber moves on identity local gates (no spectral step). It
+ * exposes kak()'s canonicalization so tests can check it against
+ * canonicalizePoint() bit for bit.
+ */
+KAKDecomposition trackedCanonicalization(const WeylPoint &raw);
+
+} // namespace detail
 
 } // namespace weyl
 } // namespace crisc

@@ -4,7 +4,12 @@
  * measure, and the optimal interaction time.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +26,28 @@ using namespace crisc;
 using linalg::Matrix;
 using linalg::kron;
 using weyl::WeylPoint;
+
+/** True when the two points agree in every bit of every coordinate. */
+bool
+sameBits(const WeylPoint &a, const WeylPoint &b)
+{
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    return bits(a.x) == bits(b.x) && bits(a.y) == bits(b.y) &&
+           bits(a.z) == bits(b.z);
+}
+
+::testing::AssertionResult
+coordinatesMatchKak(const Matrix &u)
+{
+    const WeylPoint fast = weyl::weylCoordinates(u);
+    const WeylPoint full = weyl::kak(u).point;
+    if (sameBits(fast, full))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << std::hexfloat << "weylCoordinates (" << fast.x << ","
+           << fast.y << "," << fast.z << ") != kak().point (" << full.x
+           << "," << full.y << "," << full.z << ")";
+}
 
 TEST(MagicBasis, IsUnitary)
 {
@@ -157,12 +184,24 @@ TEST(Kak, MatchesLocalInvariants)
 TEST(CanonicalizePoint, AgreesWithDirectCoordinates)
 {
     linalg::Rng rng(23);
-    for (int trial = 0; trial < 30; ++trial) {
+    for (int trial = 0; trial < 500; ++trial) {
         // A random (possibly wildly non-canonical) raw point.
-        const WeylPoint raw{rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0),
-                            rng.uniform(-4.0, 4.0)};
+        const WeylPoint raw{rng.uniform(-2.0 * M_PI, 2.0 * M_PI),
+                            rng.uniform(-2.0 * M_PI, 2.0 * M_PI),
+                            rng.uniform(-2.0 * M_PI, 2.0 * M_PI)};
         const WeylPoint c = weyl::canonicalizePoint(raw);
         EXPECT_TRUE(weyl::isCanonical(c));
+        // The point-only and the tracked (KAK) canonicalization share
+        // one set of chamber-move rules, so they agree bit for bit.
+        const weyl::KAKDecomposition tracked =
+            weyl::detail::trackedCanonicalization(raw);
+        EXPECT_TRUE(sameBits(c, tracked.point))
+            << "(" << raw.x << "," << raw.y << "," << raw.z << ")";
+        // The tracked locals carry the moves: they recompose the raw
+        // canonical gate.
+        EXPECT_LT(linalg::maxAbsDiff(tracked.compose(),
+                                     qop::canonicalGate(raw.x, raw.y, raw.z)),
+                  1e-12);
         const WeylPoint viaGate =
             weyl::weylCoordinates(qop::canonicalGate(raw.x, raw.y, raw.z));
         EXPECT_LT(weyl::pointDistance(c, viaGate), 1e-7);
@@ -195,6 +234,88 @@ TEST(CanonicalizePoint, BoundaryFuzzRegression)
             }
         }
     }
+}
+
+TEST(WeylCoordinates, BitwiseEqualToKakOnHaarSamples)
+{
+    linalg::Rng rng(29);
+    for (int trial = 0; trial < 1000; ++trial) {
+        const Matrix u = linalg::haarSU(rng, 4);
+        EXPECT_TRUE(coordinatesMatchKak(u)) << "trial " << trial;
+        // A global phase moves u out of SU(4); the phase split undoes it.
+        const Matrix phased =
+            std::polar(1.0, rng.uniform(-M_PI, M_PI)) * u;
+        EXPECT_TRUE(coordinatesMatchKak(phased)) << "phased trial " << trial;
+    }
+}
+
+TEST(WeylCoordinates, BitwiseEqualToKakOnNamedGates)
+{
+    const linalg::Complex p{0.5, 0.5};
+    const linalg::Complex m{0.5, -0.5};
+    const Matrix sqrtSwap{
+        {1, 0, 0, 0}, {0, p, m, 0}, {0, m, p, 0}, {0, 0, 0, 1}};
+    const std::vector<std::pair<const char *, Matrix>> gates = {
+        {"I", Matrix::identity(4)},  {"CNOT", qop::cnot()},
+        {"CZ", qop::cz()},           {"iSWAP", qop::iswap()},
+        {"SWAP", qop::swapGate()},   {"sqrtSWAP", sqrtSwap},
+        {"sqrtiSWAP", qop::sqisw()}, {"B", qop::bGate()},
+    };
+    for (const auto &[name, u] : gates)
+        EXPECT_TRUE(coordinatesMatchKak(u)) << name;
+}
+
+TEST(WeylCoordinates, BitwiseEqualToKakOnChamberBoundary)
+{
+    // Canonical gates on the faces (x = pi/4, y = x, z = y, z = -y,
+    // z = 0) and edges of W, exactly and within 1e-12 of them.
+    const double q = M_PI / 4.0;
+    linalg::Rng rng(31);
+    std::vector<WeylPoint> points;
+    for (int trial = 0; trial < 40; ++trial) {
+        const double a = rng.uniform(0.0, q);
+        const double b = rng.uniform(0.0, a);
+        const double c = rng.uniform(-b, b);
+        const WeylPoint faces[] = {
+            {q, a, std::abs(c)}, {a, a, c}, {a, b, b}, {a, b, -b},
+            {a, b, 0.0},         {q, q, b}, {q, a, a}, {q, a, 0.0},
+            {a, a, a},           {a, a, -a}, {a, 0.0, 0.0}, {a, a, 0.0},
+        };
+        for (const WeylPoint &f : faces) {
+            points.push_back(f);
+            points.push_back({f.x + rng.uniform(-1e-12, 1e-12),
+                              f.y + rng.uniform(-1e-12, 1e-12),
+                              f.z + rng.uniform(-1e-12, 1e-12)});
+        }
+    }
+    for (const WeylPoint corner :
+         {WeylPoint{0, 0, 0}, WeylPoint{q, 0, 0}, WeylPoint{q, q, 0},
+          WeylPoint{q, q, q}, WeylPoint{q, q, -q}})
+        points.push_back(corner);
+    for (const WeylPoint &p : points)
+        EXPECT_TRUE(coordinatesMatchKak(qop::canonicalGate(p.x, p.y, p.z)))
+            << "(" << p.x << "," << p.y << "," << p.z << ")";
+}
+
+TEST(WeylCoordinates, BadInputThrowsNamingTheCaller)
+{
+    const auto message = [](const Matrix &u) {
+        try {
+            weyl::weylCoordinates(u);
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string("no std::invalid_argument");
+    };
+    const Matrix threeByThree = Matrix::identity(3);
+    const Matrix nonUnitary = 2.0 * Matrix::identity(4);
+    EXPECT_THROW(weyl::weylCoordinates(threeByThree), std::invalid_argument);
+    EXPECT_THROW(weyl::weylCoordinates(nonUnitary), std::invalid_argument);
+    EXPECT_NE(message(threeByThree).find("weylCoordinates"),
+              std::string::npos)
+        << message(threeByThree);
+    EXPECT_NE(message(nonUnitary).find("weylCoordinates"), std::string::npos)
+        << message(nonUnitary);
 }
 
 TEST(LocallyEquivalent, DetectsEquivalenceAndDifference)
