@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "qop/gates.hh"
+#include "sim/batch_state.hh"
 #include "sim/kernels.hh"
 
 namespace crisc {
@@ -70,7 +71,11 @@ Circuit::toUnitary() const
 
 State::State(std::size_t num_qubits)
     : nQubits_(num_qubits),
-      amps_(std::size_t{1} << num_qubits, Complex{0.0, 0.0})
+      // Checked before the shift and the allocation (throws
+      // std::length_error when 2^n amplitudes cannot be held).
+      amps_((sim::checkStateFits(num_qubits, 1),
+             std::size_t{1} << num_qubits),
+            Complex{0.0, 0.0})
 {
     amps_[0] = 1.0;
 }

@@ -66,7 +66,9 @@ class Circuit
 };
 
 /**
- * Dense statevector of n qubits, starting in |0...0>.
+ * Dense statevector of n qubits, starting in |0...0>. The constructor
+ * throws std::length_error when 2^n amplitudes overflow std::size_t or
+ * exceed the host's physical memory (sim::checkStateFits).
  */
 class State
 {

@@ -37,6 +37,15 @@ validateErrorParameter(double p)
             "applyDepolarizing: error parameter must lie in [0, 1]");
 }
 
+/** Rejects a qubit index outside the register; the Pauli kernels do no
+ *  bounds check of their own. */
+void
+validateQubit(std::size_t qubit, std::size_t n_qubits)
+{
+    if (qubit >= n_qubits)
+        throw std::invalid_argument("applyDepolarizing: qubit out of range");
+}
+
 } // namespace
 
 void
@@ -45,6 +54,8 @@ applyDepolarizing(Complex *amps, std::size_t n_qubits,
                   linalg::Rng &rng)
 {
     validateErrorParameter(p);
+    for (std::size_t q : qubits)
+        validateQubit(q, n_qubits);
     for (std::size_t i = 0; i < qubits.size(); ++i)
         for (std::size_t j = i + 1; j < qubits.size(); ++j)
             if (qubits[i] == qubits[j])
@@ -91,6 +102,7 @@ applyDepolarizing(sim::StateView state, std::size_t lane, std::size_t qubit,
     validateErrorParameter(p);
     if (lane >= state.lanes())
         throw std::invalid_argument("applyDepolarizing: lane out of range");
+    validateQubit(qubit, state.numQubits());
     if (p <= 0.0)
         return;
     if (rng.uniform() >= p)
@@ -106,6 +118,8 @@ applyDepolarizing(sim::StateView state, std::size_t lane,
     validateErrorParameter(p);
     if (lane >= state.lanes())
         throw std::invalid_argument("applyDepolarizing: lane out of range");
+    validateQubit(qubit_a, state.numQubits());
+    validateQubit(qubit_b, state.numQubits());
     if (qubit_a == qubit_b)
         throw std::invalid_argument(
             "applyDepolarizing: duplicate qubit in Pauli string");
@@ -128,10 +142,6 @@ void
 applyDepolarizing(State &state, const std::vector<std::size_t> &qubits,
                   double p, linalg::Rng &rng)
 {
-    for (std::size_t q : qubits)
-        if (q >= state.numQubits())
-            throw std::invalid_argument(
-                "applyDepolarizing: qubit out of range");
     applyDepolarizing(state.data(), state.numQubits(), qubits, p, rng);
 }
 

@@ -22,9 +22,11 @@ namespace circuit {
  * applied — the standard stochastic unravelling of the depolarizing
  * channel with error parameter p.
  *
- * All overloads validate the channel: p outside [0, 1] (including NaN)
- * and duplicate qubits throw std::invalid_argument — either would
- * silently produce a map that is not a depolarizing channel.
+ * All overloads validate the channel before drawing from @p rng: p
+ * outside [0, 1] (including NaN) and duplicate qubits throw
+ * std::invalid_argument — either would silently produce a map that is
+ * not a depolarizing channel — and so does a qubit outside the
+ * register, which the Pauli kernels would address out of bounds.
  */
 void applyDepolarizing(State &state, const std::vector<std::size_t> &qubits,
                        double p, linalg::Rng &rng);

@@ -9,10 +9,11 @@
 #include "sim/env.hh"
 #include "sim/kernels.hh"
 
-// Runtime backend resolution (see dispatch.hh) and the public sim::
-// kernel wrappers: circuit/noise/tests call the wrappers (one table
-// fetch per kernel call), while the engine's executeOpRange fetches
-// activeKernels() once per sweep and invokes table entries directly.
+// Runtime backend resolution (see dispatch.hh) and the few public
+// sim:: entry points kernels.hh keeps outside the engine — applyGate
+// (circuit::State) and the Pauli noise kernels (circuit/noise.cc). Each
+// fetches activeKernels() once per call and invokes table entries
+// directly, exactly as the engine's executeOpRange does per sweep.
 
 namespace crisc {
 namespace sim {
@@ -31,9 +32,6 @@ struct BackendSlot
 constexpr BackendSlot kSlots[] = {
 #if defined(CRISC_HAVE_KERNELS_AVX2)
     {Backend::Avx2, &detail::avx2KernelTable},
-#endif
-#if defined(CRISC_HAVE_KERNELS_NEON)
-    {Backend::Neon, &detail::neonKernelTable},
 #endif
     {Backend::Scalar, &detail::scalarKernelTable},
 };
@@ -101,7 +99,6 @@ backendName(Backend b)
     switch (b) {
       case Backend::Scalar: return "scalar";
       case Backend::Avx2: return "avx2";
-      case Backend::Neon: return "neon";
     }
     return "unknown";
 }
@@ -133,12 +130,6 @@ hostSupports(Backend b)
 #else
         return false;
 #endif
-      case Backend::Neon:
-#if defined(__aarch64__)
-        return true; // NEON is architectural on aarch64.
-#else
-        return false;
-#endif
     }
     return false;
 }
@@ -163,11 +154,9 @@ parseDispatchOverride(const std::string &value)
         return Backend::Scalar;
     if (value == "avx2")
         return Backend::Avx2;
-    if (value == "neon")
-        return Backend::Neon;
     throw std::invalid_argument(
         "CRISC_SIMD_DISPATCH: unknown backend '" + value +
-        "' (expected scalar, avx2, neon, or auto)");
+        "' (expected scalar, avx2, or auto)");
 }
 
 const KernelTable &
@@ -221,31 +210,14 @@ recordDispatchGauges()
 }
 
 // ---------------------------------------------------------------------
-// Public kernel wrappers: the stable sim:: API from kernels.hh, routed
-// through the resolved table. A whole-register sweep is the range
-// kernel over [0, groups).
+// Public entry points outside the engine, routed through the resolved
+// table. A whole-register sweep is the range kernel over [0, groups).
 // ---------------------------------------------------------------------
 
 std::size_t
 simdLanes()
 {
     return activeKernels().lanes;
-}
-
-void
-apply1q(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-        const Complex m[4])
-{
-    activeKernels().apply1qRange(amps, n_qubits, qubit, m, 0,
-                                 (std::size_t{1} << n_qubits) >> 1);
-}
-
-void
-apply1qDiag(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-            Complex d0, Complex d1)
-{
-    activeKernels().apply1qDiagRange(amps, n_qubits, qubit, d0, d1, 0,
-                                     (std::size_t{1} << n_qubits) >> 1);
 }
 
 void
@@ -256,100 +228,36 @@ applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
 }
 
 void
-apply2q(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-        std::size_t q_lo, const Complex m[16])
-{
-    activeKernels().apply2qRange(amps, n_qubits, q_hi, q_lo, m, 0,
-                                 (std::size_t{1} << n_qubits) >> 2);
-}
-
-void
-apply2qDiag(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-            std::size_t q_lo, const Complex d[4])
-{
-    activeKernels().apply2qDiagRange(amps, n_qubits, q_hi, q_lo, d, 0,
-                                     (std::size_t{1} << n_qubits) >> 2);
-}
-
-void
-applyDense(Complex *amps, std::size_t n_qubits, const Matrix &op,
-           const std::vector<std::size_t> &qubits)
-{
-    detail::applyDenseRangeShared(
-        amps, n_qubits, op, qubits, 0,
-        (std::size_t{1} << n_qubits) >> qubits.size());
-}
-
-void
-applyDenseRange(Complex *amps, std::size_t n_qubits, const Matrix &op,
-                const std::vector<std::size_t> &qubits,
-                std::size_t group_begin, std::size_t group_end)
-{
-    detail::applyDenseRangeShared(amps, n_qubits, op, qubits, group_begin,
-                                  group_end);
-}
-
-void
 applyGate(Complex *amps, std::size_t n_qubits, const Matrix &op,
           const std::vector<std::size_t> &qubits)
 {
+    const KernelTable &k = activeKernels();
+    const std::size_t groups = (std::size_t{1} << n_qubits) >> qubits.size();
     switch (qubits.size()) {
       case 1:
         if (op(0, 1) == Complex{0.0, 0.0} && op(1, 0) == Complex{0.0, 0.0}) {
-            apply1qDiag(amps, n_qubits, qubits[0], op(0, 0), op(1, 1));
+            k.apply1qDiagRange(amps, n_qubits, qubits[0], op(0, 0),
+                               op(1, 1), 0, groups);
         } else {
             const Complex m[4] = {op(0, 0), op(0, 1), op(1, 0), op(1, 1)};
-            apply1q(amps, n_qubits, qubits[0], m);
+            k.apply1qRange(amps, n_qubits, qubits[0], m, 0, groups);
         }
         return;
       case 2:
         if (exactlyDiagonal(op)) {
             const Complex d[4] = {op(0, 0), op(1, 1), op(2, 2), op(3, 3)};
-            apply2qDiag(amps, n_qubits, qubits[0], qubits[1], d);
+            k.apply2qDiagRange(amps, n_qubits, qubits[0], qubits[1], d, 0,
+                               groups);
         } else {
-            apply2q(amps, n_qubits, qubits[0], qubits[1], op.data());
+            k.apply2qRange(amps, n_qubits, qubits[0], qubits[1], op.data(),
+                           0, groups);
         }
         return;
       default:
-        applyDense(amps, n_qubits, op, qubits);
+        detail::applyDenseRangeShared(amps, n_qubits, op, qubits, 0,
+                                      groups);
         return;
     }
-}
-
-void
-apply1qRange(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-             const Complex m[4], std::size_t pair_begin,
-             std::size_t pair_end)
-{
-    activeKernels().apply1qRange(amps, n_qubits, qubit, m, pair_begin,
-                                 pair_end);
-}
-
-void
-apply1qDiagRange(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-                 Complex d0, Complex d1, std::size_t pair_begin,
-                 std::size_t pair_end)
-{
-    activeKernels().apply1qDiagRange(amps, n_qubits, qubit, d0, d1,
-                                     pair_begin, pair_end);
-}
-
-void
-apply2qRange(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-             std::size_t q_lo, const Complex m[16],
-             std::size_t quad_begin, std::size_t quad_end)
-{
-    activeKernels().apply2qRange(amps, n_qubits, q_hi, q_lo, m, quad_begin,
-                                 quad_end);
-}
-
-void
-apply2qDiagRange(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-                 std::size_t q_lo, const Complex d[4],
-                 std::size_t quad_begin, std::size_t quad_end)
-{
-    activeKernels().apply2qDiagRange(amps, n_qubits, q_hi, q_lo, d,
-                                     quad_begin, quad_end);
 }
 
 void

@@ -2,20 +2,22 @@
  * @file
  * Runtime ISA dispatch for the statevector kernels. Every binary
  * carries one translation unit per SIMD backend the compiler could
- * build (kernels_scalar.cc always; kernels_avx2.cc on x86-64;
- * kernels_neon.cc on aarch64 — see CMakeLists.txt), each
- * exporting one KernelTable of function pointers. This header exposes
- * the probe-and-pick layer that chooses among them once per process:
+ * build (kernels_scalar.cc always; kernels_avx2.cc on x86-64 when the
+ * compiler accepts -mavx2 — see CMakeLists.txt), each exporting one
+ * KernelTable of function pointers. This header exposes the
+ * probe-and-pick layer that chooses among them once per process:
  *
  *   - activeBackend() / backendName(): the resolved backend, decided on
  *     first kernel use from the CRISC_SIMD_DISPATCH environment
  *     variable, or by CPU probe when the variable is unset or "auto"
- *     (probe order avx2 > neon > scalar, first backend that is
- *     both compiled in and supported by the host).
- *   - activeKernels(): the resolved KernelTable. The public sim::apply*
- *     wrappers in kernels.hh and the engine's executeOpRange fetch this
- *     once per sweep — one atomic load plus one indirect call per
- *     kernel sweep, never per amplitude.
+ *     (probe order avx2 > scalar, first backend that is both
+ *     compiled in and supported by the host).
+ *   - activeKernels(): the resolved KernelTable — the one kernel entry
+ *     path. The engine's executeOpRange and the few kernels.hh entry
+ *     points (applyGate, applyPauli, applyPauliLane) fetch this once
+ *     per sweep — one atomic load plus one indirect call per kernel
+ *     sweep, never per amplitude. Tests pin every compiled table
+ *     through kernelTable(b).
  *   - setDispatchOverride(): in-process re-resolution with the same
  *     semantics as the environment variable, used by tests to force
  *     each backend on one binary and by perfbench/ for its
@@ -54,7 +56,6 @@ enum class Backend
 {
     Scalar = 0,
     Avx2,
-    Neon,
 };
 
 /**
@@ -116,7 +117,7 @@ struct KernelTable
                            std::size_t) = nullptr;
 };
 
-/** Display name of a backend ("scalar", "avx2", "neon"). */
+/** Display name of a backend ("scalar", "avx2"). */
 const char *backendName(Backend b);
 
 /** The backends compiled into this binary, in probe order (always
@@ -126,9 +127,9 @@ std::vector<Backend> compiledBackends();
 /** Whether @p b was compiled into this binary. */
 bool backendCompiled(Backend b);
 
-/** Whether this CPU can execute @p b (cpuid on x86; NEON is
- *  architectural on aarch64). Scalar is always supported. Independent
- *  of whether the backend is compiled in. */
+/** Whether this CPU can execute @p b (cpuid on x86; AVX2 is never
+ *  supported elsewhere). Scalar is always supported. Independent of
+ *  whether the backend is compiled in. */
 bool hostSupports(Backend b);
 
 /**
@@ -139,8 +140,8 @@ bool hostSupports(Backend b);
 const KernelTable &kernelTable(Backend b);
 
 /**
- * Parses a CRISC_SIMD_DISPATCH value: "scalar" / "avx2" / "neon" name a
- * backend; "auto" (or empty) returns nullopt, meaning probe.
+ * Parses a CRISC_SIMD_DISPATCH value: "scalar" / "avx2" name a backend;
+ * "auto" (or empty) returns nullopt, meaning probe.
  * @throws std::invalid_argument on any other value.
  */
 std::optional<Backend> parseDispatchOverride(const std::string &value);
@@ -148,9 +149,9 @@ std::optional<Backend> parseDispatchOverride(const std::string &value);
 /**
  * The backend serving this process, resolving it on first call: the
  * CRISC_SIMD_DISPATCH environment variable if set (reject-loud
- * semantics as above), else the CPU probe (avx2 > neon > scalar among
- * compiled-in backends). Deterministic for a given
- * environment and host.
+ * semantics as above), else the CPU probe (avx2 > scalar among
+ * compiled-in backends). Deterministic for a given environment and
+ * host.
  */
 Backend activeBackend();
 
@@ -189,7 +190,6 @@ namespace detail {
 // the CRISC_HAVE_KERNELS_* definitions it sets).
 const KernelTable &scalarKernelTable();
 const KernelTable &avx2KernelTable();
-const KernelTable &neonKernelTable();
 
 // Shared backend-independent dense implementation (kernels.cc); every
 // table's applyDenseRange entry points here.

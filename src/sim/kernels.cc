@@ -7,11 +7,12 @@
 #include "sim/kernels_util.hh"
 
 // Backend-independent kernel code: the scalar reference kernels every
-// SIMD backend is tested against, and the shared dense (k-qubit) range
-// kernel all dispatch tables point at. The SIMD kernels
+// compiled KernelTable is tested against, and the shared dense
+// (k-qubit) range kernel all dispatch tables point at. The SIMD kernels
 // themselves live in kernels_impl.hh, stamped once per backend by the
-// kernels_<backend>.cc TUs; the public sim::apply* wrappers live in
-// dispatch.cc and route through the resolved KernelTable.
+// kernels_<backend>.cc TUs; the public entry points that route through
+// the resolved KernelTable (applyGate, applyPauli, applyPauliLane) live
+// in dispatch.cc.
 
 namespace crisc {
 namespace sim {
@@ -33,8 +34,8 @@ exactlyDiagonal(const Matrix &op)
 // ---------------------------------------------------------------------
 // Scalar reference kernels. The SIMD kernels (kernels_impl.hh) must
 // match these bit for bit on finite amplitudes (same per-element
-// operation order, no FMA); test_simd and test_dispatch pin the
-// equivalence per backend.
+// operation order, no FMA); test_simd, test_sim and test_batch pin the
+// equivalence for every compiled table.
 // ---------------------------------------------------------------------
 
 namespace scalar {

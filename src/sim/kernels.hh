@@ -8,19 +8,21 @@
  * (1q) and quads (2q) are enumerated in ascending memory order with no
  * per-group index buffers, and diagonal gates touch each amplitude once.
  *
- * The top-level sim::apply* entry points below are thin wrappers over a
- * runtime-dispatched table of group-range kernels (a full sweep is the
- * range [0, groups)): every binary carries one compiled
- * kernel set per SIMD backend the compiler could build (scalar always;
- * AVX2 on x86-64; NEON on aarch64), and src/sim/dispatch.hh
- * picks among them once per process — by CPU probe, or forced via the
- * CRISC_SIMD_DISPATCH environment variable. Each backend's kernels run
- * split-complex SIMD inner loops whenever the addressed contiguous run
- * is at least one vector wide and fall back to the scalar reference
- * kernels in sim::scalar otherwise. The SIMD lanes execute exactly the
- * scalar operation sequence, so every backend produces bit-identical
- * results for finite amplitudes; the tests pin this equivalence per
- * selectable backend.
+ * Kernels are reached through one entry path: a runtime-dispatched
+ * KernelTable of group-range kernels (dispatch.hh; a full sweep is the
+ * range [0, groups)). Every binary carries one compiled kernel set per
+ * SIMD backend the compiler could build (scalar always; AVX2 on x86-64
+ * when the compiler accepts -mavx2), and src/sim/dispatch.hh picks
+ * among them once per process — by CPU probe, or forced via the
+ * CRISC_SIMD_DISPATCH environment variable. The engine calls the table
+ * entries directly; outside it, only applyGate (circuit::State) and the
+ * Pauli noise kernels below route through the resolved table. Each
+ * backend's kernels run split-complex SIMD inner loops whenever the
+ * addressed contiguous run is at least one vector wide and fall back to
+ * the scalar reference kernels in sim::scalar otherwise. The SIMD lanes
+ * execute exactly the scalar operation sequence, so every backend
+ * produces bit-identical results for finite amplitudes; the tests pin
+ * every compiled table against sim::scalar.
  *
  * Every kernel sweep enumerates an independent *group* per iteration —
  * an amplitude pair (1q), quad (2q), or 2^k-tuple (dense) — and groups
@@ -59,22 +61,26 @@ using linalg::Complex;
 using linalg::Matrix;
 
 /** Complex lanes per SIMD vector of the resolved backend (4 for AVX2,
- *  2 for NEON, 1 scalar). */
+ *  1 scalar). */
 std::size_t simdLanes();
 
 /**
  * Scalar reference kernels. These are the original, non-vectorized
- * loops; the SIMD top-level kernels must match them bit for bit on
- * finite inputs. Exported for the equivalence tests.
+ * loops and the only full-sweep kernels; every compiled KernelTable
+ * must match them bit for bit on finite inputs. Exported for the
+ * equivalence tests.
  */
 namespace scalar {
 
+/** Applies a 2x2 gate m (row-major m[0..3]) to one qubit in place. */
 void apply1q(Complex *amps, std::size_t n_qubits, std::size_t qubit,
              const Complex m[4]);
 void apply1qDiag(Complex *amps, std::size_t n_qubits, std::size_t qubit,
                  Complex d0, Complex d1);
 void applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
                 std::size_t pauli_index);
+/** Applies a 4x4 gate m (row-major m[0..15]) to the ordered pair
+ *  (q_hi, q_lo), where q_hi is the most significant gate qubit. */
 void apply2q(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
              std::size_t q_lo, const Complex m[16]);
 void apply2qDiag(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
@@ -101,7 +107,7 @@ void apply2qBatch(double *re, double *im, std::size_t n_qubits,
 void apply2qDiagBatch(double *re, double *im, std::size_t n_qubits,
                       std::size_t batch, std::size_t q_hi,
                       std::size_t q_lo, const Complex d[4]);
-/** Batched applyDense. */
+/** Batched dense k-qubit apply (detail::applyDenseRangeShared per lane). */
 void applyDenseBatch(double *re, double *im, std::size_t n_qubits,
                      std::size_t batch, const Matrix &op,
                      const std::vector<std::size_t> &qubits);
@@ -126,14 +132,6 @@ void apply2qDiagRange(Complex *amps, std::size_t n_qubits,
 
 } // namespace scalar
 
-/** Applies a 2x2 gate m (row-major m[0..3]) to one qubit in place. */
-void apply1q(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-             const Complex m[4]);
-
-/** Diagonal 1-qubit fast path: multiplies by diag(d0, d1). */
-void apply1qDiag(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-                 Complex d0, Complex d1);
-
 /**
  * Applies the Pauli with index 1..3 = X, Y, Z to one qubit. Pure
  * swap/phase traffic — no complex multiplies — which makes stochastic
@@ -141,63 +139,6 @@ void apply1qDiag(Complex *amps, std::size_t n_qubits, std::size_t qubit,
  */
 void applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
                 std::size_t pauli_index);
-
-/**
- * Applies a 4x4 gate m (row-major m[0..15]) to the ordered qubit pair
- * (q_hi, q_lo), where q_hi is the most significant gate qubit.
- */
-void apply2q(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-             std::size_t q_lo, const Complex m[16]);
-
-/** Diagonal 2-qubit fast path: multiplies by diag(d[0..3]). */
-void apply2qDiag(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-                 std::size_t q_lo, const Complex d[4]);
-
-/**
- * Generic dense k-qubit apply (the original simulator algorithm), kept
- * as the fallback for k >= 3 gates, which only tests and the exact-
- * evolution examples use.
- */
-void applyDense(Complex *amps, std::size_t n_qubits, const Matrix &op,
-                const std::vector<std::size_t> &qubits);
-
-// ---------------------------------------------------------------------
-// Group-range kernels: the execution substrate. Each runs the
-// sub-interval [g0, g1) of the sweep's group index space — pairs for
-// 1q, quads for 2q, 2^k-tuples for dense. Group g addresses the g-th
-// pair/quad/tuple in ascending base-index order; a group is never
-// split, so disjoint ranges touch disjoint amplitudes.
-// ---------------------------------------------------------------------
-
-/** apply1q restricted to amplitude pairs [pair_begin, pair_end). */
-void apply1qRange(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-                  const Complex m[4], std::size_t pair_begin,
-                  std::size_t pair_end);
-
-/** apply1qDiag restricted to amplitude pairs [pair_begin, pair_end). */
-void apply1qDiagRange(Complex *amps, std::size_t n_qubits,
-                      std::size_t qubit, Complex d0, Complex d1,
-                      std::size_t pair_begin, std::size_t pair_end);
-
-/** apply2q restricted to amplitude quads [quad_begin, quad_end). */
-void apply2qRange(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-                  std::size_t q_lo, const Complex m[16],
-                  std::size_t quad_begin, std::size_t quad_end);
-
-/** apply2qDiag restricted to amplitude quads [quad_begin, quad_end). */
-void apply2qDiagRange(Complex *amps, std::size_t n_qubits,
-                      std::size_t q_hi, std::size_t q_lo,
-                      const Complex d[4], std::size_t quad_begin,
-                      std::size_t quad_end);
-
-/**
- * applyDense restricted to groups [group_begin, group_end) of the
- * dim >> k amplitude groups, in the same ascending-base order the full
- * kernel visits them.
- */
-void applyDenseRange(Complex *amps, std::size_t n_qubits, const Matrix &op,
-                     const std::vector<std::size_t> &qubits,
-                     std::size_t group_begin, std::size_t group_end);
 
 /**
  * Applies a Pauli to a single lane of a trajectory-major SoA batch
@@ -218,9 +159,10 @@ void applyPauliLane(double *re, double *im, std::size_t n_qubits,
 bool exactlyDiagonal(const Matrix &op);
 
 /**
- * Dispatching entry point: routes k = 1 and k = 2 gates to the
- * specialized kernels (detecting exactly-diagonal operators) and larger
- * gates to applyDense. Callers must have validated sizes and indices.
+ * Dispatching entry point: routes k = 1 and k = 2 gates to the resolved
+ * table's specialized kernels over the whole register (detecting
+ * exactly-diagonal operators) and larger gates to the shared dense
+ * kernel. Callers must have validated sizes and indices.
  */
 void applyGate(Complex *amps, std::size_t n_qubits, const Matrix &op,
                const std::vector<std::size_t> &qubits);

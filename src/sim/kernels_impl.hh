@@ -2,8 +2,7 @@
  * @file
  * Backend-stamped kernel implementations. This header is the single
  * source of every SIMD-dependent statevector kernel; each per-backend
- * translation unit (kernels_scalar.cc, kernels_avx2.cc,
- * kernels_neon.cc) defines
+ * translation unit (kernels_scalar.cc, kernels_avx2.cc) defines
  *
  *   - one CRISC_SIMD_STAMP_* backend selector (consumed by simd.hh),
  *   - CRISC_KERNEL_TABLE_FN: the name of the exported table builder
@@ -47,7 +46,7 @@ namespace crisc {
 namespace sim {
 namespace {
 // Named inner namespace so unqualified kernel names never collide with
-// the sim::apply* dispatch wrappers visible from kernels.hh.
+// the sim::applyPauli / applyPauliLane entry points from kernels.hh.
 namespace stamped {
 
 using detail::insertZeroBit;
@@ -57,8 +56,8 @@ using detail::setLane;
 /**
  * Negation as this backend's serial dispatching Pauli kernel performs
  * it for a sweep whose addressed run takes the vector path: AVX2 neg
- * computes 0 - x (mapping +0 to +0), scalar and NEON flip
- * the sign bit (+0 to -0). Batched lanes replay the serial kernel's
+ * computes 0 - x (mapping +0 to +0), scalar flips the
+ * sign bit (+0 to -0). Batched lanes replay the serial kernel's
  * stride-dependent choice so they stay bit-identical to the
  * per-trajectory run even on signed zeros.
  */

@@ -14,7 +14,6 @@
  *
  *   CRISC_SIMD_STAMP_SCALAR   portable scalar (kLanes == 1)
  *   CRISC_SIMD_STAMP_AVX2     AVX2, 4 lanes   (requires -mavx2)
- *   CRISC_SIMD_STAMP_NEON     NEON, 2 lanes   (aarch64)
  *
  * before including this header (via kernels_impl.hh). All stamped
  * backends are compiled into the same binary and selected at runtime by
@@ -38,11 +37,10 @@
  * backend exposes one trait the kernels branch on at compile time:
  *
  *   kNegIsSubFromZero  how neg() treats signed zero: the AVX2 backend
- *                      computes 0 - x (mapping +0 to +0), scalar and
- *                      NEON flip the sign bit (+0 to -0). The batched
- *                      Pauli kernels replay the serial kernel's flavour
- *                      per backend (see negLikeSerial in
- *                      kernels_impl.hh).
+ *                      computes 0 - x (mapping +0 to +0), scalar flips
+ *                      the sign bit (+0 to -0). The batched Pauli
+ *                      kernels replay the serial kernel's flavour per
+ *                      backend (see negLikeSerial in kernels_impl.hh).
  *
  * AVX2 lane order note: the deinterleaving load permutes lanes
  * (unpacklo/unpackhi yield element order 0,2,1,3 per 256-bit vector),
@@ -57,24 +55,16 @@
 #include <complex>
 #include <cstddef>
 
-#if defined(CRISC_SIMD_STAMP_SCALAR) + defined(CRISC_SIMD_STAMP_AVX2) +     \
-        defined(CRISC_SIMD_STAMP_NEON) !=                                   \
-    1
+#if defined(CRISC_SIMD_STAMP_SCALAR) + defined(CRISC_SIMD_STAMP_AVX2) != 1
 #error "simd.hh: define exactly one CRISC_SIMD_STAMP_* before including"
 #endif
 
 #if defined(CRISC_SIMD_STAMP_AVX2) && !defined(__AVX2__)
 #error "simd.hh: CRISC_SIMD_STAMP_AVX2 requires -mavx2 (build system bug)"
 #endif
-#if defined(CRISC_SIMD_STAMP_NEON) &&                                       \
-    !(defined(__ARM_NEON) || defined(__aarch64__))
-#error "simd.hh: CRISC_SIMD_STAMP_NEON requires an ARM NEON target"
-#endif
 
 #if defined(CRISC_SIMD_STAMP_AVX2)
 #include <immintrin.h>
-#elif defined(CRISC_SIMD_STAMP_NEON)
-#include <arm_neon.h>
 #endif
 
 namespace crisc {
@@ -175,85 +165,6 @@ inline CVec
 mulPosI(CVec a)
 {
     return {_mm256_sub_pd(_mm256_setzero_pd(), a.im), a.re};
-}
-
-#elif defined(CRISC_SIMD_STAMP_NEON)
-
-inline constexpr std::size_t kLanes = 2;
-inline constexpr const char *kBackendName = "neon";
-inline constexpr bool kNegIsSubFromZero = false;
-
-struct CVec
-{
-    float64x2_t re;
-    float64x2_t im;
-};
-
-inline CVec
-loadc(const std::complex<double> *p)
-{
-    const float64x2x2_t v =
-        vld2q_f64(reinterpret_cast<const double *>(p));
-    return {v.val[0], v.val[1]};
-}
-
-inline void
-storec(std::complex<double> *p, CVec a)
-{
-    float64x2x2_t v;
-    v.val[0] = a.re;
-    v.val[1] = a.im;
-    vst2q_f64(reinterpret_cast<double *>(p), v);
-}
-
-inline CVec
-loads(const double *re, const double *im)
-{
-    return {vld1q_f64(re), vld1q_f64(im)};
-}
-
-inline void
-stores(double *re, double *im, CVec a)
-{
-    vst1q_f64(re, a.re);
-    vst1q_f64(im, a.im);
-}
-
-inline CVec
-broadcast(std::complex<double> c)
-{
-    return {vdupq_n_f64(c.real()), vdupq_n_f64(c.imag())};
-}
-
-inline CVec
-add(CVec a, CVec b)
-{
-    return {vaddq_f64(a.re, b.re), vaddq_f64(a.im, b.im)};
-}
-
-inline CVec
-neg(CVec a)
-{
-    return {vnegq_f64(a.re), vnegq_f64(a.im)};
-}
-
-inline CVec
-mul(CVec a, CVec b)
-{
-    return {vsubq_f64(vmulq_f64(a.re, b.re), vmulq_f64(a.im, b.im)),
-            vaddq_f64(vmulq_f64(a.re, b.im), vmulq_f64(a.im, b.re))};
-}
-
-inline CVec
-mulNegI(CVec a)
-{
-    return {a.im, vnegq_f64(a.re)};
-}
-
-inline CVec
-mulPosI(CVec a)
-{
-    return {vnegq_f64(a.im), a.re};
 }
 
 #else // CRISC_SIMD_STAMP_SCALAR

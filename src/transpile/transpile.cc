@@ -1,6 +1,8 @@
 #include "transpile.hh"
 
 #include <exception>
+#include <stdexcept>
+#include <string>
 
 #include "sim/batch.hh"
 
@@ -58,12 +60,16 @@ std::vector<TranspileResult>
 transpileBatch(const std::vector<circuit::Circuit> &circuits,
                const TranspileOptions &opts, int threads)
 {
+    if (threads < 0)
+        throw std::invalid_argument(
+            "transpileBatch: threads must be non-negative "
+            "(0 = hardware concurrency), got " +
+            std::to_string(threads));
     const PassManager pipeline = makePipeline(opts);
     std::vector<TranspileResult> results(circuits.size());
     std::vector<std::exception_ptr> errors(circuits.size());
 
-    sim::ThreadPool pool(
-        static_cast<std::size_t>(threads < 0 ? 1 : threads));
+    sim::ThreadPool pool(static_cast<std::size_t>(threads));
     pool.parallelFor(circuits.size(), [&](std::size_t i) {
         try {
             results[i] = pipeline.run(circuits[i], contextFor(opts));

@@ -60,6 +60,7 @@ TranspileResult transpile(const circuit::Circuit &logical,
  * Results are index-aligned with the inputs and identical to calling
  * transpile() sequentially, for any thread count; a first thrown
  * exception is rethrown on the calling thread.
+ * @throws std::invalid_argument if @p threads is negative.
  */
 std::vector<TranspileResult>
 transpileBatch(const std::vector<circuit::Circuit> &circuits,

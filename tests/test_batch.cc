@@ -178,7 +178,9 @@ TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
                                                  n, B, dense,
                                                  denseQubits);
                     for (CVector &e : expect)
-                        sim::applyDense(e.data(), n, dense, denseQubits);
+                        sim::detail::applyDenseRangeShared(
+                            e.data(), n, dense, denseQubits, 0,
+                            (std::size_t{1} << n) >> denseQubits.size());
                     break;
                 }
             }
@@ -189,12 +191,12 @@ TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
     }
 }
 
-TEST(BatchKernels, DispatchBatchMatchesPerLaneDispatch)
+TEST(BatchKernels, EveryTableBatchMatchesPerLaneScalar)
 {
-    // The dispatching SoA kernels (SIMD lane loop + lane tail) must
-    // equal the dispatching interleaved kernels per lane, bit for bit,
-    // at every stride and for batch widths below, at, and above the
-    // vector width.
+    // Every compiled table's SoA kernels (SIMD lane loop + lane tail)
+    // must equal the scalar interleaved references per lane, bit for
+    // bit, at every stride and for batch widths below, at, and above
+    // the vector width.
     linalg::Rng rng(203);
     const std::size_t n = 7;
     const std::size_t pairs = (std::size_t{1} << n) >> 1;
@@ -207,77 +209,87 @@ TEST(BatchKernels, DispatchBatchMatchesPerLaneDispatch)
                            Complex{1.0, 0.0}, std::polar(1.0, 1.5)};
     const Matrix dense = linalg::haarUnitary(rng, 8);
     const std::vector<std::size_t> denseQubits{6, 2, 4};
-    const sim::KernelTable &k = sim::activeKernels();
 
     for (const std::size_t B : {std::size_t{1}, std::size_t{2},
                                 std::size_t{5}, std::size_t{8}}) {
         std::vector<CVector> randoms;
         for (std::size_t t = 0; t < B; ++t)
             randoms.push_back(randomState(rng, n));
-        sim::BatchState batch = sim::BatchState::pack(randoms);
         std::vector<CVector> expect = randoms;
-        double *re = batch.re();
-        double *im = batch.im();
-        for (std::size_t q = 0; q < n; ++q) {
-            k.apply1qBatchRange(re, im, n, B, q, m2, 0, pairs);
-            k.apply1qDiagBatchRange(re, im, n, B, q, rz(0, 0), rz(1, 1), 0,
-                                    pairs);
-            for (CVector &e : expect) {
-                sim::apply1q(e.data(), n, q, m2);
-                sim::apply1qDiag(e.data(), n, q, rz(0, 0), rz(1, 1));
-            }
-            if (q + 1 < n) {
-                k.apply2qBatchRange(re, im, n, B, q, q + 1, u4.data(), 0,
-                                    quads);
-                k.apply2qDiagBatchRange(re, im, n, B, q + 1, q, d4, 0,
-                                        quads);
-                for (CVector &e : expect) {
-                    sim::apply2q(e.data(), n, q, q + 1, u4.data());
-                    sim::apply2qDiag(e.data(), n, q + 1, q, d4);
+        for (CVector &e : expect) {
+            for (std::size_t q = 0; q < n; ++q) {
+                sim::scalar::apply1q(e.data(), n, q, m2);
+                sim::scalar::apply1qDiag(e.data(), n, q, rz(0, 0),
+                                         rz(1, 1));
+                if (q + 1 < n) {
+                    sim::scalar::apply2q(e.data(), n, q, q + 1, u4.data());
+                    sim::scalar::apply2qDiag(e.data(), n, q + 1, q, d4);
                 }
             }
+            sim::detail::applyDenseRangeShared(e.data(), n, dense,
+                                               denseQubits, 0, quads >> 1);
         }
-        k.applyDenseBatchRange(re, im, n, B, dense, denseQubits, 0,
-                               quads >> 1);
-        for (CVector &e : expect)
-            sim::applyDense(e.data(), n, dense, denseQubits);
-        for (std::size_t t = 0; t < B; ++t)
-            EXPECT_TRUE(bitIdentical(batch.unpackLane(t), expect[t]))
-                << "B=" << B << " lane=" << t;
+        for (const sim::Backend b : sim::compiledBackends()) {
+            const sim::KernelTable &k = sim::kernelTable(b);
+            sim::BatchState batch = sim::BatchState::pack(randoms);
+            double *re = batch.re();
+            double *im = batch.im();
+            for (std::size_t q = 0; q < n; ++q) {
+                k.apply1qBatchRange(re, im, n, B, q, m2, 0, pairs);
+                k.apply1qDiagBatchRange(re, im, n, B, q, rz(0, 0), rz(1, 1),
+                                        0, pairs);
+                if (q + 1 < n) {
+                    k.apply2qBatchRange(re, im, n, B, q, q + 1, u4.data(), 0,
+                                        quads);
+                    k.apply2qDiagBatchRange(re, im, n, B, q + 1, q, d4, 0,
+                                            quads);
+                }
+            }
+            k.applyDenseBatchRange(re, im, n, B, dense, denseQubits, 0,
+                                   quads >> 1);
+            for (std::size_t t = 0; t < B; ++t)
+                EXPECT_TRUE(bitIdentical(batch.unpackLane(t), expect[t]))
+                    << sim::backendName(b) << " B=" << B << " lane=" << t;
+        }
     }
 }
 
 TEST(BatchKernels, PauliLaneMatchesSerialAndLeavesOtherLanesAlone)
 {
-    // applyPauliLane is the per-lane divergence primitive: it must
-    // match sim::applyPauli on that lane (including its stride-
-    // dependent negation flavour on exact zeros) and touch no other
-    // lane.
+    // Every table's applyPauliLane is the per-lane divergence primitive:
+    // it must match the same table's applyPauli on that lane (including
+    // its stride-dependent negation flavour on exact zeros) and touch
+    // no other lane.
     const std::size_t n = 6;
     const std::size_t B = 5;
-    for (std::size_t q = 0; q < n; ++q) {
-        for (std::size_t pauli = 1; pauli <= 3; ++pauli) {
-            std::vector<CVector> states;
-            for (std::size_t t = 0; t < B; ++t) {
-                CVector s(std::size_t{1} << n, Complex{0.0, 0.0});
-                s[(t * 7) % s.size()] = 1.0;
-                states.push_back(std::move(s));
+    for (const sim::Backend b : sim::compiledBackends()) {
+        const sim::KernelTable &k = sim::kernelTable(b);
+        for (std::size_t q = 0; q < n; ++q) {
+            for (std::size_t pauli = 1; pauli <= 3; ++pauli) {
+                std::vector<CVector> states;
+                for (std::size_t t = 0; t < B; ++t) {
+                    CVector s(std::size_t{1} << n, Complex{0.0, 0.0});
+                    s[(t * 7) % s.size()] = 1.0;
+                    states.push_back(std::move(s));
+                }
+                sim::BatchState batch = sim::BatchState::pack(states);
+                const std::size_t lane = (q + pauli) % B;
+                k.applyPauliLane(batch.re(), batch.im(), n, B, lane, q,
+                                 pauli);
+                std::vector<CVector> expect = states;
+                k.applyPauli(expect[lane].data(), n, q, pauli);
+                for (std::size_t t = 0; t < B; ++t)
+                    EXPECT_TRUE(
+                        bitIdentical(batch.unpackLane(t), expect[t]))
+                        << sim::backendName(b) << " pauli=" << pauli
+                        << " q=" << q << " lane=" << t;
             }
-            sim::BatchState batch = sim::BatchState::pack(states);
-            const std::size_t lane = (q + pauli) % B;
-            sim::applyPauliLane(batch.re(), batch.im(), n, B, lane, q,
-                                pauli);
-            std::vector<CVector> expect = states;
-            sim::applyPauli(expect[lane].data(), n, q, pauli);
-            for (std::size_t t = 0; t < B; ++t)
-                EXPECT_TRUE(bitIdentical(batch.unpackLane(t), expect[t]))
-                    << "pauli=" << pauli << " q=" << q << " lane=" << t;
         }
+        sim::BatchState batch(2, 1);
+        EXPECT_THROW(k.applyPauliLane(batch.re(), batch.im(), 2, 1, 0, 0, 4),
+                     std::invalid_argument)
+            << sim::backendName(b);
     }
-    sim::BatchState batch(2, 1);
-    EXPECT_THROW(
-        sim::applyPauliLane(batch.re(), batch.im(), 2, 1, 0, 0, 4),
-        std::invalid_argument);
 }
 
 TEST(BatchNoise, LaneDepolarizingMatchesSerialTrajectory)

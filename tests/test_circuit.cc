@@ -13,6 +13,7 @@
 #include "linalg/random.hh"
 #include "qop/gates.hh"
 #include "qop/metrics.hh"
+#include "sim/batch_state.hh"
 
 namespace {
 
@@ -92,6 +93,14 @@ TEST(Circuit, RejectsBadArguments)
     EXPECT_THROW(s.apply(qop::cnot(), {0}), std::invalid_argument);
 }
 
+TEST(Circuit, StateRejectsRegistersThatCannotBeAllocated)
+{
+    // 2^64 amplitudes: the shift itself would be undefined.
+    EXPECT_THROW(State(64), std::length_error);
+    // 16 TiB fits std::size_t but no host's physical memory.
+    EXPECT_THROW(State(40), std::length_error);
+}
+
 TEST(Noise, ZeroProbabilityIsIdentity)
 {
     linalg::Rng rng(7);
@@ -168,6 +177,33 @@ TEST(Noise, RejectsDuplicateQubits)
     EXPECT_THROW(circuit::applyDepolarizing(raw.data(), 3, std::size_t{2},
                                             std::size_t{2}, 0.5, rng),
                  std::invalid_argument);
+}
+
+TEST(Noise, RejectsOutOfRangeQubits)
+{
+    // The Pauli kernels do no bounds check: every overload must reject
+    // a qubit outside the register before it is addressed (or drawn
+    // for), at any error rate.
+    linalg::Rng rng(19);
+    State s(3);
+    linalg::CVector raw = s.amplitudes();
+    const sim::StateView view(raw.data(), 3);
+    for (const double p : {0.0, 1.0}) {
+        EXPECT_THROW(circuit::applyDepolarizing(s, {0, 3}, p, rng),
+                     std::invalid_argument);
+        EXPECT_THROW(circuit::applyDepolarizing(raw.data(), 3, {3}, p, rng),
+                     std::invalid_argument);
+        EXPECT_THROW(circuit::applyDepolarizing(view, 0, 3, p, rng),
+                     std::invalid_argument);
+        EXPECT_THROW(circuit::applyDepolarizing(view, 0, 7, 1, p, rng),
+                     std::invalid_argument);
+        EXPECT_THROW(circuit::applyDepolarizing(view, 0, 1, 3, p, rng),
+                     std::invalid_argument);
+    }
+    // A rejected call draws nothing: the generator is untouched.
+    linalg::Rng fresh(19);
+    EXPECT_EQ(rng.uniform(), fresh.uniform());
+    EXPECT_EQ(raw, s.amplitudes());
 }
 
 TEST(Noise, PauliIndexing)

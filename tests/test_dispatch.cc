@@ -4,14 +4,16 @@
  * matrix). One binary carries every backend the compiler could build
  * (sim/dispatch.hh), so this suite can force each of them in-process
  * and pin the whole contract: override parsing rejects unknown names,
- * forcing an uncompiled or host-unsupported backend throws rather than
- * silently falling back, "auto" resolves deterministically to the
- * first compiled+supported backend in probe order, and every compiled
- * table covers every KernelKind with non-null entries. That every
+ * the runtime backend list matches the one CMake compiled, forcing an
+ * uncompiled or host-unsupported backend throws rather than silently
+ * falling back, "auto" resolves deterministically to the first
+ * compiled+supported backend in probe order, and every compiled table
+ * covers every KernelKind with non-null entries. That every
  * selectable backend is bit-identical to forced-scalar on every
  * execution path is the engine oracle's job (test_engine_oracle.cc).
  */
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -30,8 +32,23 @@ struct DispatchRestore
     ~DispatchRestore() { sim::setDispatchOverride("auto"); }
 };
 
-constexpr sim::Backend kAllBackends[] = {
-    sim::Backend::Scalar, sim::Backend::Avx2, sim::Backend::Neon};
+constexpr sim::Backend kAllBackends[] = {sim::Backend::Scalar,
+                                         sim::Backend::Avx2};
+
+/** The backends this build left out, from the CMake-side backend list
+ *  (CRISC_HAVE_KERNELS_* definitions) rather than the runtime one.
+ *  Empty on an x86-64 build whose compiler accepts -mavx2; {Avx2} on
+ *  aarch64 and on the scalar-only configure
+ *  (-DCRISC_COMPILER_HAS_AVX2=OFF). */
+std::vector<sim::Backend>
+backendsLeftOutOfBuild()
+{
+    std::vector<sim::Backend> out;
+#if !defined(CRISC_HAVE_KERNELS_AVX2)
+    out.push_back(sim::Backend::Avx2);
+#endif
+    return out;
+}
 
 // ---------------------------------------------------------------------
 // Override parsing and reject-loud forcing.
@@ -43,7 +60,6 @@ TEST(Dispatch, ParseOverrideAcceptsNamesAndAuto)
     EXPECT_EQ(sim::parseDispatchOverride(""), std::nullopt);
     EXPECT_EQ(sim::parseDispatchOverride("scalar"), sim::Backend::Scalar);
     EXPECT_EQ(sim::parseDispatchOverride("avx2"), sim::Backend::Avx2);
-    EXPECT_EQ(sim::parseDispatchOverride("neon"), sim::Backend::Neon);
 }
 
 TEST(Dispatch, ParseOverrideRejectsUnknownNames)
@@ -55,6 +71,10 @@ TEST(Dispatch, ParseOverrideRejectsUnknownNames)
                  std::invalid_argument);
     EXPECT_THROW(sim::setDispatchOverride("avx512"),
                  std::invalid_argument);
+    // So is the retired NEON backend.
+    EXPECT_THROW(sim::parseDispatchOverride("neon"),
+                 std::invalid_argument);
+    EXPECT_THROW(sim::setDispatchOverride("neon"), std::invalid_argument);
     EXPECT_THROW(sim::parseDispatchOverride("AVX2"),
                  std::invalid_argument);
     EXPECT_THROW(sim::parseDispatchOverride("scalar "),
@@ -65,20 +85,23 @@ TEST(Dispatch, ParseOverrideRejectsUnknownNames)
 
 TEST(Dispatch, ForcingUncompiledBackendThrows)
 {
-    // A binary never carries both x86 and aarch64 backends, so at least
-    // one of the three is always absent — forcing it must throw, not
-    // fall back.
+    // The runtime's uncompiled set is exactly what the build left out,
+    // and forcing any of it must throw, not fall back. On an AVX2 build
+    // the set is empty; the scalar-only configure exercises the throw.
     DispatchRestore restore;
-    bool sawUncompiled = false;
-    for (const sim::Backend b : kAllBackends) {
-        if (sim::backendCompiled(b))
-            continue;
-        sawUncompiled = true;
+    const std::vector<sim::Backend> compiled = sim::compiledBackends();
+    std::vector<sim::Backend> uncompiled;
+    for (const sim::Backend b : kAllBackends)
+        if (std::find(compiled.begin(), compiled.end(), b) ==
+            compiled.end())
+            uncompiled.push_back(b);
+    EXPECT_EQ(uncompiled, backendsLeftOutOfBuild());
+    for (const sim::Backend b : uncompiled) {
+        EXPECT_FALSE(sim::backendCompiled(b)) << sim::backendName(b);
         EXPECT_THROW(sim::setDispatchOverride(sim::backendName(b)),
                      std::runtime_error)
             << sim::backendName(b);
     }
-    EXPECT_TRUE(sawUncompiled);
 
     // Compiled but host-unsupported (e.g. the avx2 TU on a pre-AVX2
     // x86-64 host) must throw the same way.
@@ -155,13 +178,9 @@ TEST(Dispatch, EveryCompiledTableIsComplete)
         sim::kernelTable(sim::Backend::Scalar);
     EXPECT_EQ(scalar.lanes, 1u);
 
-    EXPECT_THROW(
-        [] {
-            for (const sim::Backend b : kAllBackends)
-                if (!sim::backendCompiled(b))
-                    (void)sim::kernelTable(b);
-        }(),
-        std::runtime_error);
+    for (const sim::Backend b : backendsLeftOutOfBuild())
+        EXPECT_THROW((void)sim::kernelTable(b), std::runtime_error)
+            << sim::backendName(b);
 }
 
 } // namespace

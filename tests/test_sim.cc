@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the kernelized statevector engine (src/sim/): kernel
- * correctness against dense embeddings, randomized engine-vs-toUnitary
- * equivalence, gate fusion, the thread pool, and bit-for-bit
- * determinism of parallel trajectory batches.
+ * correctness of every compiled KernelTable against dense embeddings,
+ * randomized engine-vs-toUnitary equivalence, gate fusion, the thread
+ * pool, and bit-for-bit determinism of parallel trajectory batches.
  */
 
 #include <atomic>
@@ -20,6 +20,7 @@
 #include "qop/gates.hh"
 #include "qv/qv.hh"
 #include "sim/batch.hh"
+#include "sim/dispatch.hh"
 #include "sim/engine.hh"
 #include "sim/kernels.hh"
 #include "sim_test_util.hh"
@@ -31,21 +32,35 @@ using circuit::Circuit;
 using linalg::Complex;
 using linalg::CVector;
 using linalg::Matrix;
+using testutil::bitIdentical;
 using testutil::maxDiff;
 using testutil::randomState;
+
+// Every compiled table's whole-register sweep (the range [0, groups))
+// against the dense embedding, and bit for bit against its sim::scalar
+// reference, whatever CRISC_SIMD_DISPATCH resolved.
 
 TEST(Kernels, OneQubitMatchesEmbedding)
 {
     linalg::Rng rng(11);
     const std::size_t n = 4;
+    const std::size_t pairs = (std::size_t{1} << n) >> 1;
     for (std::size_t q = 0; q < n; ++q) {
         const Matrix u = linalg::haarUnitary(rng, 2);
         const CVector in = randomState(rng, n);
-        CVector viaKernel = in;
         const Complex m[4] = {u(0, 0), u(0, 1), u(1, 0), u(1, 1)};
-        sim::apply1q(viaKernel.data(), n, q, m);
         const CVector viaEmbed = qop::embed(u, {q}, n) * in;
-        EXPECT_LT(maxDiff(viaKernel, viaEmbed), 1e-12);
+        CVector viaScalar = in;
+        sim::scalar::apply1q(viaScalar.data(), n, q, m);
+        for (const sim::Backend b : sim::compiledBackends()) {
+            CVector viaKernel = in;
+            sim::kernelTable(b).apply1qRange(viaKernel.data(), n, q, m, 0,
+                                             pairs);
+            EXPECT_LT(maxDiff(viaKernel, viaEmbed), 1e-12)
+                << sim::backendName(b);
+            EXPECT_TRUE(bitIdentical(viaKernel, viaScalar))
+                << sim::backendName(b);
+        }
     }
 }
 
@@ -53,13 +68,22 @@ TEST(Kernels, OneQubitDiagonalMatchesDense)
 {
     linalg::Rng rng(12);
     const std::size_t n = 5;
+    const std::size_t pairs = (std::size_t{1} << n) >> 1;
     const Matrix u = qop::rz(0.7317);
     for (std::size_t q = 0; q < n; ++q) {
         const CVector in = randomState(rng, n);
-        CVector viaDiag = in;
-        sim::apply1qDiag(viaDiag.data(), n, q, u(0, 0), u(1, 1));
         const CVector viaEmbed = qop::embed(u, {q}, n) * in;
-        EXPECT_LT(maxDiff(viaDiag, viaEmbed), 1e-12);
+        CVector viaScalar = in;
+        sim::scalar::apply1qDiag(viaScalar.data(), n, q, u(0, 0), u(1, 1));
+        for (const sim::Backend b : sim::compiledBackends()) {
+            CVector viaDiag = in;
+            sim::kernelTable(b).apply1qDiagRange(viaDiag.data(), n, q,
+                                                 u(0, 0), u(1, 1), 0, pairs);
+            EXPECT_LT(maxDiff(viaDiag, viaEmbed), 1e-12)
+                << sim::backendName(b);
+            EXPECT_TRUE(bitIdentical(viaDiag, viaScalar))
+                << sim::backendName(b);
+        }
     }
 }
 
@@ -70,11 +94,18 @@ TEST(Kernels, PauliKernelMatchesDense)
     for (std::size_t q = 0; q < n; ++q) {
         for (std::size_t p = 1; p <= 3; ++p) {
             const CVector in = randomState(rng, n);
-            CVector viaKernel = in;
-            sim::applyPauli(viaKernel.data(), n, q, p);
             const CVector viaEmbed =
                 qop::embed(circuit::pauliByIndex(p), {q}, n) * in;
-            EXPECT_LT(maxDiff(viaKernel, viaEmbed), 1e-15);
+            CVector viaScalar = in;
+            sim::scalar::applyPauli(viaScalar.data(), n, q, p);
+            for (const sim::Backend b : sim::compiledBackends()) {
+                CVector viaKernel = in;
+                sim::kernelTable(b).applyPauli(viaKernel.data(), n, q, p);
+                EXPECT_LT(maxDiff(viaKernel, viaEmbed), 1e-15)
+                    << sim::backendName(b);
+                EXPECT_TRUE(bitIdentical(viaKernel, viaScalar))
+                    << sim::backendName(b);
+            }
         }
     }
 }
@@ -83,17 +114,27 @@ TEST(Kernels, TwoQubitMatchesEmbeddingAllPairs)
 {
     linalg::Rng rng(14);
     const std::size_t n = 4;
+    const std::size_t quads = (std::size_t{1} << n) >> 2;
     for (std::size_t a = 0; a < n; ++a) {
         for (std::size_t b = 0; b < n; ++b) {
             if (a == b)
                 continue;
             const Matrix u = linalg::haarUnitary(rng, 4);
             const CVector in = randomState(rng, n);
-            CVector viaKernel = in;
-            sim::apply2q(viaKernel.data(), n, a, b, u.data());
             const CVector viaEmbed = qop::embed(u, {a, b}, n) * in;
-            EXPECT_LT(maxDiff(viaKernel, viaEmbed), 1e-12)
-                << "pair (" << a << ", " << b << ")";
+            CVector viaScalar = in;
+            sim::scalar::apply2q(viaScalar.data(), n, a, b, u.data());
+            for (const sim::Backend be : sim::compiledBackends()) {
+                CVector viaKernel = in;
+                sim::kernelTable(be).apply2qRange(viaKernel.data(), n, a, b,
+                                                  u.data(), 0, quads);
+                EXPECT_LT(maxDiff(viaKernel, viaEmbed), 1e-12)
+                    << sim::backendName(be) << " pair (" << a << ", " << b
+                    << ")";
+                EXPECT_TRUE(bitIdentical(viaKernel, viaScalar))
+                    << sim::backendName(be) << " pair (" << a << ", " << b
+                    << ")";
+            }
         }
     }
 }
@@ -102,17 +143,26 @@ TEST(Kernels, TwoQubitDiagonalMatchesDense)
 {
     linalg::Rng rng(15);
     const std::size_t n = 4;
+    const std::size_t quads = (std::size_t{1} << n) >> 2;
     const Matrix &u = qop::cz();
+    const Complex d[4] = {u(0, 0), u(1, 1), u(2, 2), u(3, 3)};
     for (std::size_t a = 0; a < n; ++a) {
         for (std::size_t b = 0; b < n; ++b) {
             if (a == b)
                 continue;
             const CVector in = randomState(rng, n);
-            CVector viaDiag = in;
-            const Complex d[4] = {u(0, 0), u(1, 1), u(2, 2), u(3, 3)};
-            sim::apply2qDiag(viaDiag.data(), n, a, b, d);
             const CVector viaEmbed = qop::embed(u, {a, b}, n) * in;
-            EXPECT_LT(maxDiff(viaDiag, viaEmbed), 1e-15);
+            CVector viaScalar = in;
+            sim::scalar::apply2qDiag(viaScalar.data(), n, a, b, d);
+            for (const sim::Backend be : sim::compiledBackends()) {
+                CVector viaDiag = in;
+                sim::kernelTable(be).apply2qDiagRange(viaDiag.data(), n, a,
+                                                      b, d, 0, quads);
+                EXPECT_LT(maxDiff(viaDiag, viaEmbed), 1e-15)
+                    << sim::backendName(be);
+                EXPECT_TRUE(bitIdentical(viaDiag, viaScalar))
+                    << sim::backendName(be);
+            }
         }
     }
 }

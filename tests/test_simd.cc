@@ -1,18 +1,19 @@
 /**
  * @file
  * Scalar-vs-SIMD kernel equivalence suite (fast; runs under the CI
- * sanitizer matrix). Every dispatching kernel in sim/kernels.hh must
- * reproduce its sim::scalar reference on random states — the SIMD
- * lanes replay the scalar IEEE operation order exactly, so the paths
- * agree bit for bit on finite amplitudes; the acceptance bound asserted
- * here is 1e-12, with an additional exact check guarding the
+ * sanitizer matrix). Every interleaved kernel of every compiled
+ * KernelTable (sim::compiledBackends(), whatever CRISC_SIMD_DISPATCH
+ * resolved) must reproduce its sim::scalar reference on random states —
+ * the SIMD lanes replay the scalar IEEE operation order exactly, so the
+ * paths agree bit for bit on finite amplitudes; the acceptance bound
+ * asserted here is 1e-12, with an additional exact check guarding the
  * bit-identical contract the pinned Figure-7 regressions rely on.
  * Register widths sweep past the vector length so both the vectorized
  * inner loops and the short-stride scalar fallback are exercised.
  *
  * The same pinning extends to the partition substrate: group-range
  * kernels over arbitrary partitions and the generic dense (k >= 3)
- * fallback must be bit-identical to the serial sweeps. Chunked pool,
+ * fallback must be bit-identical to the whole-register sweeps. Chunked pool,
  * SoA and blocked execution are pinned by the engine oracle
  * (test_engine_oracle.cc).
  */
@@ -38,12 +39,23 @@ using testutil::bitIdentical;
 using testutil::maxDiff;
 using testutil::randomState;
 
+/** Group counts of a whole-register 1q (pairs) and 2q (quads) sweep. */
+std::size_t
+pairsOf(std::size_t n)
+{
+    return (std::size_t{1} << n) >> 1;
+}
+
+std::size_t
+quadsOf(std::size_t n)
+{
+    return (std::size_t{1} << n) >> 2;
+}
+
 TEST(Simd, BackendIsWellFormed)
 {
     const std::string backend = sim::backendName();
-    EXPECT_TRUE(backend == "avx2" || backend == "neon" ||
-                backend == "scalar")
-        << backend;
+    EXPECT_TRUE(backend == "avx2" || backend == "scalar") << backend;
     const std::size_t lanes = sim::simdLanes();
     EXPECT_GE(lanes, 1u);
     EXPECT_EQ(lanes & (lanes - 1), 0u) << "lane count must be 2^k";
@@ -57,12 +69,16 @@ TEST(Simd, Apply1qMatchesScalarOnAllStrides)
         const Complex m[4] = {u(0, 0), u(0, 1), u(1, 0), u(1, 1)};
         for (std::size_t q = 0; q < n; ++q) {
             const CVector in = randomState(rng, n);
-            CVector viaScalar = in, viaSimd = in;
+            CVector viaScalar = in;
             sim::scalar::apply1q(viaScalar.data(), n, q, m);
-            sim::apply1q(viaSimd.data(), n, q, m);
-            EXPECT_LT(maxDiff(viaSimd, viaScalar), 1e-12);
-            EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
-                << "n=" << n << " q=" << q;
+            for (const sim::Backend b : sim::compiledBackends()) {
+                CVector viaTable = in;
+                sim::kernelTable(b).apply1qRange(viaTable.data(), n, q, m,
+                                                 0, pairsOf(n));
+                EXPECT_LT(maxDiff(viaTable, viaScalar), 1e-12);
+                EXPECT_TRUE(bitIdentical(viaTable, viaScalar))
+                    << sim::backendName(b) << " n=" << n << " q=" << q;
+            }
         }
     }
 }
@@ -74,13 +90,17 @@ TEST(Simd, Apply1qDiagMatchesScalarOnAllStrides)
     for (std::size_t n = 1; n <= 9; ++n) {
         for (std::size_t q = 0; q < n; ++q) {
             const CVector in = randomState(rng, n);
-            CVector viaScalar = in, viaSimd = in;
+            CVector viaScalar = in;
             sim::scalar::apply1qDiag(viaScalar.data(), n, q, u(0, 0),
                                      u(1, 1));
-            sim::apply1qDiag(viaSimd.data(), n, q, u(0, 0), u(1, 1));
-            EXPECT_LT(maxDiff(viaSimd, viaScalar), 1e-12);
-            EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
-                << "n=" << n << " q=" << q;
+            for (const sim::Backend b : sim::compiledBackends()) {
+                CVector viaTable = in;
+                sim::kernelTable(b).apply1qDiagRange(
+                    viaTable.data(), n, q, u(0, 0), u(1, 1), 0, pairsOf(n));
+                EXPECT_LT(maxDiff(viaTable, viaScalar), 1e-12);
+                EXPECT_TRUE(bitIdentical(viaTable, viaScalar))
+                    << sim::backendName(b) << " n=" << n << " q=" << q;
+            }
         }
     }
 }
@@ -92,19 +112,26 @@ TEST(Simd, ApplyPauliMatchesScalarOnAllStrides)
         for (std::size_t q = 0; q < n; ++q) {
             for (std::size_t p = 1; p <= 3; ++p) {
                 const CVector in = randomState(rng, n);
-                CVector viaScalar = in, viaSimd = in;
+                CVector viaScalar = in;
                 sim::scalar::applyPauli(viaScalar.data(), n, q, p);
-                sim::applyPauli(viaSimd.data(), n, q, p);
-                EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
-                    << "n=" << n << " q=" << q << " pauli=" << p;
+                for (const sim::Backend b : sim::compiledBackends()) {
+                    CVector viaTable = in;
+                    sim::kernelTable(b).applyPauli(viaTable.data(), n, q, p);
+                    EXPECT_TRUE(bitIdentical(viaTable, viaScalar))
+                        << sim::backendName(b) << " n=" << n << " q=" << q
+                        << " pauli=" << p;
+                }
             }
         }
     }
-    CVector buf(2, Complex{1.0, 0.0});
-    EXPECT_THROW(sim::applyPauli(buf.data(), 1, 0, 4),
-                 std::invalid_argument);
-    EXPECT_THROW(sim::applyPauli(buf.data(), 1, 0, 0),
-                 std::invalid_argument);
+    for (const sim::Backend b : sim::compiledBackends()) {
+        const sim::KernelTable &k = sim::kernelTable(b);
+        CVector buf(2, Complex{1.0, 0.0});
+        EXPECT_THROW(k.applyPauli(buf.data(), 1, 0, 4),
+                     std::invalid_argument);
+        EXPECT_THROW(k.applyPauli(buf.data(), 1, 0, 0),
+                     std::invalid_argument);
+    }
 }
 
 TEST(Simd, Apply2qMatchesScalarOnAllPairs)
@@ -117,12 +144,18 @@ TEST(Simd, Apply2qMatchesScalarOnAllPairs)
                 if (a == b)
                     continue;
                 const CVector in = randomState(rng, n);
-                CVector viaScalar = in, viaSimd = in;
+                CVector viaScalar = in;
                 sim::scalar::apply2q(viaScalar.data(), n, a, b, u.data());
-                sim::apply2q(viaSimd.data(), n, a, b, u.data());
-                EXPECT_LT(maxDiff(viaSimd, viaScalar), 1e-12);
-                EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
-                    << "n=" << n << " pair (" << a << ", " << b << ")";
+                for (const sim::Backend be : sim::compiledBackends()) {
+                    CVector viaTable = in;
+                    sim::kernelTable(be).apply2qRange(viaTable.data(), n, a,
+                                                      b, u.data(), 0,
+                                                      quadsOf(n));
+                    EXPECT_LT(maxDiff(viaTable, viaScalar), 1e-12);
+                    EXPECT_TRUE(bitIdentical(viaTable, viaScalar))
+                        << sim::backendName(be) << " n=" << n << " pair ("
+                        << a << ", " << b << ")";
+                }
             }
         }
     }
@@ -141,11 +174,16 @@ TEST(Simd, Apply2qDiagMatchesScalarOnAllPairs)
                 if (a == b)
                     continue;
                 const CVector in = randomState(rng, n);
-                CVector viaScalar = in, viaSimd = in;
+                CVector viaScalar = in;
                 sim::scalar::apply2qDiag(viaScalar.data(), n, a, b, d);
-                sim::apply2qDiag(viaSimd.data(), n, a, b, d);
-                EXPECT_TRUE(bitIdentical(viaSimd, viaScalar))
-                    << "n=" << n << " pair (" << a << ", " << b << ")";
+                for (const sim::Backend be : sim::compiledBackends()) {
+                    CVector viaTable = in;
+                    sim::kernelTable(be).apply2qDiagRange(
+                        viaTable.data(), n, a, b, d, 0, quadsOf(n));
+                    EXPECT_TRUE(bitIdentical(viaTable, viaScalar))
+                        << sim::backendName(be) << " n=" << n << " pair ("
+                        << a << ", " << b << ")";
+                }
             }
         }
     }
@@ -155,7 +193,7 @@ TEST(Simd, RangeKernelsMatchFullKernelsOnArbitraryPartitions)
 {
     // Any partition of the group index space — including boundaries
     // that are not SIMD- or cache-aligned — must reassemble the scalar
-    // reference sweep bit for bit, for both the dispatching and the
+    // reference sweep bit for bit, for every compiled table and for the
     // scalar reference range kernels.
     linalg::Rng rng(107);
     const Matrix u2 = linalg::haarUnitary(rng, 2);
@@ -176,60 +214,64 @@ TEST(Simd, RangeKernelsMatchFullKernelsOnArbitraryPartitions)
     };
 
     for (std::size_t n = 4; n <= 9; ++n) {
-        const std::size_t pairs = (std::size_t{1} << n) / 2;
-        const std::size_t quads = (std::size_t{1} << n) / 4;
         for (std::size_t q = 0; q < n; ++q) {
             const CVector in = randomState(rng, n);
-            CVector full = in, ranged = in, scalarRanged = in;
+            CVector full = in, scalarRanged = in, diagFull = in;
             sim::scalar::apply1q(full.data(), n, q, m2);
-            const auto cuts = partitionPoints(pairs);
-            for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
-                sim::apply1qRange(ranged.data(), n, q, m2, cuts[c],
-                                  cuts[c + 1]);
-                sim::scalar::apply1qRange(scalarRanged.data(), n, q, m2,
-                                          cuts[c], cuts[c + 1]);
-            }
-            EXPECT_TRUE(bitIdentical(ranged, full)) << "n=" << n
-                                                    << " q=" << q;
-            EXPECT_TRUE(bitIdentical(scalarRanged, full))
-                << "n=" << n << " q=" << q;
-
-            CVector diagFull = in, diagRanged = in;
             sim::scalar::apply1qDiag(diagFull.data(), n, q, rz(0, 0),
                                      rz(1, 1));
+            const auto cuts = partitionPoints(pairsOf(n));
             for (std::size_t c = 0; c + 1 < cuts.size(); ++c)
-                sim::apply1qDiagRange(diagRanged.data(), n, q, rz(0, 0),
-                                      rz(1, 1), cuts[c], cuts[c + 1]);
-            EXPECT_TRUE(bitIdentical(diagRanged, diagFull))
+                sim::scalar::apply1qRange(scalarRanged.data(), n, q, m2,
+                                          cuts[c], cuts[c + 1]);
+            EXPECT_TRUE(bitIdentical(scalarRanged, full))
                 << "n=" << n << " q=" << q;
+            for (const sim::Backend b : sim::compiledBackends()) {
+                const sim::KernelTable &k = sim::kernelTable(b);
+                CVector ranged = in, diagRanged = in;
+                for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+                    k.apply1qRange(ranged.data(), n, q, m2, cuts[c],
+                                   cuts[c + 1]);
+                    k.apply1qDiagRange(diagRanged.data(), n, q, rz(0, 0),
+                                       rz(1, 1), cuts[c], cuts[c + 1]);
+                }
+                EXPECT_TRUE(bitIdentical(ranged, full))
+                    << sim::backendName(b) << " n=" << n << " q=" << q;
+                EXPECT_TRUE(bitIdentical(diagRanged, diagFull))
+                    << sim::backendName(b) << " n=" << n << " q=" << q;
+            }
         }
         for (std::size_t a = 0; a < n; ++a) {
             for (std::size_t b = 0; b < n; ++b) {
                 if (a == b)
                     continue;
                 const CVector in = randomState(rng, n);
-                CVector full = in, ranged = in, scalarRanged = in;
+                CVector full = in, scalarRanged = in, diagFull = in;
                 sim::scalar::apply2q(full.data(), n, a, b, u4.data());
-                const auto cuts = partitionPoints(quads);
-                for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
-                    sim::apply2qRange(ranged.data(), n, a, b, u4.data(),
-                                      cuts[c], cuts[c + 1]);
+                sim::scalar::apply2qDiag(diagFull.data(), n, a, b, d4);
+                const auto cuts = partitionPoints(quadsOf(n));
+                for (std::size_t c = 0; c + 1 < cuts.size(); ++c)
                     sim::scalar::apply2qRange(scalarRanged.data(), n, a, b,
                                               u4.data(), cuts[c],
                                               cuts[c + 1]);
-                }
-                EXPECT_TRUE(bitIdentical(ranged, full))
-                    << "n=" << n << " pair (" << a << ", " << b << ")";
                 EXPECT_TRUE(bitIdentical(scalarRanged, full))
                     << "n=" << n << " pair (" << a << ", " << b << ")";
-
-                CVector diagFull = in, diagRanged = in;
-                sim::scalar::apply2qDiag(diagFull.data(), n, a, b, d4);
-                for (std::size_t c = 0; c + 1 < cuts.size(); ++c)
-                    sim::apply2qDiagRange(diagRanged.data(), n, a, b, d4,
-                                          cuts[c], cuts[c + 1]);
-                EXPECT_TRUE(bitIdentical(diagRanged, diagFull))
-                    << "n=" << n << " pair (" << a << ", " << b << ")";
+                for (const sim::Backend be : sim::compiledBackends()) {
+                    const sim::KernelTable &k = sim::kernelTable(be);
+                    CVector ranged = in, diagRanged = in;
+                    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+                        k.apply2qRange(ranged.data(), n, a, b, u4.data(),
+                                       cuts[c], cuts[c + 1]);
+                        k.apply2qDiagRange(diagRanged.data(), n, a, b, d4,
+                                           cuts[c], cuts[c + 1]);
+                    }
+                    EXPECT_TRUE(bitIdentical(ranged, full))
+                        << sim::backendName(be) << " n=" << n << " pair ("
+                        << a << ", " << b << ")";
+                    EXPECT_TRUE(bitIdentical(diagRanged, diagFull))
+                        << sim::backendName(be) << " n=" << n << " pair ("
+                        << a << ", " << b << ")";
+                }
             }
         }
     }
@@ -240,7 +282,7 @@ TEST(Simd, DenseKernelMatchesEmbeddingAndRangePartition)
     // The k >= 3 generic fallback previously had no equivalence pin of
     // its own: check it against the dense embedding (1e-12) and check
     // that an arbitrary partition of its group sweep is bit-identical
-    // to the full kernel.
+    // to the whole-register sweep, through every compiled table.
     linalg::Rng rng(108);
     for (std::size_t n = 4; n <= 6; ++n) {
         for (const std::size_t k : {std::size_t{3}, std::size_t{4}}) {
@@ -256,26 +298,28 @@ TEST(Simd, DenseKernelMatchesEmbeddingAndRangePartition)
             const Matrix u =
                 linalg::haarUnitary(rng, std::size_t{1} << k);
             const CVector in = randomState(rng, n);
-
-            CVector viaKernel = in;
-            sim::applyDense(viaKernel.data(), n, u, qubits);
             const CVector viaEmbed = qop::embed(u, qubits, n) * in;
-            EXPECT_LT(maxDiff(viaKernel, viaEmbed), 1e-12)
-                << "n=" << n << " k=" << k;
-
             const std::size_t groups = (std::size_t{1} << n) >> k;
-            CVector viaRange = in;
-            std::size_t g = 0;
-            std::size_t step = 1;
-            while (g < groups) {
-                const std::size_t end = std::min(groups, g + step);
-                sim::applyDenseRange(viaRange.data(), n, u, qubits, g,
-                                     end);
-                g = end;
-                step = step * 2 + 1; // uneven, unaligned chunks
+
+            for (const sim::Backend b : sim::compiledBackends()) {
+                const sim::KernelTable &t = sim::kernelTable(b);
+                CVector viaKernel = in;
+                t.applyDenseRange(viaKernel.data(), n, u, qubits, 0, groups);
+                EXPECT_LT(maxDiff(viaKernel, viaEmbed), 1e-12)
+                    << sim::backendName(b) << " n=" << n << " k=" << k;
+
+                CVector viaRange = in;
+                std::size_t g = 0;
+                std::size_t step = 1;
+                while (g < groups) {
+                    const std::size_t end = std::min(groups, g + step);
+                    t.applyDenseRange(viaRange.data(), n, u, qubits, g, end);
+                    g = end;
+                    step = step * 2 + 1; // uneven, unaligned chunks
+                }
+                EXPECT_TRUE(bitIdentical(viaRange, viaKernel))
+                    << sim::backendName(b) << " n=" << n << " k=" << k;
             }
-            EXPECT_TRUE(bitIdentical(viaRange, viaKernel))
-                << "n=" << n << " k=" << k;
         }
     }
 }
@@ -290,17 +334,23 @@ TEST(Simd, LargeRegisterSpotCheck)
     const Complex m[4] = {u2(0, 0), u2(0, 1), u2(1, 0), u2(1, 1)};
     const Matrix u4 = linalg::haarUnitary(rng, 4);
     const CVector in = randomState(rng, n);
-    CVector viaScalar = in, viaSimd = in;
-    for (std::size_t q = 0; q < n; ++q) {
+    CVector viaScalar = in;
+    for (std::size_t q = 0; q < n; ++q)
         sim::scalar::apply1q(viaScalar.data(), n, q, m);
-        sim::apply1q(viaSimd.data(), n, q, m);
-    }
-    for (std::size_t q = 0; q + 1 < n; q += 2) {
+    for (std::size_t q = 0; q + 1 < n; q += 2)
         sim::scalar::apply2q(viaScalar.data(), n, q, q + 1, u4.data());
-        sim::apply2q(viaSimd.data(), n, q, q + 1, u4.data());
+    for (const sim::Backend b : sim::compiledBackends()) {
+        const sim::KernelTable &k = sim::kernelTable(b);
+        CVector viaTable = in;
+        for (std::size_t q = 0; q < n; ++q)
+            k.apply1qRange(viaTable.data(), n, q, m, 0, pairsOf(n));
+        for (std::size_t q = 0; q + 1 < n; q += 2)
+            k.apply2qRange(viaTable.data(), n, q, q + 1, u4.data(), 0,
+                           quadsOf(n));
+        EXPECT_LT(maxDiff(viaTable, viaScalar), 1e-12)
+            << sim::backendName(b);
+        EXPECT_TRUE(bitIdentical(viaTable, viaScalar)) << sim::backendName(b);
     }
-    EXPECT_LT(maxDiff(viaSimd, viaScalar), 1e-12);
-    EXPECT_TRUE(bitIdentical(viaSimd, viaScalar));
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -421,6 +422,20 @@ TEST(Peephole, DefaultPipelineMatchesPeepholeOff)
                                               without.circuit.toUnitary(),
                                               1e-6))
             << "trial " << trial;
+    }
+}
+
+TEST(Batch, RejectsNegativeThreadCount)
+{
+    linalg::Rng rng(17);
+    const std::vector<Circuit> circuits{randomCircuit(rng, 3, 2)};
+    try {
+        transpile::transpileBatch(circuits, {}, -2);
+        FAIL() << "a negative thread count must be rejected";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("transpileBatch"), std::string::npos) << what;
+        EXPECT_NE(what.find("-2"), std::string::npos) << what;
     }
 }
 
