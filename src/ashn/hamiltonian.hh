@@ -39,6 +39,26 @@ Matrix evolve(double tau, double h, double omega1, double omega2,
               double delta);
 
 /**
+ * The triplet part of trace(evolve(tau, h, omega, 0, delta) * YY), in
+ * closed form: the full trace plus e^{i(2+h)tau/2}.
+ *
+ * With Omega2 = 0 the Hamiltonian commutes with SWAP. The singlet
+ * (|01> - |10>)/sqrt2 is an exact eigenvector with energy -(2+h)/2 and
+ * YY eigenvalue -1, so it adds -e^{i(2+h)tau/2} to the trace. In the
+ * triplet basis {|00>, |11>, (|01> + |10>)/sqrt2} the rest of H is the
+ * real symmetric block
+ *   T = [[h/2 + 2 delta, 0,             sqrt2 omega],
+ *        [0,             h/2 - 2 delta, sqrt2 omega],
+ *        [sqrt2 omega,   sqrt2 omega,   1 - h/2    ]]
+ * and YY is P = [[0, -1, 0], [-1, 0, 0], [0, 0, 1]]. With T = sum_k
+ * lambda_k v_k v_k^T, the result is sum_k e^{-i lambda_k tau} v_k^T P v_k:
+ * one 3x3 real-symmetric eigenproblem on the stack, where evolve()
+ * needs a heap-allocated complex 4x4 one. evolve() is its test oracle.
+ */
+linalg::Complex symmetricSlotTrace(double tau, double h, double omega,
+                                   double delta);
+
+/**
  * Drive amplitudes of Eq. (4.2): A1 = -2(Omega1 + Omega2) and
  * A2 = -2(Omega1 - Omega2).
  */

@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "qop/gates.hh"
+#include "obs/obs.hh"
 #include "weyl/optimal_time.hh"
 
 namespace crisc {
@@ -47,6 +47,7 @@ invSinc(double v)
 bool
 verified(const GateParams &p, const WeylPoint &target, double tol = 1e-5)
 {
+    OBS_SPAN("ashn.verify");
     const WeylPoint want = canonicalizePoint(target);
     const WeylPoint got = weylCoordinates(realize(p));
     return pointDistance(want, got) <= tol;
@@ -85,16 +86,23 @@ solveNDDrive(double v, double t, double tau)
 
 /**
  * Solves the symmetric-slot equal-amplitude problem for the spectrum
- * representative (a, b, c): find (omega, delta) such that
- * U(tau; h; omega, 0, delta) with tau = 2(a+b+c)/(2+h) has the spectrum
+ * representative (a, b, c) (App. A.5): find (omega, delta) such that
+ * U = U(tau; h; omega, 0, delta) with tau = 2(a+b+c)/(2+h) has the
+ * spectrum
  *   { -e^{i(a+b+c)}, e^{i(a-b-c)}, -e^{i(-a+b-c)}, e^{i(-a-b+c)} }
- * when multiplied by YY. The singlet is an exact eigenvector of the
- * symmetric-slot Hamiltonian with energy -(2+h)/2, so the first element
- * is automatic and matching the trace pins down the rest (App. A.5).
- * The realized gate canonicalizes to (a, b, -c) in this library's
- * coordinate convention.
+ * when multiplied by YY. The realized gate canonicalizes to (a, b, -c)
+ * in this library's coordinate convention.
  *
- * @return candidate {tau, omega, delta} triples, best residual first.
+ * With Omega2 = 0 the Hamiltonian commutes with SWAP, so the singlet is
+ * an exact eigenvector: its energy -(2+h)/2 and this tau make the first
+ * element automatic. The other three live in the real symmetric 3x3
+ * triplet block (see symmetricSlotTrace), and matching their trace
+ *   symmetricSlotTrace(tau, h, omega, delta)
+ *     = e^{i(a-b-c)} - e^{i(-a+b-c)} + e^{i(-a-b+c)}
+ * pins down the rest. Every residual evaluation is one 3x3 real Jacobi
+ * solve on the stack.
+ *
+ * @return candidate {tau, omega, delta} triples, weakest drives first.
  * Near spectral degeneracies the coordinate error grows like the square
  * root of the trace residual, so callers must verify each candidate
  * against the target instead of trusting the first root.
@@ -109,24 +117,24 @@ solveEASymmetricSlot(double a, double b, double c, double h)
     const Complex tTarget = std::polar(1.0, a - b - c) -
                             std::polar(1.0, -a + b - c) +
                             std::polar(1.0, -a - b + c);
-    const Complex constTerm =
-        std::polar(1.0, (2.0 + h) * tau / 2.0) - tTarget;
     auto residual = [&](double om, double d) {
-        const Matrix u = evolve(tau, h, std::abs(om), 0.0, std::abs(d));
-        return (u * qop::pauliYY()).trace() + constTerm;
+        return symmetricSlotTrace(tau, h, std::abs(om), std::abs(d)) -
+               tTarget;
     };
 
     // Seed Newton from every local minimum of |residual| on a coarse
     // grid (the landscape has several basins; the global grid minimum
     // alone can sit in a rootless one).
     const double bound = 2.0 * (kPi / tau + 1.0);
-    const int grid = 32;
-    std::vector<std::vector<double>> err(grid + 1,
-                                         std::vector<double>(grid + 1));
-    for (int i = 0; i <= grid; ++i)
-        for (int j = 0; j <= grid; ++j)
-            err[i][j] =
-                std::abs(residual(bound * i / grid, bound * j / grid));
+    constexpr int grid = 32;
+    std::array<std::array<double, grid + 1>, grid + 1> err{};
+    {
+        OBS_SPAN("ashn.grid");
+        for (int i = 0; i <= grid; ++i)
+            for (int j = 0; j <= grid; ++j)
+                err[i][j] =
+                    std::abs(residual(bound * i / grid, bound * j / grid));
+    }
     struct Seed
     {
         double om, d, e;
@@ -160,6 +168,7 @@ solveEASymmetricSlot(double a, double b, double c, double h)
         double e, om, d;
     };
     std::vector<Root> found;
+    OBS_SPAN("ashn.newton");
     for (const Seed &seed : seeds) {
         double om = seed.om, d = seed.d;
         Complex f = residual(om, d);
@@ -363,9 +372,36 @@ synthesizeEAMinus(const WeylPoint &target, double h)
     failSynthesis("AshN-EA-", target, h);
 }
 
+void
+checkControls(const char *caller, double h, double r,
+              const WeylPoint *target)
+{
+    const double rMax = (1.0 - std::abs(h)) * kPi / 2.0;
+    const bool hOk = std::isfinite(h) && std::abs(h) <= 1.0;
+    const bool rOk = std::isfinite(r) && r >= 0.0 && r <= rMax + 1e-12;
+    const bool targetOk = !target || (std::isfinite(target->x) &&
+                                      std::isfinite(target->y) &&
+                                      std::isfinite(target->z));
+    if (hOk && rOk && targetOk)
+        return;
+    std::ostringstream msg;
+    msg << caller << ": ";
+    if (!hOk)
+        msg << "ZZ coupling ratio h = " << h
+            << " must be finite with |h| <= 1";
+    else if (!rOk)
+        msg << "drive cutoff r = " << r << " must lie in [0, (1-|h|)*pi/2]"
+            << " = [0, " << rMax << "]";
+    else
+        msg << "non-finite target (" << target->x << ", " << target->y
+            << ", " << target->z << ")";
+    throw std::invalid_argument(msg.str());
+}
+
 double
 gateTime(const WeylPoint &target, double h, double r)
 {
+    checkControls("gateTime", h, r, &target);
     const WeylPoint p = canonicalizePoint(target);
     const double topt = weyl::optimalTime(p, h);
     if (topt <= r)
@@ -376,10 +412,7 @@ gateTime(const WeylPoint &target, double h, double r)
 GateParams
 synthesize(const WeylPoint &target, double h, double r)
 {
-    if (std::abs(h) > 1.0)
-        throw std::invalid_argument("synthesize: |h| must be <= 1");
-    if (r < 0.0 || r > (1.0 - std::abs(h)) * kPi / 2.0 + 1e-12)
-        throw std::invalid_argument("synthesize: cutoff r out of range");
+    checkControls("synthesize", h, r, &target);
 
     const WeylPoint p = canonicalizePoint(target);
     if (p.x < kTiny && p.y < kTiny && std::abs(p.z) < kTiny)

@@ -87,9 +87,20 @@ GateParams synthesizeEAMinus(const WeylPoint &target, double h);
  * The gate time the scheme assigns to a canonical target under cutoff
  * r, without solving for drive parameters: tau_opt when the optimal-time
  * branch applies, pi - 2x when AshN-ND-EXT takes over. Used by the
- * quantum-volume cost model.
+ * quantum-volume cost model. Rejects the arguments synthesize rejects.
  */
 double gateTime(const WeylPoint &target, double h, double r);
+
+/**
+ * The one argument check of the AshN controls: throws
+ * std::invalid_argument, naming @p caller and the offending value,
+ * unless h is finite with |h| <= 1, r is finite in [0, (1-|h|) pi/2]
+ * (the cutoffs synthesize can realize), and — when @p target is given —
+ * every coordinate of the target is finite. synthesize, gateTime,
+ * cnotClassParams and device::AshNGateSet all call it.
+ */
+void checkControls(const char *caller, double h, double r,
+                   const WeylPoint *target = nullptr);
 
 /** The mirrored representative (pi/2 - x, y, -z) of a chamber point. */
 WeylPoint mirrorPoint(const WeylPoint &p);

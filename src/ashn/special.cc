@@ -33,8 +33,7 @@ bGatePoint()
 GateParams
 cnotClassParams(double h)
 {
-    if (std::abs(h) > 1.0)
-        throw std::invalid_argument("cnotClassParams: |h| must be <= 1");
+    checkControls("cnotClassParams", h, 0.0);
     const double sm = std::sqrt(16.0 - (1.0 - h) * (1.0 - h));
     const double sp = std::sqrt(16.0 - (1.0 + h) * (1.0 + h));
     // A1 = -(sm + sp)/2, A2 = -(sm - sp)/2; convert through Eq. (4.2).

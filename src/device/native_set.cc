@@ -35,14 +35,9 @@ nativeKindName(NativeKind k)
 
 AshNGateSet::AshNGateSet(double h, double r) : h_(h), r_(r)
 {
-    if (std::abs(h) > 1.0)
-        throw std::invalid_argument(
-            "AshNGateSet: ZZ coupling ratio |h| must be <= 1");
-    // Mirror ashn::synthesize's realizability bound so an unusable
-    // cutoff fails at Device construction, not mid-transpile.
-    if (r < 0.0 || r > (1.0 - std::abs(h)) * M_PI / 2.0 + 1e-12)
-        throw std::invalid_argument(
-            "AshNGateSet: drive cutoff r must lie in [0, (1-|h|)*pi/2]");
+    // An unusable h or cutoff fails at Device construction, not
+    // mid-transpile.
+    ashn::checkControls("AshNGateSet", h, r);
 }
 
 GateCost

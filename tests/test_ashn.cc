@@ -5,7 +5,14 @@
  * classes, and the free virtual-Z property.
  */
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -75,6 +82,49 @@ TEST(Hamiltonian, ZeroPhaseReducesToStandardForm)
     const Matrix b = ashn::hamiltonianWithPhases(
         h, ashn::driveA1(om1, om2), 0.0, ashn::driveA2(om1, om2), 0.0, d);
     EXPECT_LT(linalg::maxAbsDiff(a, b), 1e-12);
+}
+
+/** The closed form's oracle: the full 4x4 evolution, singlet removed. */
+linalg::Complex
+tripletTraceViaEvolve(double tau, double h, double omega, double delta)
+{
+    return (ashn::evolve(tau, h, omega, 0.0, delta) * qop::pauliYY())
+               .trace() +
+           std::polar(1.0, (2.0 + h) * tau / 2.0);
+}
+
+TEST(Hamiltonian, SymmetricSlotTraceMatchesEvolve)
+{
+    // Random draws over the EA solver's whole seed-grid domain:
+    // tau in (0, pi], |h| <= 1, and omega, delta in [0, 2(pi/tau + 1)].
+    linalg::Rng rng(4242);
+    for (int i = 0; i < 400; ++i) {
+        const double tau = M_PI * (1.0 - rng.uniform());
+        const double h = rng.uniform(-1.0, 1.0);
+        const double bound = 2.0 * (M_PI / tau + 1.0);
+        const double om = rng.uniform(0.0, bound);
+        const double d = rng.uniform(0.0, bound);
+        EXPECT_LT(std::abs(ashn::symmetricSlotTrace(tau, h, om, d) -
+                           tripletTraceViaEvolve(tau, h, om, d)),
+                  1e-12)
+            << "tau=" << tau << " h=" << h << " om=" << om << " d=" << d;
+    }
+    // Edges: no drive, no detuning, both (T already diagonal, with the
+    // |00>/|11> pair degenerate), h = +-1, and tau -> 0.
+    for (const double tau : {1e-9, 1e-4, 0.7, M_PI})
+        for (const double h : {-1.0, 0.0, 1.0})
+            for (const double om : {0.0, 0.3, 2.5})
+                for (const double d : {0.0, 0.45, 1.7}) {
+                    EXPECT_LT(
+                        std::abs(ashn::symmetricSlotTrace(tau, h, om, d) -
+                                 tripletTraceViaEvolve(tau, h, om, d)),
+                        1e-12)
+                        << "tau=" << tau << " h=" << h << " om=" << om
+                        << " d=" << d;
+                }
+    // At tau = 0 the evolution is the identity: trace(P) = 1.
+    EXPECT_LT(std::abs(ashn::symmetricSlotTrace(0.0, 0.3, 0.8, 0.2) - 1.0),
+              1e-15);
 }
 
 TEST(SchemeND, RealizesCnotClassAtOptimalTime)
@@ -279,6 +329,146 @@ TEST(Scheme, RejectsInvalidArguments)
     EXPECT_THROW(ashn::synthesize({0.1, 0, 0}, 0.5, M_PI / 2.0),
                  std::invalid_argument);
     EXPECT_THROW(ashn::driveBound(0.0), std::invalid_argument);
+
+    // Non-finite controls and targets fail loudly, before any search.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const WeylPoint p{0.5, 0.3, 0.1};
+    EXPECT_THROW(ashn::synthesize(p, 0.1, nan), std::invalid_argument);
+    EXPECT_THROW(ashn::synthesize(p, nan, 0.0), std::invalid_argument);
+    EXPECT_THROW(ashn::synthesize(p, inf, 0.0), std::invalid_argument);
+    EXPECT_THROW(ashn::synthesize({nan, 0.3, 0.1}, 0.1, 0.0),
+                 std::invalid_argument);
+    EXPECT_THROW(ashn::synthesize({0.5, 0.3, inf}, 0.1, 0.0),
+                 std::invalid_argument);
+    // gateTime shares synthesize's domain.
+    EXPECT_THROW(ashn::gateTime(p, nan, 0.0), std::invalid_argument);
+    EXPECT_THROW(ashn::gateTime(p, 1.5, 0.0), std::invalid_argument);
+    EXPECT_THROW(ashn::gateTime(p, 0.1, -1.0), std::invalid_argument);
+    EXPECT_THROW(ashn::gateTime(p, 0.1, nan), std::invalid_argument);
+    EXPECT_THROW(ashn::gateTime(p, 0.5, M_PI / 2.0), std::invalid_argument);
+    EXPECT_THROW(ashn::gateTime({nan, 0.1, 0.0}, 0.1, 0.0),
+                 std::invalid_argument);
+    EXPECT_THROW(ashn::cnotClassParams(nan), std::invalid_argument);
+    // The message names the caller and the value.
+    try {
+        ashn::gateTime(p, 0.1, -1.0);
+        FAIL() << "gateTime accepted r = -1";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("gateTime"), std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("-1"), std::string::npos);
+    }
+    // The bounds themselves stay valid.
+    EXPECT_NO_THROW(ashn::gateTime(p, 1.0, 0.0));
+    EXPECT_NO_THROW(ashn::gateTime(p, 0.0, M_PI / 2.0));
+}
+
+TEST(Scheme, SubSchemeAndTimeUnchanged)
+{
+    // Sub-scheme and the bit pattern of tau for sixteen Haar chamber
+    // points (weyl::sampleChamber, Rng(20240427)) under three ZZ ratios
+    // and two cutoffs, recorded from the 4x4-evolve EA solver. tau only
+    // depends on the sub-scheme, so a root the symmetric-slot solve
+    // misses shows up here as a fallback with a different scheme and
+    // time. r = 1.1 is clipped to each h's bound (1-|h|) pi/2.
+    const WeylPoint points[] = {
+        {0.55334488089966294, 0.43740846609556094, -0.31323136080960057},
+        {0.62716601974160757, 0.24491705706754555, 0.067186315616558634},
+        {0.74632752175347628, 0.55629990853209577, 0.011836878430977471},
+        {0.75441066584848226, 0.47172555182334214, -0.12118692074317894},
+        {0.53970542975312219, 0.38563167784831753, -0.029665126839119815},
+        {0.68480046607706169, 0.47491840327336593, 0.23561719634693956},
+        {0.59449134286919902, 0.56461509951305633, -0.26256795264667687},
+        {0.7435893380759665, 0.41589891285547748, 0.0055960860486158337},
+        {0.6278923945722048, 0.59607634663654285, 0.2621243144134795},
+        {0.4122516593156505, 0.2773946377944394, 0.015488193252999216},
+        {0.5414238290364225, 0.45980143625616277, 0.06188309447011775},
+        {0.76566573076418531, 0.51289583588675702, -0.18187566798841326},
+        {0.6757649312442443, 0.37663950313331857, -0.017798203568680782},
+        {0.72175380931402, 0.4647281827446354, 0.086256204285780624},
+        {0.76442207824346875, 0.7122865123878187, 0.21875821860651512},
+        {0.71768536609286371, 0.14811217088356629, 0.059378311995869959},
+    };
+    using S = SubScheme;
+    struct Pinned
+    {
+        SubScheme scheme;
+        std::uint64_t tauBits;
+    };
+    const Pinned pinned[] = {
+        // h = 0.1, r = 0
+        {S::EAPlus, 0x3ff3dec84193e601}, {S::ND, 0x3ff411be78fe7c7a},
+        {S::ND, 0x3ff7e1ea4141262b}, {S::ND, 0x3ff82421d6325481},
+        {S::ND, 0x3ff1454452486cd5}, {S::EAMinus, 0x3ff7801a02cf2644},
+        {S::EAPlus, 0x3ff5a9e25570e977}, {S::ND, 0x3ff7cb7bde161919},
+        {S::EAMinus, 0x3ff90768540bf5fa}, {S::ND, 0x3fea6254c89ee081},
+        {S::EAMinus, 0x3ff1e7acf59c610f}, {S::ND, 0x3ff880556b299a8f},
+        {S::ND, 0x3ff59fddc6ef4977}, {S::ND, 0x3ff7189b71d88c61},
+        {S::EAPlus, 0x3ffa7996b55e74fc}, {S::ND, 0x3ff6f7474d05f8ee},
+        // h = 0.1, r = 1.1
+        {S::EAPlus, 0x3ff3dec84193e601}, {S::ND, 0x3ff411be78fe7c7a},
+        {S::ND, 0x3ff7e1ea4141262b}, {S::ND, 0x3ff82421d6325481},
+        {S::NDExt, 0x40007f592b1ff6ae}, {S::EAMinus, 0x3ff7801a02cf2644},
+        {S::EAPlus, 0x3ff5a9e25570e977}, {S::ND, 0x3ff7cb7bde161919},
+        {S::EAMinus, 0x3ff90768540bf5fa}, {S::NDExt, 0x40028966221c74f8},
+        {S::EAMinus, 0x3ff1e7acf59c610f}, {S::ND, 0x3ff880556b299a8f},
+        {S::ND, 0x3ff59fddc6ef4977}, {S::ND, 0x3ff7189b71d88c61},
+        {S::EAPlus, 0x3ffa7996b55e74fc}, {S::ND, 0x3ff6f7474d05f8ee},
+        // h = -0.3, r = 0
+        {S::EAPlus, 0x3ff88bac14c5c1c6}, {S::ND, 0x3ff411be78fe7c7a},
+        {S::EAPlus, 0x3ff84c1785a1e808}, {S::EAPlus, 0x3ff95c832f574693},
+        {S::EAPlus, 0x3ff1f9fcbba08c5d}, {S::ND, 0x3ff5e9e2aac2c4ea},
+        {S::EAPlus, 0x3ffac2cc4b6d5ca3}, {S::ND, 0x3ff7cb7bde161919},
+        {S::EAMinus, 0x3ff4ad1366d23a80}, {S::ND, 0x3fea6254c89ee081},
+        {S::EAPlus, 0x3ff1ae862f0471ef}, {S::ND, 0x3ff9c3a13d5ebfa1},
+        {S::ND, 0x3ff59fddc6ef4977}, {S::ND, 0x3ff7189b71d88c61},
+        {S::ND, 0x3ff876254a4cac74}, {S::ND, 0x3ff6f7474d05f8ee},
+        // h = -0.3, r = 1.09956
+        {S::EAPlus, 0x3ff88bac14c5c1c6}, {S::ND, 0x3ff411be78fe7c7a},
+        {S::EAPlus, 0x3ff84c1785a1e808}, {S::EAPlus, 0x3ff95c832f574693},
+        {S::EAPlus, 0x3ff1f9fcbba08c5d}, {S::ND, 0x3ff5e9e2aac2c4ea},
+        {S::EAPlus, 0x3ffac2cc4b6d5ca3}, {S::ND, 0x3ff7cb7bde161919},
+        {S::EAMinus, 0x3ff4ad1366d23a80}, {S::NDExt, 0x40028966221c74f8},
+        {S::EAPlus, 0x3ff1ae862f0471ef}, {S::ND, 0x3ff9c3a13d5ebfa1},
+        {S::ND, 0x3ff59fddc6ef4977}, {S::ND, 0x3ff7189b71d88c61},
+        {S::ND, 0x3ff876254a4cac74}, {S::ND, 0x3ff6f7474d05f8ee},
+        // h = 0.8, r = 0
+        {S::EAMinus, 0x3ff211377d8504e3}, {S::EAMinus, 0x3ff90c143cc56481},
+        {S::EAMinus, 0x400186b4706bf52c}, {S::EAMinus, 0x3ffd771edb4be9a7},
+        {S::EAMinus, 0x3ff7e2743cf878de}, {S::EAMinus, 0x3ffe020729d072b4},
+        {S::EAMinus, 0x3ff7e85e9285dabc}, {S::EAMinus, 0x3fff11a474caf720},
+        {S::EAMinus, 0x40010655c437f5f5}, {S::EAMinus, 0x3ff2cdb7d6c5188a},
+        {S::EAMinus, 0x3ffc597c84e24458}, {S::EAMinus, 0x3ffd3eb5857e65f2},
+        {S::EAMinus, 0x3ffb96e9703efc6d}, {S::EAMinus, 0x40005dea888db1bc},
+        {S::EAMinus, 0x400155002c6c15a1}, {S::EAMinus, 0x3ff8abddfc2a44b4},
+        // h = 0.8, r = 0.314159
+        {S::EAMinus, 0x3ff211377d8504e3}, {S::EAMinus, 0x3ff90c143cc56481},
+        {S::EAMinus, 0x400186b4706bf52c}, {S::EAMinus, 0x3ffd771edb4be9a7},
+        {S::EAMinus, 0x3ff7e2743cf878de}, {S::EAMinus, 0x3ffe020729d072b4},
+        {S::EAMinus, 0x3ff7e85e9285dabc}, {S::EAMinus, 0x3fff11a474caf720},
+        {S::EAMinus, 0x40010655c437f5f5}, {S::EAMinus, 0x3ff2cdb7d6c5188a},
+        {S::EAMinus, 0x3ffc597c84e24458}, {S::EAMinus, 0x3ffd3eb5857e65f2},
+        {S::EAMinus, 0x3ffb96e9703efc6d}, {S::EAMinus, 0x40005dea888db1bc},
+        {S::EAMinus, 0x400155002c6c15a1}, {S::EAMinus, 0x3ff8abddfc2a44b4},
+    };
+    std::size_t n = 0;
+    for (const double h : {0.1, -0.3, 0.8})
+        for (const double r0 : {0.0, 1.1}) {
+            const double r = std::min(r0, (1.0 - std::abs(h)) * M_PI / 2.0);
+            for (const WeylPoint &p : points) {
+                const GateParams g = ashn::synthesize(p, h, r);
+                ASSERT_LT(n, std::size(pinned));
+                EXPECT_EQ(g.scheme, pinned[n].scheme)
+                    << "point " << n % 16 << " h=" << h << " r=" << r << ": "
+                    << ashn::subSchemeName(g.scheme);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(g.tau),
+                          pinned[n].tauBits)
+                    << "point " << n % 16 << " h=" << h << " r=" << r
+                    << " tau=" << g.tau;
+                ++n;
+            }
+        }
+    EXPECT_EQ(n, std::size(pinned));
 }
 
 TEST(AverageGateTime, ClosedFormMatchesQuadrature)

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -107,6 +108,26 @@ TEST(DeviceValidation, RejectsBadParameters)
     EXPECT_THROW(Device::grid2dAshN(4, {.r = 2.0}), std::invalid_argument);
     EXPECT_THROW(Device::grid2dAshN(4, {.h = 0.5, .r = 1.0}),
                  std::invalid_argument);
+    // AshNGateSet runs ashn::synthesize's own argument check, so a
+    // non-finite h or cutoff fails at construction too, naming the set.
+    EXPECT_THROW(device::AshNGateSet(std::nan(""), 0.0),
+                 std::invalid_argument);
+    EXPECT_THROW(device::AshNGateSet(0.1, std::nan("")),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        device::AshNGateSet(0.1, std::numeric_limits<double>::infinity()),
+        std::invalid_argument);
+    EXPECT_THROW(Device::grid2dAshN(4, {.h = std::nan("")}),
+                 std::invalid_argument);
+    try {
+        device::AshNGateSet bad(0.1, std::nan(""));
+        ADD_FAILURE() << "AshNGateSet accepted r = NaN";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("AshNGateSet"),
+                  std::string::npos);
+    }
+    EXPECT_NO_THROW(device::AshNGateSet(1.0, 0.0));
+    EXPECT_NO_THROW(device::AshNGateSet(0.0, M_PI / 2.0));
     EXPECT_THROW(Device("x", CouplingMap::line(2), nullptr, {}),
                  std::invalid_argument);
 

@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "ashn/scheme.hh"
+#include "ashn/special.hh"
 #include "circuit/circuit.hh"
 #include "device/weyl_cache.hh"
 #include "linalg/random.hh"
@@ -389,6 +391,42 @@ TEST(Obs, WeylCacheHitMissCounters)
     EXPECT_EQ(counterValue(t, "weyl_cache.miss"), 1u);
     EXPECT_EQ(counterValue(t, "weyl_cache.hit"), 1u);
     EXPECT_EQ(eventsNamed(t, "weyl.synthesize").size(), 1u);
+}
+
+TEST(Obs, AshnSynthesisStageSpans)
+{
+    if (!obs::compiledIn())
+        GTEST_SKIP() << "built with -DCRISC_OBS=OFF";
+    // SWAP takes the EA- branch, so one synthesis runs the seed grid,
+    // Newton and at least one candidate verification.
+    obs::TraceSession session;
+    session.start();
+    ashn::synthesize(ashn::swapPoint(), 0.0, 0.0);
+    session.stop();
+    const obs::Trace direct = session.collect();
+    EXPECT_EQ(eventsNamed(direct, "ashn.grid").size(), 1u);
+    EXPECT_EQ(eventsNamed(direct, "ashn.newton").size(), 1u);
+    EXPECT_GE(eventsNamed(direct, "ashn.verify").size(), 1u);
+
+    // Through the Weyl cache, every stage span nests inside the one
+    // weyl.synthesize span, so perfbench's ledger counts it once.
+    session.start();
+    device::WeylCache cache;
+    cache.lookup(ashn::swapPoint(), 0.0, 0.0);
+    session.stop();
+    const obs::Trace viaCache = session.collect();
+    const auto outer = eventsNamed(viaCache, "weyl.synthesize");
+    ASSERT_EQ(outer.size(), 1u);
+    for (const char *stage : {"ashn.grid", "ashn.newton", "ashn.verify"}) {
+        const auto events = eventsNamed(viaCache, stage);
+        EXPECT_FALSE(events.empty()) << stage;
+        for (const obs::SpanEvent &e : events) {
+            EXPECT_EQ(e.tid, outer[0].tid) << stage;
+            EXPECT_LE(outer[0].t0Ns, e.t0Ns) << stage;
+            EXPECT_GE(outer[0].t0Ns + outer[0].durNs, e.t0Ns + e.durNs)
+                << stage;
+        }
+    }
 }
 
 TEST(Obs, TimedSpanMatchesRecordedDuration)
