@@ -4,7 +4,7 @@
  * two-qubit gate count when numerically instantiating circuits against
  * Haar-random targets — generic SU(4) gates versus CNOTs — at n = 3 and
  * n = 4. The paper uses 1000 targets per point with QFactor; here a
- * CI-sized sample (documented in EXPERIMENTS.md) shows the same cliff:
+ * CI-sized sample (the target counts in main) shows the same cliff:
  * the error plummets once the count crosses the dimension-counting
  * lower bound (6 generic / 14 CNOT at n = 3; 27 / 61 at n = 4).
  */

@@ -60,7 +60,7 @@ main()
                 "AshN (N) 6 / 27, CNOT (A) 20 / 100, AshN (A) 11 / 68.\n");
     std::printf("  Note: the analytic 3-qubit construction here reaches %zu "
                 "generic gates; the paper's final regrouping step reaches "
-                "11 (see DESIGN.md).\n",
+                "11 (that step is not implemented).\n",
                 c3.twoQubitCount());
     std::printf("  The numerical counts (6 and 27) are demonstrated in "
                 "bench_fig6_numeric.\n");

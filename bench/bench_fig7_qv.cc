@@ -7,7 +7,7 @@
  * device::Device once per width and hands it to the harness — the
  * coupling map, native gate set, and noise model all come from the
  * device. Sample counts are comparable to the paper's 1350 circuit
- * samples (documented in EXPERIMENTS.md).
+ * samples: 120 circuits x 24 noise trajectories per point.
  *
  * usage: bench_fig7_qv [--trace PATH]
  *

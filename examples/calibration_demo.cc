@@ -93,9 +93,10 @@ main()
 
     // The fitted model travels with the device: anything compiling
     // against it can read the transfer gains back off the target.
-    device::Device dev = device::Device::grid2dAshN(
-        9, {.twoQubitError = 0.01, .singleQubitError = 0.001, .h = 0.0,
-            .r = 1.1});
+    device::Device dev = device::Device::grid2d(
+        device::NativeKind::AshN, 9,
+        {.twoQubitError = 0.01, .singleQubitError = 0.001, .h = 0.0,
+         .r = 1.1});
     dev.setControl(r.fitted);
     std::printf("\n   device \"%s\" calibrated: gains %.3f %.3f %.3f\n",
                 dev.name().c_str(), dev.control()->gainOmega1,

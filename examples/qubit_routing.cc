@@ -30,7 +30,8 @@ int
 main()
 {
     const std::size_t n = 9;
-    const device::Device grid = device::Device::grid2dAshN(n);
+    const device::Device grid =
+        device::Device::grid2d(device::NativeKind::AshN, n);
     linalg::Rng rng(7);
 
     // Workload: 40 two-qubit interactions between random logical pairs,
@@ -111,7 +112,8 @@ main()
                 3.0 * czT / ashn);
     std::printf("(note: the paper quotes 4(sqrt2+1)/3 = 3.219x for the "
                 "fSim-style scheme; with tau_SWAP = 3pi/4g the ratio "
-                "evaluates to 2(sqrt2+1)/3 = 1.609x — see EXPERIMENTS.md)\n");
+                "evaluates to 2(sqrt2+1)/3 = 1.609x, half the quoted "
+                "figure)\n");
 
     // And the ZZ bonus: the stronger the parasitic coupling, the faster
     // the native SWAP (tau = 3pi / (4(1+|h|/2))).

@@ -97,7 +97,8 @@ double gateTime(const WeylPoint &target, double h, double r);
  * unless h is finite with |h| <= 1, r is finite in [0, (1-|h|) pi/2]
  * (the cutoffs synthesize can realize), and — when @p target is given —
  * every coordinate of the target is finite. synthesize, gateTime,
- * cnotClassParams and device::AshNGateSet all call it.
+ * cnotClassParams, device::AshNGateSet and device::makeNativeGateSet
+ * (for every native kind) all call it.
  */
 void checkControls(const char *caller, double h, double r,
                    const WeylPoint *target = nullptr);

@@ -40,9 +40,10 @@ NoiseModel::validate() const
 {
     checkRate(twoQubitError, "twoQubitError");
     checkRate(singleQubitError, "singleQubitError");
-    if (!(referenceTime > 0.0))
+    if (!(std::isfinite(referenceTime) && referenceTime > 0.0))
         throw std::invalid_argument(
-            "NoiseModel: referenceTime must be positive");
+            "NoiseModel: referenceTime must be finite and positive, got " +
+            std::to_string(referenceTime));
 }
 
 Device::Device(std::string name, route::CouplingMap coupling,
@@ -63,35 +64,6 @@ Device
 Device::grid2d(NativeKind kind, std::size_t n, const Params &p)
 {
     return {presetName(kind, "grid2d"), route::CouplingMap::gridFor(n),
-            makeNativeGateSet(kind, p.h, p.r), noiseFor(p)};
-}
-
-Device
-Device::grid2dAshN(std::size_t n, const Params &p)
-{
-    return grid2d(NativeKind::AshN, n, p);
-}
-
-Device
-Device::grid2dCZ(std::size_t n, const Params &p)
-{
-    return grid2d(NativeKind::CZ, n, p);
-}
-
-Device
-Device::grid2dSqisw(std::size_t n, const Params &p)
-{
-    return grid2d(NativeKind::SQiSW, n, p);
-}
-
-Device
-Device::fromEdges(
-    NativeKind kind, std::size_t n,
-    const std::vector<std::pair<std::size_t, std::size_t>> &edges,
-    const Params &p)
-{
-    return {presetName(kind, "custom"),
-            route::CouplingMap::fromEdges(n, edges),
             makeNativeGateSet(kind, p.h, p.r), noiseFor(p)};
 }
 

@@ -8,12 +8,13 @@
  *   - the noise model: gate-time-proportional depolarizing rates,
  *   - optionally, a fitted calib::ControlModel (transfer gains).
  *
- * A Device is constructed once and threaded through the stack: the
- * transpiler routes onto its coupling map and lowers through its gate
- * set (transpile::TranspileOptions::device), and the quantum-volume
+ * A Device is the one way to name a target. It is constructed once and
+ * threaded through the stack: the transpiler routes onto its coupling
+ * map and lowers through its gate set
+ * (transpile::TranspileOptions::device), and the quantum-volume
  * harness derives per-gate noise budgets from its cost and noise
- * models (qv::QvConfig::device). Presets cover the paper's three
- * Figure-7 scenarios; fromEdges / withCoupling build anything else.
+ * models (qv::QvConfig::device). grid2d(kind, n) builds the paper's
+ * three Figure-7 scenarios; withCoupling builds anything else.
  */
 
 #ifndef CRISC_DEVICE_DEVICE_HH
@@ -23,7 +24,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "calib/model.hh"
 #include "device/native_set.hh"
@@ -56,7 +56,7 @@ struct NoiseModel
     void validate() const;
 };
 
-/** Preset knobs shared by the Device factory constructors. */
+/** Parameters shared by the Device factories (grid2d, withCoupling). */
 struct DeviceParams
 {
     double twoQubitError = 0.01;     ///< CZ-referenced 2q rate.
@@ -79,25 +79,16 @@ class Device
     Device(std::string name, route::CouplingMap coupling,
            std::shared_ptr<const NativeGateSet> gate_set, NoiseModel noise);
 
-    // --- canned presets (the paper's Figure-7 devices) --------------
+    // --- factories ---------------------------------------------------
 
-    /** Most-square 2D grid of n qubits, AshN-native. */
-    static Device grid2dAshN(std::size_t n, const Params &p = {});
-    /** Most-square 2D grid of n qubits, CZ-native. */
-    static Device grid2dCZ(std::size_t n, const Params &p = {});
-    /** Most-square 2D grid of n qubits, SQiSW-native. */
-    static Device grid2dSqisw(std::size_t n, const Params &p = {});
-    /** Grid preset dispatching on @p kind. */
+    /** Most-square 2D grid of n qubits (the paper's Figure-7 devices). */
     static Device grid2d(NativeKind kind, std::size_t n,
                          const Params &p = {});
 
-    /** Custom connectivity from an undirected edge list. */
-    static Device
-    fromEdges(NativeKind kind, std::size_t n,
-              const std::vector<std::pair<std::size_t, std::size_t>> &edges,
-              const Params &p = {});
-
-    /** Any prebuilt coupling map (line, ring, heavyHex, ...). */
+    /**
+     * Any prebuilt coupling map (line, ring, heavyHex, fromEdges,
+     * full, ...).
+     */
     static Device withCoupling(NativeKind kind, route::CouplingMap coupling,
                                const Params &p = {});
 

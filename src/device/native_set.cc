@@ -328,6 +328,11 @@ SqiswGateSet::lower(const Matrix &u) const
 std::shared_ptr<const NativeGateSet>
 makeNativeGateSet(NativeKind kind, double h, double r)
 {
+    // Every kind receives (h, r), so every kind rejects unusable
+    // controls; CZ and SQiSW do not otherwise read them.
+    const std::string caller =
+        std::string("makeNativeGateSet(") + nativeKindName(kind) + ")";
+    ashn::checkControls(caller.c_str(), h, r);
     switch (kind) {
       case NativeKind::CZ:
         return std::make_shared<CzGateSet>();

@@ -206,7 +206,11 @@ class SqiswGateSet final : public NativeGateSet
 
 /**
  * Factory for the built-in sets. @p h and @p r parameterize the AshN
- * scheme and are ignored by CZ / SQiSW.
+ * scheme; CZ / SQiSW do not use them but still require values the AshN
+ * scheme would accept.
+ * @throws std::invalid_argument, naming the kind, unless h is finite
+ *         with |h| <= 1 and r is finite in [0, (1-|h|) pi/2]
+ *         (ashn::checkControls).
  */
 std::shared_ptr<const NativeGateSet>
 makeNativeGateSet(NativeKind kind, double h = 0.0, double r = 0.0);

@@ -11,12 +11,14 @@
 #include "ashn/special.hh"
 #include "circuit/circuit.hh"
 #include "circuit/noise.hh"
+#include "linalg/random.hh"
 #include "obs/obs.hh"
 #include "qop/gates.hh"
 #include "route/route.hh"
 #include "sim/batch.hh"
 #include "sim/engine.hh"
 #include "transpile/passes.hh"
+#include "weyl/weyl.hh"
 
 namespace crisc {
 namespace qv {
@@ -58,6 +60,10 @@ validate(const QvConfig &config)
     auto fail = [](const std::string &msg) {
         throw std::invalid_argument("QvConfig: " + msg);
     };
+    if (config.device == nullptr)
+        throw std::invalid_argument(
+            "QvConfig::device is null: name the target, e.g. "
+            "device::Device::grid2d(kind, width)");
     if (config.width == 0)
         fail("width must be at least 1");
     if (config.width > 30)
@@ -81,41 +87,13 @@ validate(const QvConfig &config)
     if (config.soaLanes < 0)
         fail("soaLanes must be non-negative (0 = width heuristic), got " +
              std::to_string(config.soaLanes));
-    if (!(config.czError >= 0.0 && config.czError <= 1.0))
-        fail("czError must lie in [0, 1], got " +
-             std::to_string(config.czError));
-    if (!(config.singleQubitError >= 0.0 && config.singleQubitError <= 1.0))
-        fail("singleQubitError must lie in [0, 1], got " +
-             std::to_string(config.singleQubitError));
-    if (config.device != nullptr &&
-        config.device->numQubits() < config.width)
-        fail("device has fewer qubits than the circuit width");
+    if (config.device->numQubits() < config.width)
+        fail("device has " + std::to_string(config.device->numQubits()) +
+             " qubits, fewer than the circuit width " +
+             std::to_string(config.width));
 }
 
 } // namespace
-
-const char *
-nativeSetName(NativeSet s)
-{
-    return device::nativeKindName(s);
-}
-
-CompiledCost
-compileCost(NativeSet native, const WeylPoint &p, double ashn_cutoff)
-{
-    return device::makeNativeGateSet(native, 0.0, ashn_cutoff)->cost(p);
-}
-
-device::Device
-presetDevice(const QvConfig &config)
-{
-    return device::Device::grid2d(config.native, config.width,
-                                  {.twoQubitError = config.czError,
-                                   .singleQubitError =
-                                       config.singleQubitError,
-                                   .h = 0.0,
-                                   .r = config.ashnCutoff});
-}
 
 QvResult
 heavyOutputExperiment(const QvConfig &config)
@@ -125,15 +103,10 @@ heavyOutputExperiment(const QvConfig &config)
 
     // One device drives everything below: routing (coupling map),
     // compilation cost (native gate set), and the noise budget.
-    std::optional<device::Device> preset;
-    const device::Device *dev = config.device;
-    if (dev == nullptr) {
-        preset.emplace(presetDevice(config));
-        dev = &*preset;
-    }
-    const route::CouplingMap &map = dev->coupling();
-    const device::NativeGateSet &native = dev->gateSet();
-    const device::NoiseModel &noise = dev->noise();
+    const device::Device &dev = *config.device;
+    const route::CouplingMap &map = dev.coupling();
+    const device::NativeGateSet &native = dev.gateSet();
+    const device::NoiseModel &noise = dev.noise();
 
     const std::size_t d = config.width;
     const std::size_t dim = std::size_t{1} << d;
@@ -228,7 +201,7 @@ heavyOutputExperiment(const QvConfig &config)
         const route::Layout &layout = *routeCtx.layout;
 
         std::vector<PhysicalOp> ops;
-        const CompiledCost swapCost = native.cost(swapPoint);
+        const device::GateCost swapCost = native.cost(swapPoint);
         for (const circuit::Gate &g : routed.gates()) {
             if (g.label == "swap") {
                 ops.push_back({quadOp(g.qubits[0], g.qubits[1], g.op),
@@ -241,7 +214,7 @@ heavyOutputExperiment(const QvConfig &config)
                 continue;
             }
             const WeylPoint p = weyl::weylCoordinates(g.op);
-            const CompiledCost cost = native.cost(p);
+            const device::GateCost cost = native.cost(p);
             ops.push_back({quadOp(g.qubits[0], g.qubits[1], g.op),
                            cost.nativeGates,
                            noise.twoQubitRateFor(cost.totalTime /

@@ -21,14 +21,9 @@
 #include <cstddef>
 
 #include "device/device.hh"
-#include "linalg/random.hh"
-#include "weyl/weyl.hh"
 
 namespace crisc {
 namespace qv {
-
-/** Native two-qubit instruction set used for compilation. */
-using NativeSet = device::NativeKind;
 
 /** Experiment configuration. Knobs cover the three parallel axes;
  *  cache blocking follows the engine's auto policy (sim/cache.hh). The
@@ -38,10 +33,13 @@ using NativeSet = device::NativeKind;
 struct QvConfig
 {
     std::size_t width = 4;       ///< circuit size d (qubits and layers).
-    NativeSet native = NativeSet::AshN;
-    double ashnCutoff = 0.0;     ///< r for the AshN gate-time function.
-    double czError = 0.01;       ///< two-qubit depolarizing rate of a CZ.
-    double singleQubitError = 0.001;
+    /**
+     * The target (required): its coupling map routes, its gate set
+     * prices, and its noise model sets the rates. Must have at least
+     * `width` qubits; e.g. device::Device::grid2d(kind, width, ...)
+     * for the paper's Figure-7 grids.
+     */
+    const device::Device *device = nullptr;
     int circuits = 40;           ///< random model circuits to average.
     int trajectories = 20;       ///< noise trajectories per circuit.
     std::uint64_t seed = 1;
@@ -74,12 +72,6 @@ struct QvConfig
      * are rejected with std::invalid_argument.
      */
     int soaLanes = 0;
-    /**
-     * Run against this device instead of the canned grid preset built
-     * from (width, native, ashnCutoff, czError, singleQubitError).
-     * Must have at least `width` qubits.
-     */
-    const device::Device *device = nullptr;
 };
 
 /** Aggregated result for one configuration. */
@@ -98,26 +90,12 @@ struct QvResult
 
 /**
  * Runs the heavy-output experiment for one configuration.
- * @throws std::invalid_argument on a zero width, non-positive circuit
- *         or trajectory counts, out-of-range error rates, or a device
- *         smaller than the circuit.
+ * @throws std::invalid_argument, naming the field, on a null device, a
+ *         zero width, non-positive circuit or trajectory counts,
+ *         negative thread or lane counts, or a device smaller than the
+ *         circuit.
  */
 QvResult heavyOutputExperiment(const QvConfig &config);
-
-/** The grid-preset device heavyOutputExperiment builds for @p config. */
-device::Device presetDevice(const QvConfig &config);
-
-/**
- * Native gate count and total two-qubit interaction time (units of
- * 1/g) to compile a gate with the given canonical Weyl point — the
- * cost model of the corresponding built-in device::NativeGateSet.
- */
-using CompiledCost = device::GateCost;
-CompiledCost compileCost(NativeSet native, const weyl::WeylPoint &p,
-                         double ashn_cutoff);
-
-/** Human-readable instruction-set name. */
-const char *nativeSetName(NativeSet s);
 
 } // namespace qv
 } // namespace crisc

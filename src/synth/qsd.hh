@@ -34,7 +34,8 @@ std::size_t qsdCnotCount(std::size_t n);
  * *generic* two-qubit gates (the AshN instruction set) and single-qubit
  * gates, using the three-qubit generic construction as the recursion
  * base. Emits 4 c_{n-1} + 3*2^{n-1} gates with c_3 = 12 (one above the
- * paper's 11; see DESIGN.md).
+ * paper's 11: threeQubitGeneric skips the paper's final regrouping
+ * step).
  *
  * @post result.toUnitary() equals u up to global phase.
  */

@@ -25,7 +25,7 @@ using linalg::Matrix;
  *
  * @post result.toUnitary() equals u up to global phase;
  *       result.twoQubitCount() <= 12 (the paper reaches 11 with one
- *       further regrouping; see DESIGN.md).
+ *       further regrouping step, which is not implemented here).
  */
 Circuit threeQubitGeneric(const Matrix &u);
 

@@ -27,7 +27,7 @@
 namespace crisc {
 namespace transpile {
 
-/** One pulse of the emitted schedule (mirrors synth::ScheduledPulse). */
+/** One pulse of the emitted schedule (AshN targets only). */
 struct PulseOp
 {
     std::size_t a = 0, b = 0;  ///< the two register qubits (a = gate msq).

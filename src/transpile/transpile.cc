@@ -11,19 +11,11 @@ namespace transpile {
 
 namespace {
 
-const route::CouplingMap *
-couplingFor(const TranspileOptions &opts)
-{
-    if (opts.device != nullptr)
-        return &opts.device->coupling();
-    return opts.coupling;
-}
-
 PassContext
 contextFor(const TranspileOptions &opts)
 {
     PassContext ctx;
-    ctx.coupling = couplingFor(opts);
+    ctx.coupling = opts.device ? &opts.device->coupling() : nullptr;
     return ctx;
 }
 
@@ -39,14 +31,11 @@ makePipeline(const TranspileOptions &opts)
         pm.emplace<SingleQubitFuse>();
     if (opts.peephole)
         pm.emplace<PeepholeCancel>();
-    if (couplingFor(opts) != nullptr)
+    if (opts.device)
         pm.emplace<Route>();
     if (opts.lowerToPulses)
-        pm.emplace<NativeLower>(
-            opts.device != nullptr
-                ? opts.device->gateSetPtr()
-                : device::makeNativeGateSet(device::NativeKind::AshN,
-                                            opts.h, opts.r));
+        pm.emplace<NativeLower>(opts.device ? opts.device->gateSetPtr()
+                                            : nullptr);
     return pm;
 }
 

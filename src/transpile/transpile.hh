@@ -2,8 +2,8 @@
  * @file
  * Canned transpiler pipelines and the batch driver: one entry point
  * from a logical circuit to a routed native program on a target
- * device. Every workload (synth::compileCircuit, the quantum-volume
- * harness, the examples) assembles its pipeline here, so they all
+ * device::Device. Every workload (the quantum-volume harness, the
+ * examples, perfbench) assembles its pipeline here, so they all
  * exercise the same pass implementations.
  *
  * transpileBatch fans independent circuits out over a sim::ThreadPool;
@@ -27,15 +27,10 @@ struct TranspileOptions
 {
     /**
      * Target device: supplies the coupling map (routing) and the
-     * native gate set (lowering). When null, the legacy knobs below
-     * apply: route onto `coupling` (if any) and lower to an AshN set
-     * built from (h, r).
+     * native gate set (lowering). When null, nothing is routed and
+     * NativeLower uses its default, an ideal AshN set (h = r = 0).
      */
     const device::Device *device = nullptr;
-    double h = 0.0;  ///< ZZ coupling ratio (AshN lowering, no device).
-    double r = 0.0;  ///< AshN drive cutoff (no device).
-    /** Route onto this map when non-null and device is null. */
-    const route::CouplingMap *coupling = nullptr;
     bool decomposeWide = true;    ///< expand k >= 3 gates (QSD).
     bool fuseSingleQubit = true;  ///< merge 1q runs into 2q neighbours.
     bool peephole = true;         ///< cancel identities / inverse pairs.
@@ -45,8 +40,9 @@ struct TranspileOptions
 /**
  * Builds the standard pipeline for @p opts, in order:
  * WideGateDecompose, SingleQubitFuse, PeepholeCancel, Route,
- * NativeLower (each gated by its option); NativeLower is driven by the
- * device's gate set when a device is given.
+ * NativeLower (each gated by its option; Route only with a device).
+ * NativeLower is driven by the device's gate set when a device is
+ * given.
  */
 PassManager makePipeline(const TranspileOptions &opts);
 

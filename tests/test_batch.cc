@@ -423,8 +423,11 @@ TEST(BatchQv, SoaLanesDoesNotChangeHeavyOutput)
     // proportions with SoA batching off, at the SIMD lane count, and at
     // a remainder-producing width. (10 trajectories over 4 lanes leaves
     // a 2-lane tail; 5 lanes leaves none but crosses the vector width.)
+    const device::Device dev =
+        device::Device::grid2d(device::NativeKind::AshN, 4);
     qv::QvConfig cfg;
     cfg.width = 4;
+    cfg.device = &dev;
     cfg.circuits = 4;
     cfg.trajectories = 10;
     cfg.seed = 31;

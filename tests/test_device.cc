@@ -94,20 +94,52 @@ TEST(CouplingFactories, HeavyHexShape)
 
 TEST(DeviceValidation, RejectsBadParameters)
 {
-    EXPECT_THROW(Device::grid2dAshN(0), std::invalid_argument);
-    EXPECT_THROW(Device::grid2dCZ(4, {.twoQubitError = 1.5}),
+    EXPECT_THROW(Device::grid2d(NativeKind::AshN, 0), std::invalid_argument);
+    EXPECT_THROW(Device::grid2d(NativeKind::CZ, 4, {.twoQubitError = 1.5}),
                  std::invalid_argument);
-    EXPECT_THROW(Device::grid2dCZ(4, {.twoQubitError = -0.1}),
+    EXPECT_THROW(Device::grid2d(NativeKind::CZ, 4, {.twoQubitError = -0.1}),
                  std::invalid_argument);
-    EXPECT_THROW(Device::grid2dSqisw(4, {.singleQubitError = 2.0}),
+    EXPECT_THROW(
+        Device::grid2d(NativeKind::SQiSW, 4, {.singleQubitError = 2.0}),
+        std::invalid_argument);
+    EXPECT_THROW(Device::grid2d(NativeKind::AshN, 4, {.h = 1.5}),
                  std::invalid_argument);
-    EXPECT_THROW(Device::grid2dAshN(4, {.h = 1.5}), std::invalid_argument);
-    EXPECT_THROW(Device::grid2dAshN(4, {.r = -0.5}), std::invalid_argument);
+    EXPECT_THROW(Device::grid2d(NativeKind::AshN, 4, {.r = -0.5}),
+                 std::invalid_argument);
     // Cutoff beyond ashn::synthesize's realizability bound
     // (1-|h|)*pi/2 fails at construction, not mid-transpile.
-    EXPECT_THROW(Device::grid2dAshN(4, {.r = 2.0}), std::invalid_argument);
-    EXPECT_THROW(Device::grid2dAshN(4, {.h = 0.5, .r = 1.0}),
+    EXPECT_THROW(Device::grid2d(NativeKind::AshN, 4, {.r = 2.0}),
                  std::invalid_argument);
+    EXPECT_THROW(Device::grid2d(NativeKind::AshN, 4, {.h = 0.5, .r = 1.0}),
+                 std::invalid_argument);
+    // CZ and SQiSW do not read (h, r), but makeNativeGateSet checks them
+    // for every kind, so a bad value fails at construction and names
+    // the kind.
+    for (const NativeKind kind : {NativeKind::CZ, NativeKind::SQiSW}) {
+        const std::string name = device::nativeKindName(kind);
+        EXPECT_THROW(Device::grid2d(kind, 4, {.h = std::nan("")}),
+                     std::invalid_argument)
+            << name;
+        EXPECT_THROW(Device::grid2d(kind, 4, {.h = 1.5}),
+                     std::invalid_argument)
+            << name;
+        EXPECT_THROW(Device::grid2d(kind, 4, {.r = -0.5}),
+                     std::invalid_argument)
+            << name;
+        EXPECT_THROW(Device::withCoupling(kind, CouplingMap::line(2),
+                                          {.r = std::numeric_limits<
+                                               double>::infinity()}),
+                     std::invalid_argument)
+            << name;
+        try {
+            device::makeNativeGateSet(kind, std::nan(""), 0.0);
+            ADD_FAILURE() << name << " accepted h = NaN";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << e.what();
+        }
+        EXPECT_NO_THROW(Device::grid2d(kind, 4));
+    }
     // AshNGateSet runs ashn::synthesize's own argument check, so a
     // non-finite h or cutoff fails at construction too, naming the set.
     EXPECT_THROW(device::AshNGateSet(std::nan(""), 0.0),
@@ -117,7 +149,7 @@ TEST(DeviceValidation, RejectsBadParameters)
     EXPECT_THROW(
         device::AshNGateSet(0.1, std::numeric_limits<double>::infinity()),
         std::invalid_argument);
-    EXPECT_THROW(Device::grid2dAshN(4, {.h = std::nan("")}),
+    EXPECT_THROW(Device::grid2d(NativeKind::AshN, 4, {.h = std::nan("")}),
                  std::invalid_argument);
     try {
         device::AshNGateSet bad(0.1, std::nan(""));
@@ -137,11 +169,19 @@ TEST(DeviceValidation, RejectsBadParameters)
     device::NoiseModel zeroRef;
     zeroRef.referenceTime = 0.0;
     EXPECT_THROW(zeroRef.validate(), std::invalid_argument);
+    // An infinite reference time would make every 2q rate 0, silently
+    // turning noise off.
+    device::NoiseModel infRef;
+    infRef.referenceTime = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(infRef.validate(), std::invalid_argument);
+    device::NoiseModel nanRef;
+    nanRef.referenceTime = std::nan("");
+    EXPECT_THROW(nanRef.validate(), std::invalid_argument);
 }
 
 TEST(DeviceValidation, PresetsAreWellFormed)
 {
-    const Device dev = Device::grid2dAshN(7, {.r = 1.1});
+    const Device dev = Device::grid2d(NativeKind::AshN, 7, {.r = 1.1});
     EXPECT_EQ(dev.numQubits(), 7u);
     EXPECT_EQ(dev.gateSet().kind(), NativeKind::AshN);
     EXPECT_STREQ(dev.gateSet().name(), "AshN");
@@ -155,32 +195,66 @@ TEST(DeviceValidation, PresetsAreWellFormed)
     EXPECT_EQ(&calibrated.gateSet(), &dev.gateSet());
 }
 
+/**
+ * Runs heavyOutputExperiment on @p cfg, expecting std::invalid_argument
+ * whose message contains @p field.
+ */
+void
+expectRejectedNaming(const qv::QvConfig &cfg, const std::string &field)
+{
+    try {
+        qv::heavyOutputExperiment(cfg);
+        ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << "message \"" << e.what() << "\" does not name " << field;
+    }
+}
+
 TEST(DeviceValidation, QvConfigRejectsGarbage)
 {
-    qv::QvConfig bad;
+    // Every case breaks exactly one field of an otherwise valid,
+    // device-backed config, so each throw is the one under test. Error
+    // rates are Device parameters; RejectsBadParameters covers them
+    // through the factories.
+    const Device dev = Device::grid2d(NativeKind::AshN, 4);
+    qv::QvConfig good;
+    good.width = 4;
+    good.device = &dev;
+    good.circuits = 1;
+    good.trajectories = 1;
+    good.threads = 1;
+    EXPECT_NO_THROW(qv::heavyOutputExperiment(good));
+
+    qv::QvConfig bad = good;
+    bad.device = nullptr;
+    expectRejectedNaming(bad, "QvConfig::device");
+    bad = good;
     bad.width = 0;
-    EXPECT_THROW(qv::heavyOutputExperiment(bad), std::invalid_argument);
-    bad = {};
+    expectRejectedNaming(bad, "QvConfig: width ");
+    bad = good;
     bad.width = 31;  // beyond the statevector simulation limit.
-    EXPECT_THROW(qv::heavyOutputExperiment(bad), std::invalid_argument);
-    bad = {};
+    expectRejectedNaming(bad, "QvConfig: width ");
+    bad = good;
     bad.circuits = 0;
-    EXPECT_THROW(qv::heavyOutputExperiment(bad), std::invalid_argument);
-    bad = {};
+    expectRejectedNaming(bad, "QvConfig: circuits ");
+    bad = good;
     bad.trajectories = -3;
-    EXPECT_THROW(qv::heavyOutputExperiment(bad), std::invalid_argument);
-    bad = {};
-    bad.czError = 1.2;
-    EXPECT_THROW(qv::heavyOutputExperiment(bad), std::invalid_argument);
-    bad = {};
-    bad.singleQubitError = -1e-3;
-    EXPECT_THROW(qv::heavyOutputExperiment(bad), std::invalid_argument);
+    expectRejectedNaming(bad, "QvConfig: trajectories ");
+    bad = good;
+    bad.threads = -1;
+    expectRejectedNaming(bad, "QvConfig: threads ");
+    bad = good;
+    bad.stateThreads = -2;
+    expectRejectedNaming(bad, "QvConfig: stateThreads ");
+    bad = good;
+    bad.soaLanes = -4;
+    expectRejectedNaming(bad, "QvConfig: soaLanes ");
     // A device smaller than the requested width is rejected up front.
-    const Device small = Device::grid2dAshN(2);
-    bad = {};
-    bad.width = 4;
+    const Device small = Device::grid2d(NativeKind::AshN, 2);
+    bad = good;
     bad.device = &small;
-    EXPECT_THROW(qv::heavyOutputExperiment(bad), std::invalid_argument);
+    expectRejectedNaming(bad, "device has 2 qubits");
 }
 
 // -------------------------------------------------------- cost models
@@ -215,11 +289,6 @@ TEST(GateSetCost, MatchesPaperModel)
     const auto tiny = device::makeNativeGateSet(NativeKind::AshN, 0.0, 1.1)
                           ->cost({0.01, 0.0, 0.0});
     EXPECT_NEAR(tiny.totalTime, M_PI - 0.02, 1e-9);
-
-    // The qv::compileCost shim dispatches to the same gate sets.
-    const auto shim = qv::compileCost(qv::NativeSet::SQiSW, swap, 0.0);
-    EXPECT_EQ(shim.nativeGates, 3);
-    EXPECT_DOUBLE_EQ(shim.totalTime, sqiswSet->cost(swap).totalTime);
 }
 
 // ------------------------------------------------ lowering equivalence
@@ -393,8 +462,9 @@ TEST(QvOnDevice, DeviceLargerThanWidthRoutesThroughSpareQubits)
     // Width-3 circuits on a 4-qubit device whose topology forces
     // routing through physical qubit 3 (0-3, 3-1, 1-2): trajectories
     // must simulate the whole device, not just `width` qubits.
-    const Device dev = Device::fromEdges(NativeKind::AshN, 4,
-                                         {{0, 3}, {3, 1}, {1, 2}});
+    const Device dev = Device::withCoupling(
+        NativeKind::AshN,
+        CouplingMap::fromEdges(4, {{0, 3}, {3, 1}, {1, 2}}));
     qv::QvConfig cfg;
     cfg.width = 3;
     cfg.circuits = 3;

@@ -11,10 +11,12 @@
 #include "ashn/special.hh"
 #include "calib/frb.hh"
 #include "calib/pulse_opt.hh"
+#include "device/device.hh"
 #include "linalg/random.hh"
 #include "qop/metrics.hh"
-#include "synth/compiler.hh"
+#include "route/route.hh"
 #include "synth/qsd.hh"
+#include "transpile/transpile.hh"
 
 namespace {
 
@@ -137,6 +139,16 @@ TEST(PulseOpt, SquareEnvelopeNeedsNoCorrection)
     EXPECT_LT(r.errorBefore, 1e-6);
 }
 
+/** An AshN device on a complete coupling map: routing onto it inserts
+ *  nothing, so a program compiled for it is comparable to its input. */
+device::Device
+fullAshN(std::size_t n, double h, double r)
+{
+    return device::Device::withCoupling(device::NativeKind::AshN,
+                                        route::CouplingMap::full(n),
+                                        {.h = h, .r = r});
+}
+
 TEST(Compiler, PreservesCircuitUnitary)
 {
     linalg::Rng rng(21);
@@ -146,14 +158,16 @@ TEST(Compiler, PreservesCircuitUnitary)
     c.add(linalg::haarUnitary(rng, 2), {2}, "u2");
     c.add(linalg::haarUnitary(rng, 4), {1, 2}, "u12");
     c.add(linalg::haarUnitary(rng, 4), {2, 0}, "u20");
-    const synth::CompiledProgram prog = synth::compileCircuit(c, 0.1, 1.1);
+    const device::Device dev = fullAshN(3, 0.1, 1.1);
+    const transpile::TranspileResult prog =
+        transpile::transpile(c, {.device = &dev});
     EXPECT_TRUE(qop::equalUpToGlobalPhase(prog.circuit.toUnitary(),
                                           c.toUnitary(), 1e-5));
     // One pulse per two-qubit gate, nothing more.
-    EXPECT_EQ(prog.pulses.size(), 3u);
+    EXPECT_EQ(prog.context.pulses.size(), 3u);
     EXPECT_EQ(prog.circuit.twoQubitCount(), 3u);
-    EXPECT_GT(prog.totalTwoQubitTime, 0.0);
-    for (const auto &p : prog.pulses)
+    EXPECT_GT(prog.context.totalPulseTime, 0.0);
+    for (const auto &p : prog.context.pulses)
         EXPECT_LE(p.params.maxDrive(), ashn::driveBound(1.1) + 1e-6);
 }
 
@@ -162,10 +176,12 @@ TEST(Compiler, ExpandsWideGatesThroughGenericQsd)
     linalg::Rng rng(23);
     circuit::Circuit c(3);
     c.add(linalg::haarUnitary(rng, 8), {0, 1, 2}, "u012");
-    const synth::CompiledProgram prog = synth::compileCircuit(c, 0.0, 1.1);
+    const device::Device dev = fullAshN(3, 0.0, 1.1);
+    const transpile::TranspileResult prog =
+        transpile::transpile(c, {.device = &dev});
     EXPECT_TRUE(qop::equalUpToGlobalPhase(prog.circuit.toUnitary(),
                                           c.toUnitary(), 1e-4));
-    EXPECT_LE(prog.pulses.size(), 12u);
+    EXPECT_LE(prog.context.pulses.size(), 12u);
 }
 
 TEST(Compiler, SingleQubitOnlyCircuitHasNoPulses)
@@ -174,9 +190,11 @@ TEST(Compiler, SingleQubitOnlyCircuitHasNoPulses)
     circuit::Circuit c(2);
     c.add(linalg::haarUnitary(rng, 2), {0});
     c.add(linalg::haarUnitary(rng, 2), {1});
-    const synth::CompiledProgram prog = synth::compileCircuit(c, 0.0, 0.5);
-    EXPECT_TRUE(prog.pulses.empty());
-    EXPECT_EQ(prog.totalTwoQubitTime, 0.0);
+    const device::Device dev = fullAshN(2, 0.0, 0.5);
+    const transpile::TranspileResult prog =
+        transpile::transpile(c, {.device = &dev});
+    EXPECT_TRUE(prog.context.pulses.empty());
+    EXPECT_EQ(prog.context.totalPulseTime, 0.0);
     EXPECT_TRUE(qop::equalUpToGlobalPhase(prog.circuit.toUnitary(),
                                           c.toUnitary(), 1e-9));
 }

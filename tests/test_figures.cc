@@ -4,7 +4,7 @@
  * values below were captured on pre-refactor main (the hand-rolled
  * per-native-set qv harness) and are asserted bit-identical: the
  * Device-driven rewrite must not perturb a single ulp of the Figure-7
- * numbers for the three canned presets.
+ * numbers on the three grid devices.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +16,11 @@ namespace {
 
 using namespace crisc;
 using device::Device;
+using device::NativeKind;
 
 struct Pinned
 {
-    qv::NativeSet native;
+    NativeKind native;
     double cutoff;
     std::size_t width;
     double hop;
@@ -28,36 +29,45 @@ struct Pinned
     double swaps;
 };
 
-// Captured with: czError 0.012, singleQubitError 0.001, circuits 8,
+// Captured with: 2q error 0.012, 1q error 0.001, circuits 8,
 // trajectories 6, seed 1000 + width, threads 1, on pre-refactor main.
+// Each row runs on Device::grid2d(native, width) with drive cutoff
+// `cutoff`.
 const Pinned kPinned[] = {
-    {qv::NativeSet::AshN, 0.0, 3, 0.81123800856606321, 4.0,
+    {NativeKind::AshN, 0.0, 3, 0.81123800856606321, 4.0,
      6.1811523084202431, 1.0},
-    {qv::NativeSet::AshN, 0.0, 5, 0.85543867285074482, 16.375,
+    {NativeKind::AshN, 0.0, 5, 0.85543867285074482, 16.375,
      28.424845434468065, 6.375},
-    {qv::NativeSet::AshN, 1.1, 3, 0.81123800856606321, 4.0,
+    {NativeKind::AshN, 1.1, 3, 0.81123800856606321, 4.0,
      6.7157690114982493, 1.0},
-    {qv::NativeSet::AshN, 1.1, 5, 0.85543867285074482, 16.375,
+    {NativeKind::AshN, 1.1, 5, 0.85543867285074482, 16.375,
      29.97654032414048, 6.375},
-    {qv::NativeSet::SQiSW, 0.0, 3, 0.83266479816834116, 9.375,
+    {NativeKind::SQiSW, 0.0, 3, 0.83266479816834116, 9.375,
      7.3631077818510802, 1.0},
-    {qv::NativeSet::SQiSW, 0.0, 5, 0.82663608635447539, 40.625,
+    {NativeKind::SQiSW, 0.0, 5, 0.82663608635447539, 40.625,
      31.906800388021281, 6.375},
-    {qv::NativeSet::CZ, 0.0, 3, 0.78259508096983532, 12.0,
+    {NativeKind::CZ, 0.0, 3, 0.78259508096983532, 12.0,
      26.657297628950204, 1.0},
-    {qv::NativeSet::CZ, 0.0, 5, 0.74872018163893939, 49.125,
+    {NativeKind::CZ, 0.0, 5, 0.74872018163893939, 49.125,
      109.12831216851504, 6.375},
 };
 
+Device
+deviceFor(const Pinned &p)
+{
+    return Device::grid2d(p.native, p.width,
+                          {.twoQubitError = 0.012,
+                           .singleQubitError = 0.001,
+                           .h = 0.0,
+                           .r = p.cutoff});
+}
+
 qv::QvConfig
-configFor(const Pinned &p)
+configFor(const Pinned &p, const Device &dev)
 {
     qv::QvConfig cfg;
     cfg.width = p.width;
-    cfg.native = p.native;
-    cfg.ashnCutoff = p.cutoff;
-    cfg.czError = 0.012;
-    cfg.singleQubitError = 0.001;
+    cfg.device = &dev;
     cfg.circuits = 8;
     cfg.trajectories = 6;
     cfg.seed = 1000 + p.width;
@@ -68,10 +78,12 @@ configFor(const Pinned &p)
 TEST(Figure7, HeavyOutputBitIdenticalToPreRefactorMain)
 {
     for (const Pinned &p : kPinned) {
-        const qv::QvResult r = qv::heavyOutputExperiment(configFor(p));
+        const Device dev = deviceFor(p);
+        const qv::QvResult r =
+            qv::heavyOutputExperiment(configFor(p, dev));
         // EXPECT_EQ on doubles: exact, bit-identical comparison.
         EXPECT_EQ(r.heavyOutputProportion, p.hop)
-            << qv::nativeSetName(p.native) << " r=" << p.cutoff
+            << device::nativeKindName(p.native) << " r=" << p.cutoff
             << " d=" << p.width;
         EXPECT_EQ(r.avgNativeGatesPerCircuit, p.gates);
         EXPECT_EQ(r.avgTwoQubitTimePerCircuit, p.time);
@@ -79,24 +91,12 @@ TEST(Figure7, HeavyOutputBitIdenticalToPreRefactorMain)
     }
 }
 
-TEST(Figure7, ExplicitDeviceMatchesPresetKnobs)
-{
-    // Passing the preset device explicitly is the same experiment.
-    for (const Pinned &p : kPinned) {
-        qv::QvConfig cfg = configFor(p);
-        const Device dev = qv::presetDevice(cfg);
-        cfg.device = &dev;
-        const qv::QvResult r = qv::heavyOutputExperiment(cfg);
-        EXPECT_EQ(r.heavyOutputProportion, p.hop);
-        EXPECT_EQ(r.avgTwoQubitTimePerCircuit, p.time);
-    }
-}
-
 TEST(Figure7, ThreadCountInvariant)
 {
     // The trajectory fan-out must not perturb the reduction: 4 worker
     // threads reproduce the single-thread numbers bit for bit.
-    qv::QvConfig cfg = configFor(kPinned[1]);
+    const Device dev = deviceFor(kPinned[1]);
+    qv::QvConfig cfg = configFor(kPinned[1], dev);
     cfg.threads = 4;
     const qv::QvResult r = qv::heavyOutputExperiment(cfg);
     EXPECT_EQ(r.heavyOutputProportion, kPinned[1].hop);

@@ -593,8 +593,11 @@ TEST(Obs, EnabledVsDisabledSimulationBitIdentical)
 
 TEST(Obs, EnabledVsDisabledQvBitIdentical)
 {
+    const device::Device dev =
+        device::Device::grid2d(device::NativeKind::AshN, 3);
     qv::QvConfig cfg;
     cfg.width = 3;
+    cfg.device = &dev;
     cfg.circuits = 2;
     cfg.trajectories = 3;
     cfg.seed = 77;

@@ -14,11 +14,11 @@
 #include "ashn/special.hh"
 #include "calib/cartan.hh"
 #include "circuit/circuit.hh"
+#include "device/native_set.hh"
 #include "linalg/expm.hh"
 #include "linalg/random.hh"
 #include "qop/gates.hh"
 #include "qop/metrics.hh"
-#include "qv/qv.hh"
 #include "synth/two_qubit.hh"
 #include "weyl/measure.hh"
 #include "weyl/optimal_time.hh"
@@ -27,6 +27,7 @@
 namespace {
 
 using namespace crisc;
+using device::NativeKind;
 using linalg::Matrix;
 using weyl::WeylPoint;
 
@@ -72,9 +73,9 @@ TEST_P(SeededProperty, AshnBeatsOrMatchesEveryNativeSetInTime)
     // so no multi-application scheme can be faster.
     linalg::Rng rng(300 + GetParam());
     const WeylPoint p = weyl::sampleChamber(rng);
-    const auto ashn = qv::compileCost(qv::NativeSet::AshN, p, 0.0);
-    const auto sq = qv::compileCost(qv::NativeSet::SQiSW, p, 0.0);
-    const auto cz = qv::compileCost(qv::NativeSet::CZ, p, 0.0);
+    const auto ashn = device::makeNativeGateSet(NativeKind::AshN)->cost(p);
+    const auto sq = device::makeNativeGateSet(NativeKind::SQiSW)->cost(p);
+    const auto cz = device::makeNativeGateSet(NativeKind::CZ)->cost(p);
     EXPECT_LE(ashn.totalTime, sq.totalTime + 1e-9);
     EXPECT_LE(ashn.totalTime, cz.totalTime + 1e-9);
 }
@@ -208,12 +209,14 @@ TEST(CostModel, HaarAverageTimesMatchFigureFive)
     // The per-scheme Haar-average interaction times used by the QV cost
     // model agree with the Sec. 6.1 numbers.
     linalg::Rng rng(5);
+    const auto ashnSet = device::makeNativeGateSet(NativeKind::AshN);
+    const auto sqiswSet = device::makeNativeGateSet(NativeKind::SQiSW);
     double ashn = 0.0, sqisw = 0.0;
     const int n = 4000;
     for (int i = 0; i < n; ++i) {
         const WeylPoint p = weyl::sampleChamber(rng);
-        ashn += qv::compileCost(qv::NativeSet::AshN, p, 0.0).totalTime;
-        sqisw += qv::compileCost(qv::NativeSet::SQiSW, p, 0.0).totalTime;
+        ashn += ashnSet->cost(p).totalTime;
+        sqisw += sqiswSet->cost(p).totalTime;
     }
     EXPECT_NEAR(ashn / n, 1.341, 0.02);
     EXPECT_NEAR(sqisw / n, 1.736, 0.02);

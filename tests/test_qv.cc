@@ -3,20 +3,29 @@
  * Tests for routing and the quantum-volume harness.
  */
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
-#include "ashn/special.hh"
+#include "device/device.hh"
 #include "qv/qv.hh"
 #include "route/route.hh"
-#include "weyl/weyl.hh"
 
 namespace {
 
 using namespace crisc;
+using device::Device;
+using device::NativeKind;
 using route::CouplingMap;
 using route::Layout;
+
+/** The Figure-7 grid device for a width-d harness run. */
+Device
+gridDevice(NativeKind kind, std::size_t d, double two_qubit_error,
+           double single_qubit_error)
+{
+    return Device::grid2d(kind, d,
+                          {.twoQubitError = two_qubit_error,
+                           .singleQubitError = single_qubit_error});
+}
 
 TEST(Route, GridAdjacency)
 {
@@ -74,39 +83,14 @@ TEST(Route, AdjacentPairNeedsNoSwap)
     EXPECT_TRUE(route::routePair(m, layout, 0, 1).empty());
 }
 
-TEST(Qv, CompileCostsMatchPaperModel)
-{
-    using qv::NativeSet;
-    const weyl::WeylPoint swap = ashn::swapPoint();
-    const weyl::WeylPoint cnot = ashn::cnotPoint();
-
-    const auto cz = qv::compileCost(NativeSet::CZ, swap, 0.0);
-    EXPECT_EQ(cz.nativeGates, 3);
-    EXPECT_NEAR(cz.totalTime, 3.0 * M_PI / std::sqrt(2.0), 1e-12);
-
-    // CNOT class sits on the 2-SQiSW boundary x = y + |z|.
-    const auto sq = qv::compileCost(NativeSet::SQiSW, cnot, 0.0);
-    EXPECT_EQ(sq.nativeGates, 2);
-    const auto sq3 = qv::compileCost(NativeSet::SQiSW, swap, 0.0);
-    EXPECT_EQ(sq3.nativeGates, 3);
-
-    const auto an = qv::compileCost(NativeSet::AshN, swap, 0.0);
-    EXPECT_EQ(an.nativeGates, 1);
-    EXPECT_NEAR(an.totalTime, 3.0 * M_PI / 4.0, 1e-12);
-    // Near-identity gates under a cutoff pay the ND-EXT time.
-    const auto tiny = qv::compileCost(NativeSet::AshN, {0.01, 0.0, 0.0}, 1.1);
-    EXPECT_NEAR(tiny.totalTime, M_PI - 0.02, 1e-9);
-}
-
 TEST(Qv, NoiselessHeavyOutputIsHigh)
 {
     // Without noise the heavy output proportion approaches the ideal
     // (1 + ln 2)/2 ~ 0.85 for Haar-random circuits.
+    const Device dev = gridDevice(NativeKind::AshN, 3, 0.0, 0.0);
     qv::QvConfig cfg;
     cfg.width = 3;
-    cfg.native = qv::NativeSet::AshN;
-    cfg.czError = 0.0;
-    cfg.singleQubitError = 0.0;
+    cfg.device = &dev;
     cfg.circuits = 30;
     cfg.trajectories = 1;
     const qv::QvResult r = qv::heavyOutputExperiment(cfg);
@@ -116,16 +100,16 @@ TEST(Qv, NoiselessHeavyOutputIsHigh)
 
 TEST(Qv, NoiseLowersHeavyOutput)
 {
+    const Device cleanDev = gridDevice(NativeKind::AshN, 4, 0.0, 0.0);
+    const Device noisyDev = gridDevice(NativeKind::AshN, 4, 0.03, 0.001);
     qv::QvConfig clean;
     clean.width = 4;
-    clean.czError = 0.0;
-    clean.singleQubitError = 0.0;
+    clean.device = &cleanDev;
     clean.circuits = 24;
     clean.trajectories = 1;
     clean.seed = 5;
     qv::QvConfig noisy = clean;
-    noisy.czError = 0.03;
-    noisy.singleQubitError = 0.001;
+    noisy.device = &noisyDev;
     noisy.trajectories = 24;
     const double hClean =
         qv::heavyOutputExperiment(clean).heavyOutputProportion;
@@ -138,16 +122,17 @@ TEST(Qv, AshnBeatsCzAtEqualErrorRate)
 {
     // The headline of Figure 7: shorter gates, fewer native gates,
     // higher heavy-output proportion.
+    const Device ashnDev = gridDevice(NativeKind::AshN, 4, 0.03, 0.001);
+    const Device czDev = gridDevice(NativeKind::CZ, 4, 0.03, 0.001);
     qv::QvConfig cfg;
     cfg.width = 4;
-    cfg.czError = 0.03;
     cfg.circuits = 20;
     cfg.trajectories = 10;
     cfg.seed = 9;
-    cfg.native = qv::NativeSet::AshN;
+    cfg.device = &ashnDev;
     const double ashn =
         qv::heavyOutputExperiment(cfg).heavyOutputProportion;
-    cfg.native = qv::NativeSet::CZ;
+    cfg.device = &czDev;
     const double czv = qv::heavyOutputExperiment(cfg).heavyOutputProportion;
     EXPECT_GT(ashn, czv + 0.02);
 }
@@ -156,8 +141,10 @@ TEST(Qv, RejectsNegativeThreadCounts)
 {
     // Regression: threads < 0 used to be silently clamped to 1; both
     // thread knobs now fail validation like every other bad config.
+    const Device dev = Device::grid2d(NativeKind::AshN, 3);
     qv::QvConfig cfg;
     cfg.width = 3;
+    cfg.device = &dev;
     cfg.circuits = 1;
     cfg.trajectories = 1;
     cfg.threads = -1;
@@ -171,9 +158,10 @@ TEST(Qv, StateParallelSweepsDoNotChangeResults)
 {
     // The second parallel axis (stateThreads, explicit or width-
     // heuristic) must leave every aggregate bit-identical.
+    const Device dev = gridDevice(NativeKind::AshN, 4, 0.02, 0.001);
     qv::QvConfig cfg;
     cfg.width = 4;
-    cfg.czError = 0.02;
+    cfg.device = &dev;
     cfg.circuits = 4;
     cfg.trajectories = 6;
     cfg.seed = 13;
@@ -193,8 +181,10 @@ TEST(Qv, StateParallelSweepsDoNotChangeResults)
 
 TEST(Qv, SwapOverheadTracked)
 {
+    const Device dev = Device::grid2d(NativeKind::AshN, 5);
     qv::QvConfig cfg;
     cfg.width = 5;
+    cfg.device = &dev;
     cfg.circuits = 5;
     cfg.trajectories = 1;
     const qv::QvResult r = qv::heavyOutputExperiment(cfg);

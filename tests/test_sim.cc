@@ -580,9 +580,11 @@ TEST(Batch, TrajectoriesAreThreadCountInvariant)
 
 TEST(Batch, QvExperimentIsThreadCountInvariant)
 {
+    const device::Device dev = device::Device::grid2d(
+        device::NativeKind::AshN, 4, {.twoQubitError = 0.02});
     qv::QvConfig cfg;
     cfg.width = 4;
-    cfg.czError = 0.02;
+    cfg.device = &dev;
     cfg.circuits = 6;
     cfg.trajectories = 8;
     cfg.seed = 31;

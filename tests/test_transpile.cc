@@ -3,24 +3,25 @@
  * Tests for the pass-based transpiler and its routing substrate:
  * coupling-map edge cases, layout bijection invariants, routePair
  * postconditions, routed-unitary-vs-permutation equivalence, pipeline
- * unitary preservation on random circuits, the compileCircuit façade,
- * peephole cancellation, the Weyl cache, and thread-count-invariant
- * batch transpilation.
+ * unitary preservation on random circuits, routing on a complete
+ * coupling map as the identity, peephole cancellation, the Weyl cache,
+ * and thread-count-invariant batch transpilation.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "circuit/circuit.hh"
-#include "device/native_set.hh"
+#include "device/device.hh"
 #include "linalg/random.hh"
 #include "qop/gates.hh"
 #include "qop/metrics.hh"
 #include "route/route.hh"
-#include "synth/compiler.hh"
 #include "transpile/transpile.hh"
 
 namespace {
@@ -28,6 +29,8 @@ namespace {
 using namespace crisc;
 using circuit::Circuit;
 using circuit::Gate;
+using device::Device;
+using device::NativeKind;
 using linalg::Matrix;
 
 /** Random circuit of 1q/2q Haar gates (plus a 3q gate when wide). */
@@ -159,7 +162,8 @@ TEST(Routing, RoutedUnitaryMatchesLogicalUpToPermutation)
 {
     const std::size_t n = 4;
     const std::size_t dim = std::size_t{1} << n;
-    const route::CouplingMap grid = route::CouplingMap::grid(2, 2);
+    const Device grid =
+        Device::withCoupling(NativeKind::AshN, route::CouplingMap::grid(2, 2));
     linalg::Rng rng(7);
 
     for (int trial = 0; trial < 3; ++trial) {
@@ -173,7 +177,7 @@ TEST(Routing, RoutedUnitaryMatchesLogicalUpToPermutation)
         }
 
         transpile::TranspileOptions opts;
-        opts.coupling = &grid;
+        opts.device = &grid;
         opts.decomposeWide = false;
         opts.fuseSingleQubit = false;
         opts.lowerToPulses = false;
@@ -203,9 +207,14 @@ TEST(Pipeline, UnitaryEquivalentForRandomCircuits)
     linalg::Rng rng(8);
     for (std::size_t n = 2; n <= 5; ++n) {
         const Circuit logical = randomCircuit(rng, n, 6, n == 3);
+        // A complete coupling map routes as the identity (see
+        // CompleteCouplingRouteIsIdentity), so the lowered circuit is
+        // compared to the logical one without unpermuting.
+        const Device dev =
+            Device::withCoupling(NativeKind::AshN, route::CouplingMap::full(n),
+                                 {.h = 0.1, .r = 0.5});
         transpile::TranspileOptions opts;
-        opts.h = 0.1;
-        opts.r = 0.5;
+        opts.device = &dev;
         const transpile::TranspileResult res =
             transpile::transpile(logical, opts);
         EXPECT_TRUE(qop::equalUpToGlobalPhase(res.circuit.toUnitary(),
@@ -226,12 +235,13 @@ TEST(Pipeline, RoutedAndLoweredStillUnitaryEquivalent)
     // logical one re-read through the final layout permutation.
     const std::size_t n = 4;
     const std::size_t dim = std::size_t{1} << n;
-    const route::CouplingMap grid = route::CouplingMap::grid(2, 2);
+    const Device grid =
+        Device::withCoupling(NativeKind::AshN, route::CouplingMap::grid(2, 2));
     linalg::Rng rng(9);
     const Circuit logical = randomCircuit(rng, n, 5);
 
     transpile::TranspileOptions opts;
-    opts.coupling = &grid;
+    opts.device = &grid;
     const transpile::TranspileResult res =
         transpile::transpile(logical, opts);
     ASSERT_TRUE(res.context.layout.has_value());
@@ -446,8 +456,10 @@ TEST(Batch, DeterministicAcrossThreadCounts)
     for (int i = 0; i < 6; ++i)
         circuits.push_back(randomCircuit(rng, 3, 4));
 
+    const Device dev = Device::withCoupling(
+        NativeKind::AshN, route::CouplingMap::full(3), {.h = 0.05});
     transpile::TranspileOptions opts;
-    opts.h = 0.05;
+    opts.device = &dev;
     const auto one = transpile::transpileBatch(circuits, opts, 1);
     const auto four = transpile::transpileBatch(circuits, opts, 4);
     ASSERT_EQ(one.size(), circuits.size());
@@ -477,28 +489,62 @@ TEST(Batch, DeterministicAcrossThreadCounts)
     }
 }
 
-TEST(Facade, CompileCircuitMatchesPipeline)
+TEST(Pipeline, CompleteCouplingRouteIsIdentity)
 {
+    // A device on a complete coupling map is how a caller names an
+    // unrouted AshN target: Route inserts no SWAP, keeps the identity
+    // layout, and the lowered program is bit for bit the device-less
+    // pipeline's.
     linalg::Rng rng(14);
-    const Circuit logical = randomCircuit(rng, 3, 5, true);
-    const synth::CompiledProgram prog =
-        synth::compileCircuit(logical, 0.2, 0.8);
-    EXPECT_TRUE(qop::equalUpToGlobalPhase(prog.circuit.toUnitary(),
-                                          logical.toUnitary(), 1e-6));
-    EXPECT_EQ(prog.pulses.size(), prog.circuit.twoQubitCount());
-    double tau = 0.0;
-    for (const synth::ScheduledPulse &p : prog.pulses)
-        tau += p.params.tau;
-    EXPECT_NEAR(prog.totalTwoQubitTime, tau, 1e-12);
+    const std::size_t n = 3;
+    const Circuit logical = randomCircuit(rng, n, 12, true);
+    const Device dev =
+        Device::withCoupling(NativeKind::AshN, route::CouplingMap::full(n));
 
+    transpile::TranspileOptions routeOnly;
+    routeOnly.device = &dev;
+    routeOnly.lowerToPulses = false;
+    const transpile::TranspileResult routed =
+        transpile::transpile(logical, routeOnly);
+    for (const Gate &g : routed.circuit.gates())
+        EXPECT_NE(g.label, "swap");
+
+    const transpile::TranspileResult bare = transpile::transpile(logical);
     transpile::TranspileOptions opts;
-    opts.h = 0.2;
-    opts.r = 0.8;
+    opts.device = &dev;
     const transpile::TranspileResult res =
         transpile::transpile(logical, opts);
-    ASSERT_EQ(res.circuit.size(), prog.circuit.size());
-    EXPECT_EQ(res.context.singleQubitGates, prog.singleQubitGates);
-    EXPECT_EQ(res.context.totalPulseTime, prog.totalTwoQubitTime);
+
+    ASSERT_TRUE(res.context.layout.has_value());
+    for (std::size_t l = 0; l < n; ++l)
+        EXPECT_EQ(res.context.layout->physicalOf(l), l);
+
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    ASSERT_GT(bare.circuit.twoQubitCount(), 0u);
+    ASSERT_EQ(res.circuit.size(), bare.circuit.size());
+    for (std::size_t g = 0; g < bare.circuit.size(); ++g) {
+        const Gate &ga = bare.circuit.gates()[g];
+        const Gate &gb = res.circuit.gates()[g];
+        ASSERT_EQ(ga.qubits, gb.qubits) << "gate " << g;
+        ASSERT_EQ(ga.label, gb.label) << "gate " << g;
+        ASSERT_EQ(ga.op.rows(), gb.op.rows()) << "gate " << g;
+        for (std::size_t r = 0; r < ga.op.rows(); ++r)
+            for (std::size_t col = 0; col < ga.op.cols(); ++col) {
+                ASSERT_EQ(bits(ga.op(r, col).real()),
+                          bits(gb.op(r, col).real()))
+                    << "gate " << g;
+                ASSERT_EQ(bits(ga.op(r, col).imag()),
+                          bits(gb.op(r, col).imag()))
+                    << "gate " << g;
+            }
+    }
+    ASSERT_EQ(res.context.pulses.size(), bare.context.pulses.size());
+    for (std::size_t p = 0; p < bare.context.pulses.size(); ++p)
+        EXPECT_EQ(bits(res.context.pulses[p].params.tau),
+                  bits(bare.context.pulses[p].params.tau))
+            << "pulse " << p;
+    EXPECT_EQ(bits(res.context.totalPulseTime),
+              bits(bare.context.totalPulseTime));
 }
 
 } // namespace
