@@ -32,6 +32,150 @@ offDiagMax(const Matrix &a)
     return m;
 }
 
+using Real4 = std::array<double, 16>;
+
+/** Largest absolute entry of a row-major real 4x4 matrix. */
+double
+maxAbs4(const Real4 &a)
+{
+    double m = 0.0;
+    for (const double x : a)
+        m = std::max(m, std::abs(x));
+    return m;
+}
+
+/** Largest absolute off-diagonal entry of a row-major real 4x4 matrix. */
+double
+offDiagMax4(const Real4 &a)
+{
+    double m = 0.0;
+    for (int r = 0; r < 4; ++r)
+        for (int c = 0; c < 4; ++c)
+            if (r != c)
+                m = std::max(m, std::abs(a[4 * r + c]));
+    return m;
+}
+
+Real4
+transpose4(const Real4 &a)
+{
+    Real4 t;
+    for (int r = 0; r < 4; ++r)
+        for (int c = 0; c < 4; ++c)
+            t[4 * c + r] = a[4 * r + c];
+    return t;
+}
+
+/** a * b in operator*'s i-k-j order, with its zero skip. */
+Real4
+mul4(const Real4 &a, const Real4 &b)
+{
+    Real4 c{};
+    for (int i = 0; i < 4; ++i)
+        for (int k = 0; k < 4; ++k) {
+            const double aik = a[4 * i + k];
+            if (aik == 0.0)
+                continue;
+            for (int j = 0; j < 4; ++j)
+                c[4 * i + j] += aik * b[4 * k + j];
+        }
+    return c;
+}
+
+/** Determinant by Matrix::det's LU with partial pivoting. */
+double
+det4(Real4 a)
+{
+    double d = 1.0;
+    for (int k = 0; k < 4; ++k) {
+        int pivot = k;
+        double best = std::abs(a[4 * k + k]);
+        for (int r = k + 1; r < 4; ++r) {
+            if (std::abs(a[4 * r + k]) > best) {
+                best = std::abs(a[4 * r + k]);
+                pivot = r;
+            }
+        }
+        if (best == 0.0)
+            return 0.0;
+        if (pivot != k) {
+            for (int c = 0; c < 4; ++c)
+                std::swap(a[4 * k + c], a[4 * pivot + c]);
+            d = -d;
+        }
+        d *= a[4 * k + k];
+        for (int r = k + 1; r < 4; ++r) {
+            const double f = a[4 * r + k] / a[4 * k + k];
+            for (int c = k; c < 4; ++c)
+                a[4 * r + c] -= f * a[4 * k + c];
+        }
+    }
+    return d;
+}
+
+/**
+ * Eigenvectors (columns, eigenvalues ascending) of the exactly symmetric
+ * real 4x4 @p m: eighHermitian's cyclic Jacobi on real entries, where the
+ * rotation phase e^{i phi} of a_pq is just its sign.
+ */
+Real4
+eighSymmetric4(Real4 m)
+{
+    Real4 v{};
+    for (int i = 0; i < 4; ++i)
+        v[4 * i + i] = 1.0;
+
+    const double scale = std::max(maxAbs4(m), 1e-300);
+    const int max_sweeps = 100;
+    for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+        if (offDiagMax4(m) <= 1e-14 * scale)
+            break;
+        for (int p = 0; p < 3; ++p) {
+            for (int q = p + 1; q < 4; ++q) {
+                const double apq = m[4 * p + q];
+                if (std::abs(apq) <= 1e-16 * scale)
+                    continue;
+                const double app = m[4 * p + p];
+                const double aqq = m[4 * q + q];
+                const double tau = (app - aqq) / (2.0 * std::abs(apq));
+                const double t = jacobiTangent(tau);
+                const double c = 1.0 / std::sqrt(t * t + 1.0);
+                const double s = t * c;
+                const double se = apq > 0.0 ? s : -s;
+
+                // m <- m J with J(p,p)=c, J(p,q)=-se, J(q,p)=se, J(q,q)=c.
+                for (int r = 0; r < 4; ++r) {
+                    const double mp = m[4 * r + p], mq = m[4 * r + q];
+                    m[4 * r + p] = c * mp + se * mq;
+                    m[4 * r + q] = -se * mp + c * mq;
+                }
+                // m <- J^T m.
+                for (int cc = 0; cc < 4; ++cc) {
+                    const double mp = m[4 * p + cc], mq = m[4 * q + cc];
+                    m[4 * p + cc] = c * mp + se * mq;
+                    m[4 * q + cc] = -se * mp + c * mq;
+                }
+                // v <- v J.
+                for (int r = 0; r < 4; ++r) {
+                    const double vp = v[4 * r + p], vq = v[4 * r + q];
+                    v[4 * r + p] = c * vp + se * vq;
+                    v[4 * r + q] = -se * vp + c * vq;
+                }
+            }
+        }
+    }
+
+    std::array<int, 4> order{0, 1, 2, 3};
+    std::sort(order.begin(), order.end(), [&m](int x, int y) {
+        return m[4 * x + x] < m[4 * y + y];
+    });
+    Real4 out;
+    for (int r = 0; r < 4; ++r)
+        for (int i = 0; i < 4; ++i)
+            out[4 * r + i] = v[4 * r + order[i]];
+    return out;
+}
+
 } // namespace
 
 EigenSystem
@@ -293,38 +437,35 @@ svd(const Matrix &a)
     return out;
 }
 
-Matrix
-simultaneousDiagonalize(const Matrix &a, const Matrix &b)
+std::array<double, 16>
+simultaneousDiagonalize(const std::array<double, 16> &a,
+                        const std::array<double, 16> &b)
 {
-    if (!a.isSquare() || a.rows() != b.rows())
-        throw std::invalid_argument("simultaneousDiagonalize: bad shapes");
-    const std::size_t n = a.rows();
-    // Build exactly real symmetric copies so the Jacobi rotations stay real.
-    auto realify = [n](const Matrix &x) {
-        Matrix r(n, n);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j)
-                r(i, j) = 0.5 * (x(i, j).real() + x(j, i).real());
+    // Exactly symmetric copies, so each combination below is too.
+    auto symmetrize = [](const Real4 &x) {
+        Real4 r;
+        for (int i = 0; i < 4; ++i)
+            for (int j = 0; j < 4; ++j)
+                r[4 * i + j] = 0.5 * (x[4 * i + j] + x[4 * j + i]);
         return r;
     };
-    const Matrix ar = realify(a);
-    const Matrix br = realify(b);
-    const double scale =
-        std::max({ar.maxAbs(), br.maxAbs(), 1e-300});
+    const Real4 ar = symmetrize(a);
+    const Real4 br = symmetrize(b);
+    const double scale = std::max({maxAbs4(ar), maxAbs4(br), 1e-300});
 
     static const double kMixes[] = {
         0.61803399, 1.41421356, -0.3331799, 2.71828183, 0.10101010, 5.0,
     };
     double best_off = 1e300;
-    Matrix best;
+    Real4 best{};
     for (const double t : kMixes) {
-        const EigenSystem es = eighHermitian(ar + t * br);
-        Matrix q(n, n);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j)
-                q(i, j) = es.vectors(i, j).real();
-        const double off = std::max(offDiagMax(q.transpose() * ar * q),
-                                    offDiagMax(q.transpose() * br * q));
+        Real4 mix;
+        for (int k = 0; k < 16; ++k)
+            mix[k] = ar[k] + t * br[k];
+        const Real4 q = eighSymmetric4(mix);
+        const Real4 qt = transpose4(q);
+        const double off = std::max(offDiagMax4(mul4(mul4(qt, ar), q)),
+                                    offDiagMax4(mul4(mul4(qt, br), q)));
         if (off < best_off) {
             best_off = off;
             best = q;
@@ -336,8 +477,9 @@ simultaneousDiagonalize(const Matrix &a, const Matrix &b)
         throw std::runtime_error(
             "simultaneousDiagonalize: inputs do not commute");
     }
-    if (best.det().real() < 0.0)
-        best.scaleCol(n - 1, -1.0);
+    if (det4(best) < 0.0)
+        for (int r = 0; r < 4; ++r)
+            best[4 * r + 3] = -best[4 * r + 3];
     return best;
 }
 

@@ -3,12 +3,14 @@
  * Matrix decompositions: Hermitian eigensolver (complex Jacobi), QR
  * (Householder), complex SVD (one-sided Jacobi), eigendecomposition of
  * normal/unitary matrices, and simultaneous diagonalization of commuting
- * real symmetric matrices (needed by the magic-basis KAK decomposition).
+ * real symmetric 4x4 matrices (needed by the magic-basis KAK
+ * decomposition).
  */
 
 #ifndef CRISC_LINALG_DECOMP_HH
 #define CRISC_LINALG_DECOMP_HH
 
+#include <array>
 #include <vector>
 
 #include "matrix.hh"
@@ -76,16 +78,21 @@ struct SVDResult
 SVDResult svd(const Matrix &a);
 
 /**
- * Simultaneously diagonalizes two commuting real symmetric matrices.
+ * Simultaneously diagonalizes two commuting real symmetric 4x4 matrices
+ * (row-major; each is symmetrized as (x + x^T)/2 first).
  *
  * Finds a real orthogonal Q such that Q^T a Q and Q^T b Q are both
- * diagonal. Used on Re/Im parts of the symmetric unitary gamma matrix in
- * the KAK decomposition. Inputs are given as complex matrices whose
- * imaginary parts must be negligible.
+ * diagonal, by a real cyclic Jacobi on generic combinations a + t b
+ * (eigenvalues ascending). Used on the real and imaginary parts of the
+ * symmetric unitary gamma in the KAK decomposition. Works on the stack;
+ * allocates nothing.
  *
- * @return Q with det(Q) = +1.
+ * @return row-major Q with det(Q) = +1.
+ * @throws std::runtime_error when no combination diagonalizes both
+ * inputs (they do not commute).
  */
-Matrix simultaneousDiagonalize(const Matrix &a, const Matrix &b);
+std::array<double, 16> simultaneousDiagonalize(const std::array<double, 16> &a,
+                                               const std::array<double, 16> &b);
 
 /** Inverse of a square matrix via Gauss-Jordan with partial pivoting. */
 Matrix inverse(const Matrix &a);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -327,8 +328,14 @@ maxAbsDiff(const Matrix &a, const Matrix &b)
     assert(a.rows() == b.rows() && a.cols() == b.cols());
     double m = 0.0;
     for (std::size_t r = 0; r < a.rows(); ++r)
-        for (std::size_t c = 0; c < a.cols(); ++c)
-            m = std::max(m, std::abs(a(r, c) - b(r, c)));
+        for (std::size_t c = 0; c < a.cols(); ++c) {
+            const double d = std::abs(a(r, c) - b(r, c));
+            // std::max would drop a NaN; +inf fails both `<= tol` and
+            // passes `> tol`, whichever way the caller asks.
+            if (std::isnan(d))
+                return std::numeric_limits<double>::infinity();
+            m = std::max(m, d);
+        }
     return m;
 }
 

@@ -150,7 +150,10 @@ CVector operator*(const Matrix &a, const CVector &v);
 /** Kronecker (tensor) product a (x) b. */
 Matrix kron(const Matrix &a, const Matrix &b);
 
-/** Entrywise distance max_ij |a_ij - b_ij|. */
+/**
+ * Entrywise distance max_ij |a_ij - b_ij|; +infinity when any entry
+ * difference is NaN, so a NaN never passes a tolerance check.
+ */
 double maxAbsDiff(const Matrix &a, const Matrix &b);
 
 /** @return true when max_ij |a_ij - b_ij| <= tol. */

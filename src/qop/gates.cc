@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/expm.hh"
-
 namespace crisc {
 namespace qop {
 
@@ -165,9 +163,19 @@ msGate()
 Matrix
 canonicalGate(double x, double y, double z)
 {
-    Matrix h = x * pauliXX() + y * pauliYY() + z * pauliZZ();
-    // exp(i H) = propagator(H, -1) since propagator computes exp(-i H t).
-    return linalg::propagator(h, -1.0);
+    // XX, YY and ZZ commute, so exp(i(x XX + y YY + z ZZ)) splits into
+    // two blocks: e^{iz} exp(i(x-y) X) on {|00>, |11>} and
+    // e^{-iz} exp(i(x+y) X) on {|01>, |10>}.
+    const Complex ez = std::polar(1.0, z);
+    const Complex ezd = std::conj(ez);
+    const double cm = std::cos(x - y), sm = std::sin(x - y);
+    const double cp = std::cos(x + y), sp = std::sin(x + y);
+    Matrix m(4, 4);
+    m(0, 0) = m(3, 3) = ez * cm;
+    m(0, 3) = m(3, 0) = ez * Complex{0.0, sm};
+    m(1, 1) = m(2, 2) = ezd * cp;
+    m(1, 2) = m(2, 1) = ezd * Complex{0.0, sp};
+    return m;
 }
 
 Matrix

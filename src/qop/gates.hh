@@ -64,6 +64,8 @@ const Matrix &msGate();
 /**
  * Canonical two-qubit interaction exp(i (x XX + y YY + z ZZ)); its KAK
  * interaction coefficients are exactly (x, y, z) (up to canonicalization).
+ * Built in closed form from its two 2x2 blocks, on {|00>, |11>} and on
+ * {|01>, |10>}; the eight entries outside them are exactly zero.
  */
 Matrix canonicalGate(double x, double y, double z);
 

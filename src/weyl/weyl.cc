@@ -202,17 +202,135 @@ template <class Moves>
 void
 canonicalize(Moves &t)
 {
-    std::ostringstream trace;
-    for (int iter = 0; iter < 64; ++iter) {
+    // The fold below casts each coordinate to int, which a non-finite
+    // one cannot survive.
+    if (!std::isfinite(t.eta.x) || !std::isfinite(t.eta.y) ||
+        !std::isfinite(t.eta.z)) {
+        std::ostringstream msg;
+        msg << "weyl: non-finite interaction coefficients (" << t.eta.x
+            << ", " << t.eta.y << ", " << t.eta.z << ")";
+        throw std::invalid_argument(msg.str());
+    }
+    // The tail of the trace is formatted only once the loop is about to
+    // fail, so a converging call builds no stream.
+    constexpr int kIters = 64, kTraced = 6;
+    for (int iter = 0; iter < kIters - kTraced; ++iter)
         if (canonicalStep(t))
             return;
-        if (iter >= 58) {
-            trace << " (" << t.eta.x << "," << t.eta.y << "," << t.eta.z
-                  << ")";
-        }
+    std::ostringstream trace;
+    for (int iter = kIters - kTraced; iter < kIters; ++iter) {
+        if (canonicalStep(t))
+            return;
+        trace << " (" << t.eta.x << "," << t.eta.y << "," << t.eta.z << ")";
     }
     throw std::runtime_error(
         "weyl: canonicalization did not converge; tail:" + trace.str());
+}
+
+/** A complex 4x4 matrix on the stack, row-major. */
+using C4 = std::array<Complex, 16>;
+
+C4
+toC4(const Matrix &m)
+{
+    C4 a;
+    std::copy(m.data(), m.data() + 16, a.begin());
+    return a;
+}
+
+Matrix
+toMatrix(const C4 &a)
+{
+    Matrix m(4, 4);
+    std::copy(a.begin(), a.end(), m.data());
+    return m;
+}
+
+/**
+ * a * b in linalg::operator*'s i-k-j order, with its zero skip, so the
+ * result is bitwise that of the Matrix product.
+ */
+C4
+mul(const C4 &a, const C4 &b)
+{
+    C4 c{};
+    for (int i = 0; i < 4; ++i)
+        for (int k = 0; k < 4; ++k) {
+            const Complex aik = a[4 * i + k];
+            if (aik == Complex{0.0, 0.0})
+                continue;
+            for (int j = 0; j < 4; ++j)
+                c[4 * i + j] += aik * b[4 * k + j];
+        }
+    return c;
+}
+
+C4
+transpose(const C4 &a)
+{
+    C4 t;
+    for (int r = 0; r < 4; ++r)
+        for (int c = 0; c < 4; ++c)
+            t[4 * c + r] = a[4 * r + c];
+    return t;
+}
+
+C4
+dagger(const C4 &a)
+{
+    C4 t;
+    for (int r = 0; r < 4; ++r)
+        for (int c = 0; c < 4; ++c)
+            t[4 * c + r] = std::conj(a[4 * r + c]);
+    return t;
+}
+
+/** Determinant by Matrix::det's LU with partial pivoting. */
+Complex
+det(C4 a)
+{
+    Complex d = 1.0;
+    for (int k = 0; k < 4; ++k) {
+        int pivot = k;
+        double best = std::abs(a[4 * k + k]);
+        for (int r = k + 1; r < 4; ++r) {
+            if (std::abs(a[4 * r + k]) > best) {
+                best = std::abs(a[4 * r + k]);
+                pivot = r;
+            }
+        }
+        if (best == 0.0)
+            return 0.0;
+        if (pivot != k) {
+            for (int c = 0; c < 4; ++c)
+                std::swap(a[4 * k + c], a[4 * pivot + c]);
+            d = -d;
+        }
+        d *= a[4 * k + k];
+        for (int r = k + 1; r < 4; ++r) {
+            const Complex f = a[4 * r + k] / a[4 * k + k];
+            for (int c = k; c < 4; ++c)
+                a[4 * r + c] -= f * a[4 * k + c];
+        }
+    }
+    return d;
+}
+
+/**
+ * linalg::isUnitary(u, tol) on the stack: every entry of u^dagger u is
+ * within @p tol of the identity (a NaN entry is never within).
+ */
+bool
+isUnitary(const C4 &u, double tol)
+{
+    const C4 p = mul(dagger(u), u);
+    for (int r = 0; r < 4; ++r)
+        for (int c = 0; c < 4; ++c) {
+            const Complex want = r == c ? 1.0 : 0.0;
+            if (!(std::abs(p[4 * r + c] - want) <= tol))
+                return false;
+        }
+    return true;
 }
 
 /** Output of the spectral step shared by kak() and weylCoordinates(). */
@@ -220,65 +338,73 @@ struct Spectral
 {
     /** u = e^{i phase} (M q M^dag) canonicalGate(eta) (M v M^dag). */
     double phase;
-    Matrix q;      ///< Real orthogonal diagonalizer of gamma.
-    Matrix v;      ///< Real orthogonal right factor.
+    C4 q;          ///< Real orthogonal diagonalizer of gamma.
+    C4 v;          ///< Real orthogonal right factor.
     WeylPoint eta; ///< Raw (not yet canonical) interaction coefficients.
 };
 
 /**
  * Diagonalizes the symmetric unitary gamma = U_B U_B^T of @p u in the
  * magic basis and returns the raw Weyl point with the factors that
- * produced it. @p caller names the public entry point in error messages.
+ * produced it. Every 4x4 intermediate lives on the stack; @p caller
+ * names the public entry point in error messages.
  */
 Spectral
 spectralStep(const Matrix &u, const char *caller)
 {
-    if (u.rows() != 4 || u.cols() != 4 || !linalg::isUnitary(u, 1e-8))
+    if (u.rows() != 4 || u.cols() != 4)
+        throw std::invalid_argument(std::string(caller) +
+                                    ": expected a 4x4 unitary");
+    C4 su = toC4(u);
+    if (!isUnitary(su, 1e-8))
         throw std::invalid_argument(std::string(caller) +
                                     ": expected a 4x4 unitary");
 
     // Split off the global phase so we work inside SU(4).
-    const double theta0 = std::arg(u.det()) / 4.0;
-    const Matrix su = std::polar(1.0, -theta0) * u;
+    const double theta0 = std::arg(det(su)) / 4.0;
+    const Complex unphase = std::polar(1.0, -theta0);
+    for (Complex &x : su)
+        x *= unphase;
 
-    const Matrix &m = magicBasis();
-    const Matrix um = m.dagger() * su * m;
-    const Matrix gamma = um * um.transpose();
+    static const C4 m = toC4(magicBasis());
+    static const C4 md = dagger(m);
+    const C4 um = mul(mul(md, su), m);
+    const C4 gamma = mul(um, transpose(um));
 
     // gamma is symmetric unitary: its real and imaginary parts commute
     // and are diagonalized by a common real orthogonal Q.
-    const std::size_t n = 4;
-    Matrix re(n, n), im(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j) {
-            re(i, j) = gamma(i, j).real();
-            im(i, j) = gamma(i, j).imag();
-        }
+    std::array<double, 16> re, im;
+    for (int k = 0; k < 16; ++k) {
+        re[k] = gamma[k].real();
+        im[k] = gamma[k].imag();
+    }
+    const std::array<double, 16> qReal =
+        linalg::simultaneousDiagonalize(re, im);
     Spectral out;
-    out.q = linalg::simultaneousDiagonalize(re, im);
-    const Matrix &q = out.q;
-    const Matrix d = q.transpose() * gamma * q;
+    for (int k = 0; k < 16; ++k)
+        out.q[k] = qReal[k];
+    const C4 qt = transpose(out.q);
+    const C4 d = mul(mul(qt, gamma), out.q);
 
     std::array<double, 4> lambda;
-    for (std::size_t i = 0; i < 4; ++i)
-        lambda[i] = std::arg(d(i, i)) / 2.0;
+    for (int i = 0; i < 4; ++i)
+        lambda[i] = std::arg(d[4 * i + i]) / 2.0;
 
     auto makeV = [&](const std::array<double, 4> &lam) {
-        Matrix dinv(4, 4);
-        for (std::size_t i = 0; i < 4; ++i)
-            dinv(i, i) = std::polar(1.0, -lam[i]);
-        return dinv * q.transpose() * um;
+        C4 dinv{};
+        for (int i = 0; i < 4; ++i)
+            dinv[4 * i + i] = std::polar(1.0, -lam[i]);
+        return mul(mul(dinv, qt), um);
     };
     out.v = makeV(lambda);
-    if (out.v.det().real() < 0.0) {
+    if (det(out.v).real() < 0.0) {
         lambda[0] += kPi;
         out.v = makeV(lambda);
     }
     // V must be real orthogonal at this point.
     double imax = 0.0;
-    for (std::size_t i = 0; i < 4; ++i)
-        for (std::size_t j = 0; j < 4; ++j)
-            imax = std::max(imax, std::abs(out.v(i, j).imag()));
+    for (const Complex &x : out.v)
+        imax = std::max(imax, std::abs(x.imag()));
     if (imax > 1e-7)
         throw std::runtime_error(std::string(caller) +
                                  ": orthogonal factor not real");
@@ -308,6 +434,8 @@ pointDistance(const WeylPoint &a, const WeylPoint &b)
 bool
 isCanonical(const WeylPoint &p, double tol)
 {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y) || !std::isfinite(p.z))
+        return false;
     if (p.x > kPi / 4.0 + tol || p.y > p.x + tol)
         return false;
     if (std::abs(p.z) > p.y + tol)
@@ -354,8 +482,8 @@ kak(const Matrix &u)
     t.eta = sp.eta;
 
     const Matrix &m = magicBasis();
-    std::tie(t.a1, t.a2) = qop::factorKron(m * sp.q * m.dagger());
-    std::tie(t.b1, t.b2) = qop::factorKron(m * sp.v * m.dagger());
+    std::tie(t.a1, t.a2) = qop::factorKron(m * toMatrix(sp.q) * m.dagger());
+    std::tie(t.b1, t.b2) = qop::factorKron(m * toMatrix(sp.v) * m.dagger());
 
     canonicalize(t);
     KAKDecomposition out = t.decomposition();

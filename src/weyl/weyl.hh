@@ -10,8 +10,9 @@
  *
  * Both kak() and weylCoordinates() start with the same spectral step:
  * the phase split into SU(4), the symmetric unitary gamma = U_B U_B^T
- * in the magic (Bell) basis, its real orthogonal diagonalization and
- * the raw interaction coefficients read off its eigenphases. One set of
+ * in the magic (Bell) basis, its real orthogonal diagonalization (a
+ * real symmetric Jacobi, on stack 4x4 arrays) and the raw interaction
+ * coefficients read off its eigenphases. One set of
  * chamber-move rules then canonicalizes the point. Only kak() builds
  * local gates: it factors them out of the diagonalization and replays
  * every chamber move on them. weylCoordinates() moves the point alone,
@@ -44,7 +45,10 @@ struct WeylPoint
 /** Distance max(|dx|, |dy|, |dz|) between chamber points. */
 double pointDistance(const WeylPoint &a, const WeylPoint &b);
 
-/** @return true when p lies in the canonical chamber W (to tolerance). */
+/**
+ * @return true when p lies in the canonical chamber W (to tolerance);
+ * false for any non-finite coordinate.
+ */
 bool isCanonical(const WeylPoint &p, double tol = 1e-9);
 
 /**
@@ -53,6 +57,8 @@ bool isCanonical(const WeylPoint &p, double tol = 1e-9);
  * are decided by the same rules kak() replays on its local gates, so
  * the result is bitwise equal to the point of
  * detail::trackedCanonicalization(raw).
+ *
+ * @throws std::invalid_argument when a coordinate is not finite.
  */
 WeylPoint canonicalizePoint(const WeylPoint &raw);
 

@@ -3,7 +3,10 @@
  * Unit and property tests for the dense linear-algebra substrate.
  */
 
+#include <array>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -45,6 +48,28 @@ TEST(Matrix, TraceAndDeterminant)
     Rng rng(7);
     const Matrix u = haarUnitary(rng, 5);
     EXPECT_NEAR(std::abs(u.det()), 1.0, 1e-10);
+}
+
+TEST(Matrix, MaxAbsDiffTreatsNaNAsMismatch)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const Matrix id = Matrix::identity(4);
+    for (const Complex bad : {Complex{nan, 0.0}, Complex{0.0, nan},
+                              Complex{inf, 0.0}}) {
+        for (const std::size_t at : {std::size_t{0}, std::size_t{6}}) {
+            Matrix m = id;
+            m(at / 4, at % 4) = bad;
+            // +inf, not NaN: `<= tol` is false and `> tol` is true, so
+            // a check written either way rejects.
+            EXPECT_EQ(maxAbsDiff(m, id), inf);
+            EXPECT_EQ(maxAbsDiff(id, m), inf);
+            EXPECT_TRUE(maxAbsDiff(m, id) > 1e-7);
+            EXPECT_FALSE(approxEqual(m, id));
+            EXPECT_FALSE(isUnitary(m, 1e-8));
+        }
+    }
+    EXPECT_EQ(maxAbsDiff(id, id), 0.0);
 }
 
 TEST(Matrix, KroneckerProductShapeAndContent)
@@ -267,6 +292,40 @@ TEST(Random, HaarUnitaryFirstMomentVanishes)
     EXPECT_LT(mean.maxAbs(), 0.06);
 }
 
+/** Real part of a 4x4 Matrix as simultaneousDiagonalize's row-major input. */
+std::array<double, 16>
+realPart(const Matrix &m)
+{
+    std::array<double, 16> a;
+    for (int i = 0; i < 4; ++i)
+        for (int j = 0; j < 4; ++j)
+            a[4 * i + j] = m(i, j).real();
+    return a;
+}
+
+Matrix
+fromRowMajor(const std::array<double, 16> &a)
+{
+    Matrix m(4, 4);
+    for (int i = 0; i < 4; ++i)
+        for (int j = 0; j < 4; ++j)
+            m(i, j) = a[4 * i + j];
+    return m;
+}
+
+/** Max off-diagonal magnitude of o^T x o. */
+double
+rotatedOffDiag(const Matrix &o, const Matrix &x)
+{
+    const Matrix d = o.transpose() * x * o;
+    double m = 0.0;
+    for (int r = 0; r < 4; ++r)
+        for (int c = 0; c < 4; ++c)
+            if (r != c)
+                m = std::max(m, std::abs(d(r, c)));
+    return m;
+}
+
 TEST(SimultaneousDiagonalize, CommutingSymmetricPair)
 {
     // Build commuting real symmetric matrices from a common eigenbasis.
@@ -283,7 +342,8 @@ TEST(SimultaneousDiagonalize, CommutingSymmetricPair)
     // Re-orthogonalize the real part (QR of a real matrix stays real).
     const Matrix a = q * Matrix::diag({1.0, 2.0, 3.0, 4.0}) * q.transpose();
     const Matrix b = q * Matrix::diag({-1.0, 0.5, 0.5, 2.0}) * q.transpose();
-    const Matrix o = simultaneousDiagonalize(a, b);
+    const Matrix o =
+        fromRowMajor(simultaneousDiagonalize(realPart(a), realPart(b)));
     EXPECT_NEAR(std::abs(o.det() - Complex{1.0, 0.0}), 0.0, 1e-9);
     const Matrix da = o.transpose() * a * o;
     const Matrix db = o.transpose() * b * o;
@@ -293,6 +353,38 @@ TEST(SimultaneousDiagonalize, CommutingSymmetricPair)
                 EXPECT_LT(std::abs(da(r, c)), 1e-8);
                 EXPECT_LT(std::abs(db(r, c)), 1e-8);
             }
+
+    // The KAK input: gamma = U_B U_B^T in the magic basis, whose real and
+    // imaginary parts commute. CNOT, SWAP and the identity give repeated
+    // eigenvalues, the degenerate case for the Jacobi mixes.
+    const double s = 1.0 / std::sqrt(2.0);
+    const Complex is{0.0, s};
+    const Matrix magic{{s, 0, 0, is}, {0, is, s, 0}, {0, is, -s, 0},
+                       {s, 0, 0, -is}};
+    const Matrix cnot{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 0, 1}, {0, 0, 1, 0}};
+    const Matrix swap{{1, 0, 0, 0}, {0, 0, 1, 0}, {0, 1, 0, 0}, {0, 0, 0, 1}};
+    for (const Matrix &u : {cnot, swap, Matrix::identity(4)}) {
+        const Matrix ub = magic.dagger() * u * magic;
+        const Matrix gamma = ub * ub.transpose();
+        std::array<double, 16> re, im;
+        for (int k = 0; k < 16; ++k) {
+            re[k] = gamma.data()[k].real();
+            im[k] = gamma.data()[k].imag();
+        }
+        const Matrix og = fromRowMajor(simultaneousDiagonalize(re, im));
+        EXPECT_NEAR(og.det().real(), 1.0, 1e-12) << u.toString();
+        EXPECT_LE(rotatedOffDiag(og, fromRowMajor(re)), 1e-12) << u.toString();
+        EXPECT_LE(rotatedOffDiag(og, fromRowMajor(im)), 1e-12) << u.toString();
+    }
+}
+
+TEST(SimultaneousDiagonalize, NonCommutingPairThrows)
+{
+    const Matrix a = Matrix::diag({1.0, 2.0, 3.0, 4.0});
+    Matrix b(4, 4);
+    b(0, 1) = b(1, 0) = 1.0;
+    EXPECT_THROW(simultaneousDiagonalize(realPart(a), realPart(b)),
+                 std::runtime_error);
 }
 
 } // namespace

@@ -6,6 +6,8 @@
  */
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -272,6 +274,16 @@ TEST(ThreeQubit, GenericConstructionNearPaperCount)
         // Paper's Theorem 12 reaches 11; our mechanical merge reaches 12.
         EXPECT_LE(c.twoQubitCount(), 12u);
     }
+}
+
+TEST(ThreeQubit, NaNInputIsRejected)
+{
+    // isUnitary must reject a NaN entry (std::max alone would drop it).
+    linalg::Rng rng(31);
+    Matrix u = linalg::haarUnitary(rng, 8);
+    u(5, 2) = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(synth::threeQubitGeneric(u), std::invalid_argument);
+    EXPECT_THROW(synth::csd(u), std::invalid_argument);
 }
 
 TEST(ThreeQubit, MergePassPreservesUnitary)

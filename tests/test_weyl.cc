@@ -7,12 +7,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "linalg/expm.hh"
 #include "linalg/random.hh"
 #include "qop/gates.hh"
 #include "qop/metrics.hh"
@@ -297,25 +299,103 @@ TEST(WeylCoordinates, BitwiseEqualToKakOnChamberBoundary)
             << "(" << p.x << "," << p.y << "," << p.z << ")";
 }
 
+TEST(WeylCoordinates, HaarBitsPinned)
+{
+    // FNV-1a over the bits of (x, y, z) of 4,096 Haar SU(4) draws. Any
+    // change to the spectral step that moves one coordinate bit fails
+    // here, also when the Figure-7 pins' rounded outputs do not move.
+    linalg::Rng rng(20240427);
+    std::uint64_t h = 14695981039346656037ull;
+    for (int i = 0; i < 4096; ++i) {
+        const WeylPoint p = weyl::weylCoordinates(linalg::haarSU(rng, 4));
+        for (const double v : {p.x, p.y, p.z}) {
+            const std::uint64_t b = std::bit_cast<std::uint64_t>(v);
+            for (int k = 0; k < 8; ++k) {
+                h ^= (b >> (8 * k)) & 0xffu;
+                h *= 1099511628211ull;
+            }
+        }
+    }
+    EXPECT_EQ(h, 0xcf9a1c29f6c3a92full);
+}
+
 TEST(WeylCoordinates, BadInputThrowsNamingTheCaller)
 {
-    const auto message = [](const Matrix &u) {
+    const auto message = [](auto entry, const Matrix &u) {
         try {
-            weyl::weylCoordinates(u);
+            entry(u);
         } catch (const std::invalid_argument &e) {
             return std::string(e.what());
         }
         return std::string("no std::invalid_argument");
     };
+    const auto coords = [](const Matrix &u) { weyl::weylCoordinates(u); };
+    const auto kak = [](const Matrix &u) { weyl::kak(u); };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
     const Matrix threeByThree = Matrix::identity(3);
     const Matrix nonUnitary = 2.0 * Matrix::identity(4);
-    EXPECT_THROW(weyl::weylCoordinates(threeByThree), std::invalid_argument);
-    EXPECT_THROW(weyl::weylCoordinates(nonUnitary), std::invalid_argument);
-    EXPECT_NE(message(threeByThree).find("weylCoordinates"),
-              std::string::npos)
-        << message(threeByThree);
-    EXPECT_NE(message(nonUnitary).find("weylCoordinates"), std::string::npos)
-        << message(nonUnitary);
+    Matrix nanEntry = Matrix::identity(4);
+    nanEntry(1, 2) = nan;
+    Matrix nanDiagonal = qop::cnot();
+    nanDiagonal(0, 0) = linalg::Complex{1.0, nan};
+    for (const Matrix &bad :
+         {threeByThree, nonUnitary, nanEntry, nanDiagonal}) {
+        EXPECT_THROW(weyl::weylCoordinates(bad), std::invalid_argument);
+        EXPECT_THROW(weyl::kak(bad), std::invalid_argument);
+        EXPECT_NE(message(coords, bad).find("weylCoordinates"),
+                  std::string::npos)
+            << message(coords, bad);
+        EXPECT_NE(message(kak, bad).find("kak"), std::string::npos)
+            << message(kak, bad);
+    }
+}
+
+TEST(WeylCoordinates, NonFinitePointsAreNotCanonical)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {nan, inf, -inf}) {
+        for (const WeylPoint &p :
+             {WeylPoint{bad, 0.0, 0.0}, WeylPoint{0.1, bad, 0.0},
+              WeylPoint{0.1, 0.05, bad}}) {
+            EXPECT_FALSE(weyl::isCanonical(p))
+                << p.x << "," << p.y << "," << p.z;
+            EXPECT_THROW(weyl::canonicalizePoint(p), std::invalid_argument);
+        }
+    }
+    EXPECT_TRUE(weyl::isCanonical({0.1, 0.05, 0.0}));
+}
+
+TEST(Gates, CanonicalGateMatchesPropagator)
+{
+    const Matrix &xx = qop::pauliXX();
+    const Matrix &yy = qop::pauliYY();
+    const Matrix &zz = qop::pauliZZ();
+    linalg::Rng rng(37);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const double bound = trial % 2 == 0 ? 1.0 : 10.0;
+        const double x = rng.uniform(-bound, bound);
+        const double y = rng.uniform(-bound, bound);
+        const double z = rng.uniform(-bound, bound);
+        const Matrix got = qop::canonicalGate(x, y, z);
+        // exp(i H) = propagator(H, -1): the oracle is the generic solver.
+        const Matrix want =
+            linalg::propagator(x * xx + y * yy + z * zz, -1.0);
+        EXPECT_LE(linalg::maxAbsDiff(got, want), bound == 1.0 ? 1e-14 : 1e-13)
+            << "(" << x << "," << y << "," << z << ")";
+        // Outside the {|00>,|11>} and {|01>,|10>} blocks: exactly zero.
+        for (int r = 0; r < 4; ++r)
+            for (int c = 0; c < 4; ++c) {
+                const bool inBlock = (r == 0 || r == 3) == (c == 0 || c == 3);
+                if (!inBlock) {
+                    EXPECT_EQ(got(r, c), linalg::Complex(0.0, 0.0))
+                        << r << "," << c;
+                }
+            }
+    }
+    EXPECT_TRUE(
+        weyl::locallyEquivalent(qop::canonicalGate(M_PI / 4.0, 0.0, 0.0),
+                                qop::cnot()));
 }
 
 TEST(LocallyEquivalent, DetectsEquivalenceAndDifference)
