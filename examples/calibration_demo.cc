@@ -20,7 +20,6 @@
 #include "calib/cartan.hh"
 #include "calib/model.hh"
 #include "calib/pulse.hh"
-#include "device/device.hh"
 #include "weyl/measure.hh"
 #include "linalg/random.hh"
 #include "weyl/weyl.hh"
@@ -90,16 +89,5 @@ main()
         held.push_back(weyl::sampleChamber(rng));
     heldOut = calib::modelObjective(r.fitted, truth, held, 0.0, 1.1);
     std::printf("   held-out gates (5 random): mean error %.2e\n", heldOut);
-
-    // The fitted model travels with the device: anything compiling
-    // against it can read the transfer gains back off the target.
-    device::Device dev = device::Device::grid2d(
-        device::NativeKind::AshN, 9,
-        {.twoQubitError = 0.01, .singleQubitError = 0.001, .h = 0.0,
-         .r = 1.1});
-    dev.setControl(r.fitted);
-    std::printf("\n   device \"%s\" calibrated: gains %.3f %.3f %.3f\n",
-                dev.name().c_str(), dev.control()->gainOmega1,
-                dev.control()->gainOmega2, dev.control()->gainDelta);
     return heldOut < 1e-3 ? 0 : 1;
 }

@@ -45,16 +45,14 @@ main()
         logical.add(qop::cnot(), {a, b}, "payload");
     }
 
-    // Route through the transpiler pipeline; the SWAP count is
-    // instruction-set independent.
-    transpile::TranspileOptions opts;
-    opts.device = &grid;
-    opts.decomposeWide = false;   // workload is already 2q-only
-    opts.fuseSingleQubit = false; // keep the payload gates visible
-    opts.peephole = false;
-    opts.lowerToPulses = false;   // account costs per set below
-    const transpile::TranspileResult routed = transpile::transpile(
-        logical, opts);
+    // Route alone: the payload gates stay visible, the SWAP count is
+    // instruction-set independent, and costs are accounted per set
+    // below.
+    transpile::PassManager routeOnly;
+    routeOnly.emplace<transpile::Route>();
+    transpile::PassContext ctx;
+    ctx.coupling = &grid.coupling();
+    const transpile::TranspileResult routed = routeOnly.run(logical, ctx);
 
     std::size_t totalSwaps = 0;
     for (const circuit::Gate &g : routed.circuit.gates())

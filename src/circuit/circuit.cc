@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "qop/gates.hh"
 #include "sim/batch_state.hh"
@@ -11,15 +12,35 @@
 namespace crisc {
 namespace circuit {
 
+namespace {
+
+/** Throws std::invalid_argument, prefixed with @p fn, unless @p op is
+ *  2^k x 2^k for k distinct in-range @p qubits of an n-qubit register. */
 void
-Circuit::add(Matrix op, std::vector<std::size_t> qubits, std::string label)
+checkOperands(const char *fn, const Matrix &op,
+              const std::vector<std::size_t> &qubits, std::size_t n)
 {
     const std::size_t dim = std::size_t{1} << qubits.size();
     if (op.rows() != dim || op.cols() != dim)
-        throw std::invalid_argument("Circuit::add: operator size mismatch");
-    for (std::size_t q : qubits)
-        if (q >= nQubits_)
-            throw std::invalid_argument("Circuit::add: qubit out of range");
+        throw std::invalid_argument(std::string(fn) +
+                                    ": operator size mismatch");
+    for (auto q = qubits.begin(); q != qubits.end(); ++q) {
+        if (*q >= n)
+            throw std::invalid_argument(std::string(fn) +
+                                        ": qubit out of range");
+        if (std::find(qubits.begin(), q, *q) != q)
+            throw std::invalid_argument(std::string(fn) +
+                                        ": repeated qubit " +
+                                        std::to_string(*q));
+    }
+}
+
+} // namespace
+
+void
+Circuit::add(Matrix op, std::vector<std::size_t> qubits, std::string label)
+{
+    checkOperands("Circuit::add", op, qubits, nQubits_);
     gates_.push_back({std::move(op), std::move(qubits), std::move(label)});
 }
 
@@ -83,12 +104,7 @@ State::State(std::size_t num_qubits)
 void
 State::apply(const Matrix &op, const std::vector<std::size_t> &qubits)
 {
-    const std::size_t gdim = std::size_t{1} << qubits.size();
-    if (op.rows() != gdim || op.cols() != gdim)
-        throw std::invalid_argument("State::apply: operator size mismatch");
-    for (std::size_t q : qubits)
-        if (q >= nQubits_)
-            throw std::invalid_argument("State::apply: qubit out of range");
+    checkOperands("State::apply", op, qubits, nQubits_);
     sim::applyGate(amps_.data(), nQubits_, op, qubits);
 }
 

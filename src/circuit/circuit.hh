@@ -41,7 +41,8 @@ class Circuit
     const std::vector<Gate> &gates() const { return gates_; }
     std::size_t size() const { return gates_.size(); }
 
-    /** Appends a gate; validates qubit indices and operator size. */
+    /** Appends a gate; validates operator size and that the qubit
+     *  indices are in range and distinct (std::invalid_argument). */
     void add(Matrix op, std::vector<std::size_t> qubits,
              std::string label = "");
 
@@ -86,6 +87,8 @@ class State
      * Applies a k-qubit gate in place (matrix is 2^k x 2^k). Gates on
      * one or two qubits dispatch to the specialized kernels in
      * sim/kernels.hh; larger gates take the generic dense path.
+     * @throws std::invalid_argument on an operator size mismatch or an
+     *         out-of-range or repeated qubit.
      */
     void apply(const Matrix &op, const std::vector<std::size_t> &qubits);
 

@@ -5,8 +5,7 @@
  *
  *   - connectivity: a route::CouplingMap,
  *   - the native two-qubit instruction set: a NativeGateSet,
- *   - the noise model: gate-time-proportional depolarizing rates,
- *   - optionally, a fitted calib::ControlModel (transfer gains).
+ *   - the noise model: gate-time-proportional depolarizing rates.
  *
  * A Device is the one way to name a target. It is constructed once and
  * threaded through the stack: the transpiler routes onto its coupling
@@ -21,11 +20,9 @@
 #define CRISC_DEVICE_DEVICE_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
-#include "calib/model.hh"
 #include "device/native_set.hh"
 #include "route/route.hh"
 
@@ -65,7 +62,7 @@ struct DeviceParams
     double r = 0.0;                  ///< AshN drive cutoff.
 };
 
-/** A target machine: coupling + native gate set + noise (+ calibration). */
+/** A target machine: coupling + native gate set + noise. */
 class Device
 {
   public:
@@ -105,19 +102,11 @@ class Device
     }
     const NoiseModel &noise() const { return noise_; }
 
-    /** Fitted control-transfer model; nullptr when uncalibrated. */
-    const calib::ControlModel *control() const
-    {
-        return control_ ? &*control_ : nullptr;
-    }
-    void setControl(const calib::ControlModel &m) { control_ = m; }
-
   private:
     std::string name_;
     route::CouplingMap coupling_;
     std::shared_ptr<const NativeGateSet> gateSet_;
     NoiseModel noise_;
-    std::optional<calib::ControlModel> control_;
 };
 
 } // namespace device

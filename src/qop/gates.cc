@@ -186,6 +186,13 @@ embed(const Matrix &gate, const std::vector<std::size_t> &qubits,
     const std::size_t gdim = std::size_t{1} << k;
     if (gate.rows() != gdim || gate.cols() != gdim)
         throw std::invalid_argument("embed: gate size mismatch");
+    for (std::size_t b = 0; b < k; ++b) {
+        if (qubits[b] >= n)
+            throw std::invalid_argument("embed: qubit out of range");
+        for (std::size_t c = 0; c < b; ++c)
+            if (qubits[c] == qubits[b])
+                throw std::invalid_argument("embed: repeated qubit");
+    }
     const std::size_t dim = std::size_t{1} << n;
     Matrix out(dim, dim);
     for (std::size_t row = 0; row < dim; ++row) {

@@ -78,6 +78,8 @@ Matrix canonicalGate(double x, double y, double z);
  * @param qubits the register qubits the gate's tensor factors act on,
  *        most-significant gate qubit first.
  * @param n total number of register qubits.
+ * @throws std::invalid_argument on a gate size mismatch or an
+ *         out-of-range or repeated qubit.
  */
 Matrix embed(const Matrix &gate, const std::vector<std::size_t> &qubits,
              std::size_t n);

@@ -123,8 +123,6 @@ heavyOutputExperiment(const QvConfig &config)
     // circuit has been routed. The choice never affects results, so
     // one representative circuit suffices.
     std::optional<sim::TrajectoryRunner> runner;
-    std::optional<sim::ThreadPool> idealPool;
-    sim::ExecOptions idealExec;
     std::size_t soaLanes = 1;
     const auto ensureRunner = [&](std::size_t sim_width) {
         if (runner)
@@ -141,16 +139,6 @@ heavyOutputExperiment(const QvConfig &config)
                        ? heur.soaLanes
                        : static_cast<std::size_t>(config.soaLanes);
         runner.emplace(split.trajWorkers, split.stateThreads);
-        // The per-circuit ideal simulation runs before the trajectory
-        // fan-out, so it may use the whole budget for its sweeps
-        // (bit-identical to serial execution either way).
-        const std::size_t totalBudget =
-            runner->trajWorkers() * runner->stateThreads();
-        if (totalBudget > 1) {
-            idealPool.emplace(totalBudget);
-            idealExec.pool = &*idealPool;
-            idealExec.threads = totalBudget;
-        }
     };
 
     double heavySum = 0.0;
@@ -257,7 +245,7 @@ heavyOutputExperiment(const QvConfig &config)
         // engine (fusion is a no-op here; the quad kernel is not).
         const linalg::CVector idealAmps = [&] {
             OBS_SPAN("qv.ideal");
-            return sim::run(sim::compile(model), idealExec);
+            return sim::run(sim::compile(model));
         }();
         std::vector<double> probs(dim);
         for (std::size_t i = 0; i < dim; ++i)

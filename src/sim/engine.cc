@@ -155,10 +155,7 @@ struct Pending
 class Compiler
 {
   public:
-    Compiler(std::size_t n, const CompileOptions &opts)
-        : opts_(opts), pending_(n)
-    {
-    }
+    explicit Compiler(std::size_t n) : pending_(n) {}
 
     void addGate(const circuit::Gate &g)
     {
@@ -169,11 +166,8 @@ class Compiler
         }
         if (g.qubits.size() == 2) {
             // addTwoQ consumes the operand qubits' pending 1q products
-            // itself when 2q fusion is on; flushing here would force
-            // them into separate pair sweeps.
-            if (!opts_.fuseTwoQubit)
-                for (std::size_t q : g.qubits)
-                    flush(q);
+            // itself; flushing here would force them into separate pair
+            // sweeps.
             addTwoQ(g);
             return;
         }
@@ -207,8 +201,6 @@ class Compiler
                        gm[2] * p[1] + gm[3] * p[3]};
             ++slot->absorbed;
         }
-        if (!opts_.fuseSingleQubit)
-            flush(q);
     }
 
     void addTwoQ(const circuit::Gate &g)
@@ -218,22 +210,20 @@ class Compiler
             for (std::size_t c = 0; c < 4; ++c)
                 m[r * 4 + c] = g.op(r, c);
 
-        if (opts_.fuseTwoQubit) {
-            // Fold pending 1q products on the operand qubits into the
-            // quad: the pendings act first, so m <- m * (u_hi (x) u_lo).
-            std::optional<Pending> &hi = pending_[g.qubits[0]];
-            std::optional<Pending> &lo = pending_[g.qubits[1]];
-            if (hi || lo) {
-                const Mat2 id{Complex{1.0, 0.0}, Complex{0.0, 0.0},
-                              Complex{0.0, 0.0}, Complex{1.0, 0.0}};
-                m = matmul4(m, kron2(hi ? hi->m : id, lo ? lo->m : id));
-                for (std::optional<Pending> *slot : {&hi, &lo}) {
-                    if (!*slot)
-                        continue;
-                    stats_.fusedGates += 1 + (*slot)->absorbed;
-                    ++stats_.fusedInto2q;
-                    slot->reset();
-                }
+        // Fold pending 1q products on the operand qubits into the quad:
+        // the pendings act first, so m <- m * (u_hi (x) u_lo).
+        std::optional<Pending> &hi = pending_[g.qubits[0]];
+        std::optional<Pending> &lo = pending_[g.qubits[1]];
+        if (hi || lo) {
+            const Mat2 id{Complex{1.0, 0.0}, Complex{0.0, 0.0},
+                          Complex{0.0, 0.0}, Complex{1.0, 0.0}};
+            m = matmul4(m, kron2(hi ? hi->m : id, lo ? lo->m : id));
+            for (std::optional<Pending> *slot : {&hi, &lo}) {
+                if (!*slot)
+                    continue;
+                stats_.fusedGates += 1 + (*slot)->absorbed;
+                ++stats_.fusedInto2q;
+                slot->reset();
             }
         }
 
@@ -283,7 +273,6 @@ class Compiler
         slot.reset();
     }
 
-    const CompileOptions &opts_;
     std::vector<std::optional<Pending>> pending_;
     std::vector<KernelOp> ops_;
     PlanStats stats_;
@@ -292,10 +281,10 @@ class Compiler
 } // namespace
 
 Plan
-compile(const circuit::Circuit &c, const CompileOptions &opts)
+compile(const circuit::Circuit &c)
 {
     OBS_SPAN("sim.compile");
-    Compiler compiler(c.numQubits(), opts);
+    Compiler compiler(c.numQubits());
     for (const circuit::Gate &g : c.gates())
         compiler.addGate(g);
     Plan plan = compiler.finish(c.numQubits());

@@ -121,19 +121,6 @@ struct BlockSegment
     bool blockable = false;  ///< all ops confined to 2^b-sized blocks.
 };
 
-/** Options for compile(). */
-struct CompileOptions
-{
-    bool fuseSingleQubit = true; ///< merge adjacent 1q gates per qubit.
-    /**
-     * Fold pending 1q products into a following 2q gate on the same
-     * qubits: the quad kernel then applies m2q * (u_hi (x) u_lo) in one
-     * sweep. Only has effect while fuseSingleQubit keeps 1q products
-     * pending.
-     */
-    bool fuseTwoQubit = true;
-};
-
 /** An executable, immutable kernel plan for a fixed register width. */
 class Plan
 {
@@ -174,8 +161,14 @@ class Plan
 std::vector<BlockSegment> blockSegments(const Plan &plan,
                                         std::size_t block_qubits);
 
-/** Compiles a circuit into a kernel plan. */
-Plan compile(const circuit::Circuit &c, const CompileOptions &opts = {});
+/**
+ * Compiles a circuit into a kernel plan. Adjacent 1q gates on a qubit
+ * merge into one 2x2, and pending 1q products fold into a following 2q
+ * gate on the same qubits, so the quad kernel applies
+ * m2q * (u_hi (x) u_lo) in one sweep. circuit::State::run is the
+ * unfused gate-by-gate reference.
+ */
+Plan compile(const circuit::Circuit &c);
 
 /** Amplitude groups in @p op's sweep on an n-qubit register. */
 std::size_t opGroupCount(const KernelOp &op, std::size_t n_qubits);

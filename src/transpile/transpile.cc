@@ -25,17 +25,13 @@ PassManager
 makePipeline(const TranspileOptions &opts)
 {
     PassManager pm;
-    if (opts.decomposeWide)
-        pm.emplace<WideGateDecompose>();
-    if (opts.fuseSingleQubit)
-        pm.emplace<SingleQubitFuse>();
-    if (opts.peephole)
-        pm.emplace<PeepholeCancel>();
+    pm.emplace<WideGateDecompose>()
+        .emplace<SingleQubitFuse>()
+        .emplace<PeepholeCancel>();
     if (opts.device)
         pm.emplace<Route>();
-    if (opts.lowerToPulses)
-        pm.emplace<NativeLower>(opts.device ? opts.device->gateSetPtr()
-                                            : nullptr);
+    pm.emplace<NativeLower>(opts.device ? opts.device->gateSetPtr()
+                                        : nullptr);
     return pm;
 }
 

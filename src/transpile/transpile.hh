@@ -22,7 +22,7 @@
 namespace crisc {
 namespace transpile {
 
-/** Which passes makePipeline assembles, and their targets. */
+/** The target makePipeline builds for. */
 struct TranspileOptions
 {
     /**
@@ -31,18 +31,14 @@ struct TranspileOptions
      * NativeLower uses its default, an ideal AshN set (h = r = 0).
      */
     const device::Device *device = nullptr;
-    bool decomposeWide = true;    ///< expand k >= 3 gates (QSD).
-    bool fuseSingleQubit = true;  ///< merge 1q runs into 2q neighbours.
-    bool peephole = true;         ///< cancel identities / inverse pairs.
-    bool lowerToPulses = true;    ///< emit the native program.
 };
 
 /**
  * Builds the standard pipeline for @p opts, in order:
- * WideGateDecompose, SingleQubitFuse, PeepholeCancel, Route,
- * NativeLower (each gated by its option; Route only with a device).
- * NativeLower is driven by the device's gate set when a device is
- * given.
+ * WideGateDecompose, SingleQubitFuse, PeepholeCancel, Route (only with
+ * a device), NativeLower (driven by the device's gate set when a
+ * device is given). A partial or custom pipeline is a PassManager
+ * assembled with emplace<...>().
  */
 PassManager makePipeline(const TranspileOptions &opts);
 

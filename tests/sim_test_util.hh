@@ -63,7 +63,7 @@ bitIdentical(const linalg::CVector &a, const linalg::CVector &b)
 }
 
 /**
- * Random circuit whose compiled plan (with fusion off) covers all five
+ * Random circuit whose compiled (fused) plan covers all five
  * KernelKinds: dense and diagonal 1q, dense and diagonal 2q, and the
  * k = 3 dense fallback.
  */

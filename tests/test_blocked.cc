@@ -46,13 +46,6 @@ class ScopedBlockBytes : public testutil::ScopedEnv
     }
 };
 
-sim::Plan
-compileUnfused(const circuit::Circuit &c)
-{
-    return sim::compile(c,
-                        {.fuseSingleQubit = false, .fuseTwoQubit = false});
-}
-
 // ---------------------------------------------------------------------
 // sim/cache.hh helpers.
 // ---------------------------------------------------------------------
@@ -138,41 +131,44 @@ TEST(Cache, PlanBatchTurnsBlockingOnAtWideWidths)
 TEST(BlockSegments, PartitionBoundariesAndMinBlockBits)
 {
     // n = 8; qubit q addresses index bit 7 - q, so minBlockBits of an
-    // op is 8 - min(target qubits).
+    // op is 8 - min(target qubits). The compiler holds a 1q gate until
+    // the end of the plan unless a 2q gate on its qubit absorbs it, so
+    // the lone 1q gate becomes the last op.
     linalg::Rng rng(3);
     circuit::Circuit c(8);
-    c.add(linalg::haarUnitary(rng, 2), {7}, "low");  // bits 1
-    c.add(qop::cz(), {6, 7}, "low2");                // bits 2
-    c.add(linalg::haarUnitary(rng, 2), {0}, "high"); // bits 8
-    c.add(qop::cnot(), {4, 6}, "mid");               // bits 4
-    const sim::Plan plan = compileUnfused(c);
+    c.add(qop::cz(), {6, 7}, "low2");               // bits 2
+    c.add(linalg::haarUnitary(rng, 2), {7}, "low"); // bits 1
+    c.add(linalg::haarSU(rng, 4), {0, 1}, "high");  // bits 8
+    c.add(qop::cnot(), {4, 6}, "mid");              // bits 4
+    const sim::Plan plan = sim::compile(c);
     ASSERT_EQ(plan.ops().size(), 4u);
     const std::vector<std::size_t> &bits = plan.minBlockBits();
-    EXPECT_EQ(bits[0], 1u);
-    EXPECT_EQ(bits[1], 2u);
-    EXPECT_EQ(bits[2], 8u);
-    EXPECT_EQ(bits[3], 4u);
+    EXPECT_EQ(bits[0], 2u);
+    EXPECT_EQ(bits[1], 8u);
+    EXPECT_EQ(bits[2], 4u);
+    EXPECT_EQ(bits[3], 1u);
 
-    // b = 4: [blockable x2][non-blockable][blockable].
+    // b = 4: [blockable][non-blockable][blockable x2].
     const std::vector<sim::BlockSegment> at4 = sim::blockSegments(plan, 4);
     ASSERT_EQ(at4.size(), 3u);
     EXPECT_TRUE(at4[0].blockable);
     EXPECT_EQ(at4[0].first, 0u);
-    EXPECT_EQ(at4[0].count, 2u);
+    EXPECT_EQ(at4[0].count, 1u);
     EXPECT_FALSE(at4[1].blockable);
-    EXPECT_EQ(at4[1].first, 2u);
+    EXPECT_EQ(at4[1].first, 1u);
     EXPECT_EQ(at4[1].count, 1u);
     EXPECT_TRUE(at4[2].blockable);
-    EXPECT_EQ(at4[2].first, 3u);
-    EXPECT_EQ(at4[2].count, 1u);
+    EXPECT_EQ(at4[2].first, 2u);
+    EXPECT_EQ(at4[2].count, 2u);
 
-    // b = 1: only the first op qualifies.
+    // b = 1: only the last op qualifies.
     const std::vector<sim::BlockSegment> at1 = sim::blockSegments(plan, 1);
     ASSERT_EQ(at1.size(), 2u);
-    EXPECT_TRUE(at1[0].blockable);
-    EXPECT_EQ(at1[0].count, 1u);
-    EXPECT_FALSE(at1[1].blockable);
-    EXPECT_EQ(at1[1].count, 3u);
+    EXPECT_FALSE(at1[0].blockable);
+    EXPECT_EQ(at1[0].count, 3u);
+    EXPECT_TRUE(at1[1].blockable);
+    EXPECT_EQ(at1[1].first, 3u);
+    EXPECT_EQ(at1[1].count, 1u);
 
     // b = n: everything is blockable, one segment.
     const std::vector<sim::BlockSegment> at8 = sim::blockSegments(plan, 8);
@@ -192,16 +188,16 @@ TEST(BlockSegments, PlanStatsCountSegmentsAtAutoExponent)
     ASSERT_EQ(sim::autoBlockQubits(10), 8u);
     linalg::Rng rng(5);
     circuit::Circuit c(10);
-    c.add(qop::cz(), {8, 9}, "low");                 // bits 2
-    c.add(linalg::haarUnitary(rng, 2), {0}, "high"); // bits 10
-    c.add(linalg::haarUnitary(rng, 2), {5}, "mid");  // bits 5
-    c.add(qop::cnot(), {6, 7}, "mid2");              // bits 4
-    const sim::Plan plan = compileUnfused(c);
+    c.add(qop::cz(), {8, 9}, "low");                // bits 2
+    c.add(linalg::haarSU(rng, 4), {0, 1}, "high");  // bits 10
+    c.add(qop::cnot(), {6, 7}, "mid2");             // bits 4
+    c.add(linalg::haarUnitary(rng, 2), {5}, "mid"); // bits 5
+    const sim::Plan plan = sim::compile(c);
     // Blockable at b = 8: ops 0, 2, 3 -> two maximal runs around op 1.
     EXPECT_EQ(plan.stats().blockedSegments, 2u);
     EXPECT_EQ(plan.stats().blockableOps, 3u);
 
-    const sim::Plan empty = compileUnfused(circuit::Circuit(10));
+    const sim::Plan empty = sim::compile(circuit::Circuit(10));
     EXPECT_EQ(empty.stats().blockedSegments, 0u);
     EXPECT_EQ(empty.stats().blockableOps, 0u);
     EXPECT_TRUE(sim::blockSegments(empty, 8).empty());
@@ -216,7 +212,7 @@ TEST(BlockedExecution, ForcedExponentsMatchUnblockedExecute)
     ScopedBlockBytes env("4096");
     linalg::Rng rng(91);
     const std::size_t n = 11;
-    const sim::Plan plan = compileUnfused(randomCircuit(rng, n, 30));
+    const sim::Plan plan = sim::compile(randomCircuit(rng, n, 30));
     const CVector init = randomState(rng, n);
     CVector ref = init;
     sim::execute(plan, ref.data());
@@ -249,7 +245,7 @@ TEST(BlockedExecution, RangeFormPartitionsReassembleTheSweep)
     for (int layer = 0; layer < 2; ++layer)
         for (std::size_t q = 6 + (layer % 2); q + 1 < n; q += 2)
             c.add(linalg::haarSU(rng, 4), {q, q + 1}, "u2");
-    const sim::Plan plan = compileUnfused(c);
+    const sim::Plan plan = sim::compile(c);
     const std::size_t b = 4;
     const std::size_t blocks = plan.dim() >> b; // 64
 
@@ -274,9 +270,9 @@ TEST(BlockedExecution, ValidatesArguments)
     linalg::Rng rng(19);
     const std::size_t n = 8;
     circuit::Circuit c(n);
-    c.add(linalg::haarUnitary(rng, 2), {0}, "high"); // blockable only at n
+    c.add(linalg::haarSU(rng, 4), {0, 1}, "high"); // blockable only at n
     c.add(qop::cz(), {6, 7}, "low");
-    const sim::Plan plan = compileUnfused(c);
+    const sim::Plan plan = sim::compile(c);
     CVector amps = randomState(rng, n);
     const sim::StateView view(amps.data(), n);
 

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -84,6 +86,19 @@ TEST(Circuit, EmbedAgreesWithKron)
     EXPECT_TRUE(linalg::approxEqual(direct, expected, 1e-12));
 }
 
+/** Expects @p call to throw std::invalid_argument naming @p fn. */
+template <typename F>
+void
+expectRejected(F &&call, const std::string &fn)
+{
+    try {
+        call();
+        ADD_FAILURE() << fn << " accepted a bad operand";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(std::string(e.what()).rfind(fn + ":", 0), 0u) << e.what();
+    }
+}
+
 TEST(Circuit, RejectsBadArguments)
 {
     Circuit c(2);
@@ -91,6 +106,22 @@ TEST(Circuit, RejectsBadArguments)
     EXPECT_THROW(c.add(qop::hadamard(), {5}), std::invalid_argument);
     State s(2);
     EXPECT_THROW(s.apply(qop::cnot(), {0}), std::invalid_argument);
+
+    // A repeated qubit is not a two-qubit gate: nothing may accept it.
+    expectRejected([&] { c.add(qop::cnot(), {1, 1}); }, "Circuit::add");
+    expectRejected([&] { s.apply(qop::cnot(), {1, 1}); }, "State::apply");
+    Circuit wide(3);
+    expectRejected([&] { wide.add(Matrix::identity(8), {0, 2, 0}); },
+                   "Circuit::add");
+    EXPECT_EQ(c.size(), 0u);
+    EXPECT_EQ(wide.size(), 0u);
+}
+
+TEST(Circuit, EmbedRejectsBadQubits)
+{
+    expectRejected([] { qop::embed(qop::hadamard(), {5}, 2); }, "embed");
+    expectRejected([] { qop::embed(qop::hadamard(), {2}, 2); }, "embed");
+    expectRejected([] { qop::embed(qop::cnot(), {1, 1}, 2); }, "embed");
 }
 
 TEST(Circuit, StateRejectsRegistersThatCannotBeAllocated)

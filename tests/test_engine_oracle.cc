@@ -64,9 +64,7 @@ TEST(EngineOracle, EveryConfigurationMatchesScalarSerialInterleaved)
     sim::setDispatchOverride("scalar");
     std::vector<OracleCase> cases;
     for (int c = 0; c < 3; ++c) {
-        OracleCase oc{sim::compile(testutil::randomCircuit(rng, kWidth, 20),
-                                   {.fuseSingleQubit = false,
-                                    .fuseTwoQubit = false}),
+        OracleCase oc{sim::compile(testutil::randomCircuit(rng, kWidth, 20)),
                       {},
                       {}};
         for (const sim::KernelOp &op : oc.plan.ops())

@@ -225,20 +225,29 @@ TEST(Engine, RandomCircuitsMatchToUnitary)
     }
 }
 
+/** The unfused reference: circuit::State::run applies each gate in
+ *  turn through the same kernel table. */
+CVector
+gateByGate(const Circuit &c)
+{
+    circuit::State s(c.numQubits());
+    s.run(c);
+    return s.amplitudes();
+}
+
 TEST(Engine, FusedAndUnfusedPlansAgree)
 {
     linalg::Rng rng(22);
     const std::size_t n = 4;
     const Circuit c = randomCircuit(rng, n, 32, false);
-    const sim::Plan fused = sim::compile(c, {.fuseSingleQubit = true});
-    const sim::Plan unfused = sim::compile(c, {.fuseSingleQubit = false});
-    EXPECT_LT(maxDiff(sim::run(fused), sim::run(unfused)), 1e-12);
-    EXPECT_LE(fused.ops().size(), unfused.ops().size());
+    const sim::Plan fused = sim::compile(c);
+    EXPECT_LT(maxDiff(sim::run(fused), gateByGate(c)), 1e-12);
+    EXPECT_LE(fused.ops().size(), c.size());
 }
 
-/** H-rz-H on q0 and rz-S on q1, then CX: the quad-fusion testbed. */
+/** H-rz-H on q0 and rz-S on q1: the 1q-run fusion testbed. */
 Circuit
-dressedCnotCircuit()
+dressedPairCircuit()
 {
     Circuit c(2);
     c.add(qop::hadamard(), {0}, "H");
@@ -246,19 +255,27 @@ dressedCnotCircuit()
     c.add(qop::hadamard(), {0}, "H");
     c.add(qop::rz(0.5), {1}, "rz");
     c.add(qop::sGate(), {1}, "S");
+    return c;
+}
+
+/** The same dressing, then CX: the quad-fusion testbed. */
+Circuit
+dressedCnotCircuit()
+{
+    Circuit c = dressedPairCircuit();
     c.add(qop::cnot(), {0, 1}, "CX");
     return c;
 }
 
 TEST(Engine, FusionMergesAdjacentSingleQubitRuns)
 {
-    const Circuit c = dressedCnotCircuit();
-    const sim::Plan plan = sim::compile(c, {.fuseTwoQubit = false});
+    const Circuit c = dressedPairCircuit();
+    const sim::Plan plan = sim::compile(c);
     // Three 1q gates on q0 -> one op; two diagonal 1q on q1 -> one
-    // diagonal op; plus the CNOT.
-    EXPECT_EQ(plan.ops().size(), 3u);
+    // diagonal op.
+    EXPECT_EQ(plan.ops().size(), 2u);
     EXPECT_EQ(plan.stats().fusedGates, 3u);
-    EXPECT_EQ(plan.stats().sourceGates, 6u);
+    EXPECT_EQ(plan.stats().sourceGates, 5u);
     EXPECT_EQ(plan.stats().fusedInto2q, 0u);
     bool sawDiag = false;
     for (const sim::KernelOp &op : plan.ops())
@@ -269,7 +286,7 @@ TEST(Engine, FusionMergesAdjacentSingleQubitRuns)
 TEST(Engine, TwoQubitFusionFoldsDressedEntanglerIntoOneQuad)
 {
     const Circuit c = dressedCnotCircuit();
-    const sim::Plan plan = sim::compile(c); // both fusions default-on
+    const sim::Plan plan = sim::compile(c);
     // Both pending 1q products fold into the CX: one 4x4 kernel total.
     ASSERT_EQ(plan.ops().size(), 1u);
     EXPECT_EQ(plan.ops()[0].kind, sim::KernelKind::TwoQ);
@@ -278,10 +295,8 @@ TEST(Engine, TwoQubitFusionFoldsDressedEntanglerIntoOneQuad)
     EXPECT_EQ(plan.stats().fusedInto2q, 2u);
 
     // And it is the same unitary: executing the one-op plan equals the
-    // unfused reference to near machine precision.
-    const sim::Plan reference = sim::compile(
-        c, {.fuseSingleQubit = false, .fuseTwoQubit = false});
-    EXPECT_LT(maxDiff(sim::run(plan), sim::run(reference)), 1e-12);
+    // gate-by-gate reference to near machine precision.
+    EXPECT_LT(maxDiff(sim::run(plan), gateByGate(c)), 1e-12);
 }
 
 TEST(Engine, TwoQubitFusionOfDiagonalDressingStaysDiagonal)
@@ -308,9 +323,7 @@ TEST(Engine, TwoQubitFusionLeavesUnrelatedPendingsAlone)
     const sim::Plan plan = sim::compile(c);
     ASSERT_EQ(plan.ops().size(), 2u);
     EXPECT_EQ(plan.stats().fusedInto2q, 0u);
-    const sim::Plan reference = sim::compile(
-        c, {.fuseSingleQubit = false, .fuseTwoQubit = false});
-    EXPECT_LT(maxDiff(sim::run(plan), sim::run(reference)), 1e-12);
+    EXPECT_LT(maxDiff(sim::run(plan), gateByGate(c)), 1e-12);
 }
 
 TEST(Engine, DiagonalTwoQubitGateLowersToDiagKernel)

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -176,13 +177,11 @@ TEST(Routing, RoutedUnitaryMatchesLogicalUpToPermutation)
             logical.add(linalg::haarUnitary(rng, 4), {a, b});
         }
 
-        transpile::TranspileOptions opts;
-        opts.device = &grid;
-        opts.decomposeWide = false;
-        opts.fuseSingleQubit = false;
-        opts.lowerToPulses = false;
-        const transpile::TranspileResult res =
-            transpile::transpile(logical, opts);
+        transpile::PassManager routeOnly;
+        routeOnly.emplace<transpile::Route>();
+        transpile::PassContext ctx;
+        ctx.coupling = &grid.coupling();
+        const transpile::TranspileResult res = routeOnly.run(logical, ctx);
         ASSERT_TRUE(res.context.layout.has_value());
         const route::Layout &layout = *res.context.layout;
 
@@ -278,6 +277,25 @@ TEST(Pipeline, MetricsReportCoversEveryPass)
     EXPECT_EQ(res.report.passes[3].gatesAfter, res.circuit.size());
     EXPECT_GT(res.report.passes[3].pulseTimeAfter, 0.0);
     EXPECT_NE(res.report.summary().find("native-lower"), std::string::npos);
+
+    // makePipeline builds one shape; a device only adds Route.
+    const auto names = [](const transpile::PassManager &pm) {
+        std::vector<std::string> out;
+        for (std::size_t i = 0; i < pm.size(); ++i)
+            out.push_back(pm.pass(i).name());
+        return out;
+    };
+    const Device dev =
+        Device::withCoupling(NativeKind::AshN, route::CouplingMap::full(3));
+    EXPECT_EQ(names(transpile::makePipeline({})),
+              (std::vector<std::string>{"wide-gate-decompose",
+                                        "single-qubit-fuse",
+                                        "peephole-cancel", "native-lower"}));
+    EXPECT_EQ(names(transpile::makePipeline({.device = &dev})),
+              (std::vector<std::string>{"wide-gate-decompose",
+                                        "single-qubit-fuse",
+                                        "peephole-cancel", "route",
+                                        "native-lower"}));
 }
 
 TEST(Pipeline, MetricsRecordGatesPeak)
@@ -419,10 +437,11 @@ TEST(Peephole, DefaultPipelineMatchesPeepholeOff)
         logical.add(u.dagger(), {0, 1});
         logical.add(linalg::haarUnitary(rng, 4), {1, 2});
 
-        transpile::TranspileOptions off;
-        off.peephole = false;
-        const transpile::TranspileResult without =
-            transpile::transpile(logical, off);
+        transpile::PassManager off;
+        off.emplace<transpile::WideGateDecompose>()
+            .emplace<transpile::SingleQubitFuse>()
+            .emplace<transpile::NativeLower>();
+        const transpile::TranspileResult without = off.run(logical);
         const transpile::TranspileResult with =
             transpile::transpile(logical);
         EXPECT_LT(with.circuit.size(), without.circuit.size());
@@ -501,11 +520,15 @@ TEST(Pipeline, CompleteCouplingRouteIsIdentity)
     const Device dev =
         Device::withCoupling(NativeKind::AshN, route::CouplingMap::full(n));
 
-    transpile::TranspileOptions routeOnly;
-    routeOnly.device = &dev;
-    routeOnly.lowerToPulses = false;
-    const transpile::TranspileResult routed =
-        transpile::transpile(logical, routeOnly);
+    // The pipeline up to routing (the wide gate needs decomposing).
+    transpile::PassManager unlowered;
+    unlowered.emplace<transpile::WideGateDecompose>()
+        .emplace<transpile::SingleQubitFuse>()
+        .emplace<transpile::PeepholeCancel>()
+        .emplace<transpile::Route>();
+    transpile::PassContext ctx;
+    ctx.coupling = &dev.coupling();
+    const transpile::TranspileResult routed = unlowered.run(logical, ctx);
     for (const Gate &g : routed.circuit.gates())
         EXPECT_NE(g.label, "swap");
 
