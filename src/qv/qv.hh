@@ -13,6 +13,13 @@
  * native decomposition (transpile::NativeLower) is unitary-equivalent
  * — tests/test_device.cc proves it per gate set — so the ideal-block
  * application changes nothing but the floating-point path.
+ *
+ * Model circuits are independent samples, so they are what runs in
+ * parallel: one worker takes one circuit end to end (generation, the
+ * ideal run and heavy set, routing, costing, and its noisy
+ * trajectories in SoA tiles) and writes an indexed slot. The slots are
+ * reduced in circuit order, gate by gate, so every result field is
+ * bit-for-bit the serial run's for any thread, sweep or lane count.
  */
 
 #ifndef CRISC_QV_QV_HH
@@ -25,8 +32,9 @@
 namespace crisc {
 namespace qv {
 
-/** Experiment configuration. Knobs cover the three parallel axes;
- *  cache blocking follows the engine's auto policy (sim/cache.hh). The
+/** Experiment configuration. Knobs cover the three parallel axes —
+ *  circuits, sweeps within a circuit, and SoA trajectory lanes; cache
+ *  blocking follows the engine's auto policy (sim/cache.hh). The
  *  kernel SIMD backend is not configurable here — it is
  *  process-global, resolved from CRISC_SIMD_DISPATCH or the CPU probe
  *  (sim/dispatch.hh), and every backend is bit-identical anyway. */
@@ -44,28 +52,30 @@ struct QvConfig
     int trajectories = 20;       ///< noise trajectories per circuit.
     std::uint64_t seed = 1;
     /**
-     * Worker threads for the trajectory batch (0 = hardware
-     * concurrency). Results are bit-for-bit identical for any value:
-     * every trajectory draws from its own seed-derived RNG stream and
-     * the reduction order is fixed. Negative values are rejected with
-     * std::invalid_argument.
+     * Circuit workers (0 = hardware concurrency): each runs whole
+     * model circuits, one at a time. A run with fewer circuits than
+     * threads leaves the surplus threads idle. Results are bit-for-bit
+     * identical for any value: every circuit and trajectory draws from
+     * its own seed-derived RNG stream and the reduction order is
+     * fixed. Negative values are rejected with std::invalid_argument.
      */
     int threads = 0;
     /**
-     * State-parallel sweep workers per trajectory (the second parallel
-     * axis, sim::ExecOptions): 1 = serial sweeps (default), n > 1 = n
-     * sweep workers for each concurrent trajectory, 0 = pick the
-     * trajectory/state split automatically from the circuit width via
-     * sim::planBatch, treating `threads` as the total budget. Results
-     * are bit-for-bit identical for any value; negative values are
-     * rejected with std::invalid_argument.
+     * State-parallel sweep workers per circuit task (the second
+     * parallel axis, sim::ExecOptions): 1 = serial sweeps (default),
+     * n > 1 = each running circuit sweeps on a local pool of n
+     * workers, 0 = split the `threads` budget between circuit and
+     * sweep workers automatically from the circuit width via
+     * sim::planBatch, whose per-width memory cap bounds how many wide
+     * circuits run at once. Results are bit-for-bit identical for any
+     * value; negative values are rejected with std::invalid_argument.
      */
     int stateThreads = 1;
     /**
      * SoA trajectory batching (the third parallel axis,
      * sim::BatchState): number of trajectories packed into one SoA
-     * batch per trajectory slot, so SIMD lanes run across trajectories.
-     * 0 = pick automatically from the simulated width via
+     * batch, so SIMD lanes run across trajectories. 0 = pick per
+     * circuit from its simulated (routed, compacted) width via
      * sim::planBatch (the SIMD lane count below 18 qubits, 1 above),
      * 1 = off (per-state path), n > 1 = force a batch width of n.
      * Results are bit-for-bit identical for any value; negative values

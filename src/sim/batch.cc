@@ -177,8 +177,8 @@ BatchPlan
 planBatch(std::size_t total_threads, std::size_t width, std::size_t count)
 {
     // Width bands (see batch.hh): below 18 qubits a sweep is too short
-    // to amortize fork/join, so the trajectory axis takes everything
-    // and SIMD lanes run across trajectories (per-state vectors starve
+    // to amortize fork/join, so the item axis takes everything and
+    // SIMD lanes run across trajectories (per-state vectors starve
     // at the short strides these widths produce); from 26 qubits a
     // statevector is ~GiB-scale and only one fits comfortably, so the
     // sweep axis takes everything; in between, the number of concurrent
@@ -217,9 +217,9 @@ planBatch(std::size_t total_threads, std::size_t width, std::size_t count)
         limit = memCap;
     if (limit == 0)
         limit = 1;
-    // Among admissible trajectory counts, prefer the one wasting the
-    // fewest threads to the truncating division (traj = 1 always uses
-    // the whole budget), and the most trajectory slots on a tie — that
+    // Among admissible item counts, prefer the one wasting the fewest
+    // threads to the truncating division (traj = 1 always uses the
+    // whole budget), and the most concurrent items on a tie — that
     // axis scales perfectly.
     std::size_t traj = 1;
     std::size_t used = total;
@@ -231,100 +231,6 @@ planBatch(std::size_t total_threads, std::size_t width, std::size_t count)
         }
     }
     return {traj, total / traj, 1, block};
-}
-
-TrajectoryRunner::TrajectoryRunner(std::size_t traj_workers,
-                                   std::size_t state_threads)
-    : trajPool_(traj_workers),
-      stateThreads_(state_threads == 0 ? 1 : state_threads)
-{
-    if (stateThreads_ > 1) {
-        // One sweep pool per trajectory slot, leased to the running
-        // trajectory; at most trajWorkers() lease at once, so
-        // acquireStatePool never starves.
-        statePools_.reserve(trajPool_.size());
-        for (std::size_t i = 0; i < trajPool_.size(); ++i) {
-            // Counted so tests can pin that the pure trajectory-
-            // parallel arm (stateThreads <= 1) spawns no sweep pools.
-            OBS_COUNT("traj.state_pool_spawns", 1);
-            statePools_.push_back(
-                std::make_unique<ThreadPool>(stateThreads_));
-            freePools_.push_back(statePools_.back().get());
-        }
-    }
-}
-
-ThreadPool *
-TrajectoryRunner::acquireStatePool()
-{
-    std::unique_lock<std::mutex> lock(poolMutex_);
-    poolAvailable_.wait(lock, [this] { return !freePools_.empty(); });
-    ThreadPool *pool = freePools_.back();
-    freePools_.pop_back();
-    return pool;
-}
-
-void
-TrajectoryRunner::releaseStatePool(ThreadPool *pool)
-{
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        freePools_.push_back(pool);
-    }
-    poolAvailable_.notify_one();
-}
-
-std::vector<double>
-TrajectoryRunner::run(std::size_t count, std::uint64_t base_seed,
-                      std::size_t lanes, const Body &body)
-{
-    if (lanes == 0)
-        throw std::invalid_argument(
-            "TrajectoryRunner::run: lanes must be at least 1");
-    if (count == 0)
-        return {};
-    const std::size_t tiles = (count + lanes - 1) / lanes;
-    std::vector<double> results(count, 0.0);
-    trajPool_.parallelFor(tiles, [&](std::size_t tile) {
-        OBS_SPAN("traj.tile");
-        const std::size_t first = tile * lanes;
-        const std::size_t rest = count - first;
-        const std::size_t width = rest < lanes ? rest : lanes;
-        OBS_COUNT("traj.count", width);
-        // Lane l is trajectory first + l, on its own stream.
-        std::vector<linalg::Rng> rngs;
-        rngs.reserve(width);
-        for (std::size_t l = 0; l < width; ++l)
-            rngs.emplace_back(streamSeed(base_seed, first + l));
-        ExecOptions exec;
-        ThreadPool *state = nullptr;
-        if (stateThreads_ > 1) {
-            state = acquireStatePool();
-            exec.pool = state;
-            exec.threads = state->size();
-        }
-        try {
-            body(first, width, rngs.data(), exec, results.data() + first);
-        } catch (...) {
-            if (state != nullptr)
-                releaseStatePool(state);
-            throw;
-        }
-        if (state != nullptr)
-            releaseStatePool(state);
-    });
-    return results;
-}
-
-double
-TrajectoryRunner::sum(std::size_t count, std::uint64_t base_seed,
-                      std::size_t lanes, const Body &body)
-{
-    const std::vector<double> results = run(count, base_seed, lanes, body);
-    double total = 0.0;
-    for (double r : results)
-        total += r;
-    return total;
 }
 
 } // namespace sim

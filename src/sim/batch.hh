@@ -1,27 +1,29 @@
 /**
  * @file
- * Parallel trajectory batching. The heavy workloads (quantum volume,
- * noise studies) are embarrassingly parallel across noise trajectories
- * and random circuits; this module fans that axis out over a pool of
- * std::thread workers while keeping results bit-for-bit deterministic:
+ * Thread pools and the parallel-axis planner. The heavy workloads
+ * (quantum volume, noise studies) are embarrassingly parallel across
+ * random circuits and noise trajectories; callers fan independent work
+ * items out over a ThreadPool while keeping results bit-for-bit
+ * deterministic:
  *
- *   - every trajectory draws from its own RNG stream, derived from the
- *     experiment seed and the trajectory index by a splitmix64 hash, so
- *     the random numbers a trajectory sees never depend on scheduling;
- *   - per-trajectory results land in an indexed slot and are reduced
+ *   - every work item draws from its own RNG stream, derived from the
+ *     experiment seed and the item index by a splitmix64 hash
+ *     (streamSeed), so the random numbers it sees never depend on
+ *     scheduling;
+ *   - per-item results land in an indexed slot and are reduced
  *     sequentially afterwards, so floating-point summation order is
  *     fixed regardless of thread count (including 1).
  *
- * Trajectories are one of three orthogonal parallel axes. The second —
- * state-parallel kernel sweeps, where one statevector's amplitude
- * groups are partitioned over a pool (engine.hh) — is configured by
- * ExecOptions. The third packs several trajectories into one SoA batch
- * (batch_state.hh) so SIMD lanes run across trajectories; planBatch
- * combines all three: small registers go trajectory-parallel with
- * SoA-batched lanes per slot, very wide registers state-parallel, and
- * the band in between hybrid (a few concurrent trajectories, each
- * sweeping with its own slice of the thread budget). Every combination
- * is bit-for-bit identical to the serial run.
+ * Independent work items are one of three orthogonal parallel axes.
+ * The second — state-parallel kernel sweeps, where one statevector's
+ * amplitude groups are partitioned over a pool (engine.hh) — is
+ * configured by ExecOptions. The third packs several trajectories into
+ * one SoA batch (batch_state.hh) so SIMD lanes run across trajectories.
+ * planBatch splits a thread budget across all three: small registers
+ * go item-parallel with SoA-batched lanes, very wide registers
+ * state-parallel, and the band in between hybrid (a few concurrent
+ * items, each sweeping with its own slice of the thread budget). Every
+ * combination is bit-for-bit identical to the serial run.
  */
 
 #ifndef CRISC_SIM_BATCH_HH
@@ -32,7 +34,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -134,9 +135,10 @@ struct ExecOptions
 
 /**
  * How a thread budget is split across the three parallel axes:
- * trajWorkers concurrent trajectory slots, each sweeping its state
- * with stateThreads workers and packing soaLanes trajectories into one
- * SoA batch (batch_state.hh) so SIMD lanes run across trajectories.
+ * trajWorkers concurrent work items (circuits or trajectories), each
+ * sweeping its state with stateThreads workers and packing soaLanes
+ * trajectories into one SoA batch (batch_state.hh) so SIMD lanes run
+ * across trajectories.
  */
 struct BatchPlan
 {
@@ -153,17 +155,18 @@ struct BatchPlan
 };
 
 /**
- * Width heuristic choosing trajectory-parallel vs. state-parallel vs.
- * hybrid execution for @p count trajectories of a @p width qubit
- * register, given @p total_threads workers. Narrow registers
- * (< 18 qubits) go trajectory-parallel (sweeps are too short to
- * amortize the fork/join) with soaLanes set to the SIMD lane count —
- * per-state vectors starve at short strides there, so the lanes run
- * across trajectories instead; very wide ones (>= 26 qubits, ~GiB
- * statevectors) go fully state-parallel, and the band in between
- * hybrid: concurrent statevectors are capped by a per-width memory
- * budget of 2^(26 - width), and the split maximizes used threads, so
- * spare budget moves to the sweep axis when trajectories are scarce.
+ * Width heuristic choosing item-parallel vs. state-parallel vs.
+ * hybrid execution for @p count independent work items (circuits or
+ * trajectories), each simulating a @p width qubit register, given
+ * @p total_threads workers. Narrow registers (< 18 qubits) go
+ * item-parallel (sweeps are too short to amortize the fork/join) with
+ * soaLanes set to the SIMD lane count — per-state vectors starve at
+ * short strides there, so the lanes run across trajectories instead;
+ * very wide ones (>= 26 qubits, ~GiB statevectors) go fully
+ * state-parallel, and the band in between hybrid: concurrent
+ * statevectors are capped by a per-width memory budget of
+ * 2^(26 - width), and the split maximizes used threads, so spare
+ * budget moves to the sweep axis when items are scarce.
  * Registers of at least kAutoBlockFromWidth (~24) qubits additionally
  * get cache-blocked plan execution (BatchPlan::blockQubits set to the
  * autoBlockQubits exponent, 0 below — see sim/cache.hh), since their
@@ -174,68 +177,6 @@ struct BatchPlan
  */
 BatchPlan planBatch(std::size_t total_threads, std::size_t width,
                     std::size_t count);
-
-/**
- * Trajectory batch driver owning the trajectory and sweep axes: a
- * trajectory pool of trajWorkers slots and, when stateThreads > 1, one
- * sweep pool per slot, leased to the running tile through the
- * ExecOptions its body receives. Trajectories run in tiles of up to
- * `lanes` — the SoA width a body packs into one BatchState; a tile of
- * one is a single trajectory. Results are index-ordered and bit-for-bit
- * identical for every (trajWorkers, stateThreads, lanes) combination
- * whose body executes each trajectory faithfully.
- */
-class TrajectoryRunner
-{
-  public:
-    /**
-     * Runs trajectories [first, first + lanes), with rngs[l] the stream
-     * RNG of trajectory first + l (seeded streamSeed(base_seed,
-     * first + l)), and writes each trajectory's result to out[l].
-     */
-    using Body =
-        std::function<void(std::size_t first, std::size_t lanes,
-                           linalg::Rng *rngs, const ExecOptions &,
-                           double *out)>;
-
-    /**
-     * @param traj_workers concurrent tiles (0 = hardware).
-     * @param state_threads sweep workers per tile (0 or 1 = serial
-     *        sweeps).
-     */
-    explicit TrajectoryRunner(std::size_t traj_workers,
-                              std::size_t state_threads = 1);
-
-    std::size_t trajWorkers() const { return trajPool_.size(); }
-    std::size_t stateThreads() const { return stateThreads_; }
-
-    /**
-     * Runs @p count trajectories in tiles of up to @p lanes (the final
-     * tile carries count % lanes when count is not a multiple) and
-     * returns the per-trajectory results in index order. Deterministic
-     * for fixed (count, base_seed) regardless of thread counts and
-     * lanes. count == 0 returns an empty vector and never invokes
-     * @p body.
-     * @throws std::invalid_argument when lanes == 0.
-     */
-    std::vector<double> run(std::size_t count, std::uint64_t base_seed,
-                            std::size_t lanes, const Body &body);
-
-    /** run followed by a fixed-order sum. */
-    double sum(std::size_t count, std::uint64_t base_seed,
-               std::size_t lanes, const Body &body);
-
-  private:
-    ThreadPool *acquireStatePool();
-    void releaseStatePool(ThreadPool *pool);
-
-    ThreadPool trajPool_;
-    std::size_t stateThreads_;
-    std::vector<std::unique_ptr<ThreadPool>> statePools_;
-    std::mutex poolMutex_;
-    std::condition_variable poolAvailable_;
-    std::vector<ThreadPool *> freePools_;
-};
 
 } // namespace sim
 } // namespace crisc

@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for SoA-batched trajectory execution (sim/batch_state.hh, the
- * SoA kernels of the dispatch table, StateView execution, and the
- * tiled TrajectoryRunner): pack/unpack round trips, bit-identity of
- * every SoA kernel against the per-lane serial path — including
- * non-power-of-two remainder lanes and the per-lane noise divergence —
- * plus the planBatch / QvConfig wiring of the third parallel axis.
- * Whole-plan SoA execution over every thread count and block exponent
- * is pinned by the engine oracle (test_engine_oracle.cc).
+ * SoA kernels of the dispatch table, and StateView execution):
+ * pack/unpack round trips, bit-identity of every SoA kernel against the
+ * per-lane serial path — including non-power-of-two remainder lanes and
+ * the per-lane noise divergence — plus the QV harness's sweep-pool
+ * wiring. Whole-plan SoA execution over every thread count and block
+ * exponent is pinned by the engine oracle (test_engine_oracle.cc); the
+ * QV harness over every (threads, stateThreads, soaLanes) by
+ * test_qv's Qv.EveryExecutionConfigMatchesSerial.
  */
 
 #include <cmath>
@@ -354,101 +355,31 @@ TEST(BatchNoise, LaneDepolarizingMatchesSerialTrajectory)
                  std::invalid_argument);
 }
 
-TEST(BatchRunner, TiledRunIsScheduleInvariantWithRemainder)
+TEST(BatchQv, SerialSweepsSpawnNoSweepPools)
 {
-    // A tiled run must reproduce the one-lane run exactly — same RNG
-    // streams, same result slots — for any (trajWorkers, stateThreads)
-    // split and a count that is not a multiple of the lane width (11 =
-    // 2 full tiles of 4 plus a remainder of 3).
-    linalg::Rng crng(206);
-    const std::size_t n = 8;
-    circuit::Circuit c(n);
-    for (std::size_t q = 0; q + 1 < n; q += 2)
-        c.add(linalg::haarSU(crng, 4), {q, q + 1});
-    const sim::Plan plan = sim::compile(c);
-
-    const sim::TrajectoryRunner::Body body =
-        [&](std::size_t, std::size_t lanes, linalg::Rng *rngs,
-            const sim::ExecOptions &exec, double *out) {
-            sim::BatchState batch(n, lanes);
-            sim::execute(plan, batch, exec);
-            for (std::size_t l = 0; l < lanes; ++l) {
-                const std::size_t pick = rngs[l].index(batch.dim());
-                out[l] = std::norm(batch.amp(pick, l));
-            }
-        };
-
-    sim::TrajectoryRunner serial(1, 1);
-    const std::vector<double> reference = serial.run(11, 88, 1, body);
-    ASSERT_EQ(reference.size(), 11u);
-
-    for (const auto &[traj, state] :
-         {std::pair<std::size_t, std::size_t>{1, 1}, {4, 1}, {2, 2}}) {
-        sim::TrajectoryRunner runner(traj, state);
-        const std::vector<double> got = runner.run(11, 88, 4, body);
-        ASSERT_EQ(got.size(), reference.size());
-        for (std::size_t i = 0; i < got.size(); ++i)
-            EXPECT_EQ(got[i], reference[i])
-                << "traj=" << traj << " state=" << state << " i=" << i;
-        EXPECT_EQ(runner.sum(11, 88, 4, body), serial.sum(11, 88, 1, body));
-    }
-
-    EXPECT_THROW(serial.run(4, 88, 0, body), std::invalid_argument);
-    EXPECT_TRUE(serial.run(0, 88, 4, body).empty());
-}
-
-TEST(BatchRunner, TrajParallelArmSpawnsNoStatePools)
-{
-    // Satellite contract: the pure trajectory-parallel arm
-    // (stateThreads <= 1) must never construct per-slot sweep pools.
-    // Pinned through the traj.state_pool_spawns counter.
+    // Each circuit task builds a local sweep pool only when
+    // stateThreads > 1; with serial sweeps (the default) none is ever
+    // constructed. Pinned through the qv.sweep_pools counter.
     if (!obs::compiledIn())
         GTEST_SKIP() << "obs not compiled in";
-    obs::TraceSession session;
-    session.start();
-    {
-        sim::TrajectoryRunner trajOnly(4, 1);
-        EXPECT_EQ(obs::counter("traj.state_pool_spawns").value(), 0);
-    }
-    {
-        sim::TrajectoryRunner hybrid(2, 2);
-        EXPECT_EQ(obs::counter("traj.state_pool_spawns").value(), 2);
-    }
-    session.stop();
-}
-
-TEST(BatchQv, SoaLanesDoesNotChangeHeavyOutput)
-{
-    // The QV harness must produce bit-identical heavy-output
-    // proportions with SoA batching off, at the SIMD lane count, and at
-    // a remainder-producing width. (10 trajectories over 4 lanes leaves
-    // a 2-lane tail; 5 lanes leaves none but crosses the vector width.)
     const device::Device dev =
         device::Device::grid2d(device::NativeKind::AshN, 4);
     qv::QvConfig cfg;
     cfg.width = 4;
     cfg.device = &dev;
-    cfg.circuits = 4;
-    cfg.trajectories = 10;
-    cfg.seed = 31;
-    cfg.threads = 1;
-    cfg.soaLanes = 1;
-    const qv::QvResult off = qv::heavyOutputExperiment(cfg);
-
-    for (const int lanes : {4, 5}) {
-        cfg.soaLanes = lanes;
-        const qv::QvResult on = qv::heavyOutputExperiment(cfg);
-        EXPECT_EQ(on.heavyOutputProportion, off.heavyOutputProportion)
-            << "soaLanes=" << lanes;
-    }
-
-    // Auto mode (0) picks the heuristic; still bit-identical.
-    cfg.soaLanes = 0;
-    const qv::QvResult automatic = qv::heavyOutputExperiment(cfg);
-    EXPECT_EQ(automatic.heavyOutputProportion, off.heavyOutputProportion);
-
-    cfg.soaLanes = -1;
-    EXPECT_THROW(qv::heavyOutputExperiment(cfg), std::invalid_argument);
+    cfg.circuits = 3;
+    cfg.trajectories = 2;
+    cfg.threads = 4;
+    cfg.stateThreads = 1;
+    obs::TraceSession session;
+    session.start();
+    qv::heavyOutputExperiment(cfg);
+    EXPECT_EQ(obs::counter("qv.sweep_pools").value(), 0);
+    cfg.threads = 2;
+    cfg.stateThreads = 2;
+    qv::heavyOutputExperiment(cfg);
+    EXPECT_EQ(obs::counter("qv.sweep_pools").value(), 3);
+    session.stop();
 }
 
 } // namespace

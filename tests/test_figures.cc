@@ -93,13 +93,21 @@ TEST(Figure7, HeavyOutputBitIdenticalToPreRefactorMain)
 
 TEST(Figure7, ThreadCountInvariant)
 {
-    // The trajectory fan-out must not perturb the reduction: 4 worker
-    // threads reproduce the single-thread numbers bit for bit.
-    const Device dev = deviceFor(kPinned[1]);
-    qv::QvConfig cfg = configFor(kPinned[1], dev);
-    cfg.threads = 4;
-    const qv::QvResult r = qv::heavyOutputExperiment(cfg);
-    EXPECT_EQ(r.heavyOutputProportion, kPinned[1].hop);
+    // The circuit fan-out must not perturb the reduction: 8 circuits
+    // split unevenly over 3 workers reproduce every pinned row bit for
+    // bit.
+    for (const Pinned &p : kPinned) {
+        const Device dev = deviceFor(p);
+        qv::QvConfig cfg = configFor(p, dev);
+        cfg.threads = 3;
+        const qv::QvResult r = qv::heavyOutputExperiment(cfg);
+        EXPECT_EQ(r.heavyOutputProportion, p.hop)
+            << device::nativeKindName(p.native) << " r=" << p.cutoff
+            << " d=" << p.width;
+        EXPECT_EQ(r.avgNativeGatesPerCircuit, p.gates);
+        EXPECT_EQ(r.avgTwoQubitTimePerCircuit, p.time);
+        EXPECT_EQ(r.avgSwapsPerCircuit, p.swaps);
+    }
 }
 
 } // namespace

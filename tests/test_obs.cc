@@ -355,24 +355,30 @@ TEST(Obs, CountersSumDeterministicallyAcrossThreadCounts)
 {
     if (!obs::compiledIn())
         GTEST_SKIP() << "built with -DCRISC_OBS=OFF";
-    constexpr std::size_t kTrajectories = 12;
-    for (const std::size_t threads : {1u, 2u, 4u}) {
+    // 5 circuits x 7 trajectories in SoA tiles of 3: 3 tiles a circuit.
+    constexpr std::size_t kCircuits = 5;
+    constexpr std::size_t kTrajectories = 7;
+    const device::Device dev =
+        device::Device::grid2d(device::NativeKind::AshN, 3);
+    qv::QvConfig cfg;
+    cfg.width = 3;
+    cfg.device = &dev;
+    cfg.circuits = kCircuits;
+    cfg.trajectories = kTrajectories;
+    cfg.soaLanes = 3;
+    for (const int threads : {1, 2, 4}) {
+        cfg.threads = threads;
         obs::TraceSession session;
         session.start();
-        sim::TrajectoryRunner runner(threads);
-        runner.run(kTrajectories, 99, 1,
-                   [](std::size_t, std::size_t, linalg::Rng *rng,
-                      const sim::ExecOptions &, double *out) {
-                       OBS_COUNT("test.custom", 2);
-                       *out = rng->uniform();
-                   });
+        qv::heavyOutputExperiment(cfg);
         session.stop();
         const obs::Trace t = session.collect();
-        EXPECT_EQ(counterValue(t, "traj.count"), kTrajectories)
+        EXPECT_EQ(counterValue(t, "qv.trajectories"),
+                  kCircuits * kTrajectories)
             << "threads=" << threads;
-        EXPECT_EQ(counterValue(t, "test.custom"), 2 * kTrajectories)
+        EXPECT_EQ(eventsNamed(t, "qv.circuit").size(), kCircuits)
             << "threads=" << threads;
-        EXPECT_EQ(eventsNamed(t, "traj.tile").size(), kTrajectories)
+        EXPECT_EQ(eventsNamed(t, "qv.trajectory").size(), kCircuits * 3)
             << "threads=" << threads;
     }
 }

@@ -3,6 +3,10 @@
  * Tests for routing and the quantum-volume harness.
  */
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "device/device.hh"
@@ -137,10 +141,10 @@ TEST(Qv, AshnBeatsCzAtEqualErrorRate)
     EXPECT_GT(ashn, czv + 0.02);
 }
 
-TEST(Qv, RejectsNegativeThreadCounts)
+TEST(Qv, RejectsNegativeThreadAndLaneCounts)
 {
-    // Regression: threads < 0 used to be silently clamped to 1; both
-    // thread knobs now fail validation like every other bad config.
+    // Regression: threads < 0 used to be silently clamped to 1; every
+    // execution knob now fails validation like every other bad config.
     const Device dev = Device::grid2d(NativeKind::AshN, 3);
     qv::QvConfig cfg;
     cfg.width = 3;
@@ -152,30 +156,64 @@ TEST(Qv, RejectsNegativeThreadCounts)
     cfg.threads = 0;
     cfg.stateThreads = -3;
     EXPECT_THROW(qv::heavyOutputExperiment(cfg), std::invalid_argument);
+    cfg.stateThreads = 1;
+    cfg.soaLanes = -1;
+    EXPECT_THROW(qv::heavyOutputExperiment(cfg), std::invalid_argument);
 }
 
-TEST(Qv, StateParallelSweepsDoNotChangeResults)
+/** Bitwise equality of the four deterministic QvResult fields. */
+void
+expectSameResult(const qv::QvResult &got, const qv::QvResult &want)
 {
-    // The second parallel axis (stateThreads, explicit or width-
-    // heuristic) must leave every aggregate bit-identical.
-    const Device dev = gridDevice(NativeKind::AshN, 4, 0.02, 0.001);
-    qv::QvConfig cfg;
-    cfg.width = 4;
-    cfg.device = &dev;
-    cfg.circuits = 4;
-    cfg.trajectories = 6;
-    cfg.seed = 13;
-    cfg.threads = 2;
-    cfg.stateThreads = 1;
-    const qv::QvResult serial = qv::heavyOutputExperiment(cfg);
-    for (int stateThreads : {2, 0}) {
-        cfg.stateThreads = stateThreads;
-        const qv::QvResult parallel = qv::heavyOutputExperiment(cfg);
-        EXPECT_EQ(serial.heavyOutputProportion,
-                  parallel.heavyOutputProportion);
-        EXPECT_EQ(serial.avgNativeGatesPerCircuit,
-                  parallel.avgNativeGatesPerCircuit);
-        EXPECT_EQ(serial.avgSwapsPerCircuit, parallel.avgSwapsPerCircuit);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.heavyOutputProportion),
+              std::bit_cast<std::uint64_t>(want.heavyOutputProportion));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.avgNativeGatesPerCircuit),
+              std::bit_cast<std::uint64_t>(want.avgNativeGatesPerCircuit));
+    EXPECT_EQ(
+        std::bit_cast<std::uint64_t>(got.avgTwoQubitTimePerCircuit),
+        std::bit_cast<std::uint64_t>(want.avgTwoQubitTimePerCircuit));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.avgSwapsPerCircuit),
+              std::bit_cast<std::uint64_t>(want.avgSwapsPerCircuit));
+}
+
+TEST(Qv, EveryExecutionConfigMatchesSerial)
+{
+    // The differential oracle for the harness's three parallel axes:
+    // circuit workers (7 > 6 circuits leaves some idle, 3 and 4 split
+    // them unevenly), sweep workers per circuit (explicit or the width
+    // heuristic), and SoA lanes (10 trajectories over 3 or 4 lanes
+    // leave a remainder tile). Every combination must reproduce the
+    // one-thread, one-lane serial run in all four result fields, bit
+    // for bit.
+    for (const NativeKind kind :
+         {NativeKind::AshN, NativeKind::SQiSW, NativeKind::CZ}) {
+        const Device dev = gridDevice(kind, 4, 0.02, 0.001);
+        qv::QvConfig cfg;
+        cfg.width = 4;
+        cfg.device = &dev;
+        cfg.circuits = 6;
+        cfg.trajectories = 10;
+        cfg.seed = 31;
+        cfg.threads = 1;
+        cfg.stateThreads = 1;
+        cfg.soaLanes = 1;
+        const qv::QvResult serial = qv::heavyOutputExperiment(cfg);
+        for (const int threads : {1, 2, 3, 4, 7}) {
+            for (const int stateThreads : {1, 2, 0}) {
+                for (const int soaLanes : {1, 3, 4, 0}) {
+                    SCOPED_TRACE(std::string(device::nativeKindName(kind)) +
+                                 " threads=" + std::to_string(threads) +
+                                 " stateThreads=" +
+                                 std::to_string(stateThreads) +
+                                 " soaLanes=" + std::to_string(soaLanes));
+                    cfg.threads = threads;
+                    cfg.stateThreads = stateThreads;
+                    cfg.soaLanes = soaLanes;
+                    expectSameResult(qv::heavyOutputExperiment(cfg),
+                                     serial);
+                }
+            }
+        }
     }
 }
 

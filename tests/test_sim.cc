@@ -3,7 +3,7 @@
  * Tests for the kernelized statevector engine (src/sim/): kernel
  * correctness of every compiled KernelTable against dense embeddings,
  * randomized engine-vs-toUnitary equivalence, gate fusion, the thread
- * pool, and bit-for-bit determinism of parallel trajectory batches.
+ * pool, and bit-for-bit determinism of nested parallel work items.
  */
 
 #include <atomic>
@@ -18,7 +18,6 @@
 #include "circuit/noise.hh"
 #include "linalg/random.hh"
 #include "qop/gates.hh"
-#include "qv/qv.hh"
 #include "sim/batch.hh"
 #include "sim/dispatch.hh"
 #include "sim/engine.hh"
@@ -379,21 +378,14 @@ TEST(Batch, StreamSeedAdjacentBasesAndIndicesDoNotOverlap)
     EXPECT_NE(sim::streamSeed(0, 0), sim::streamSeed(1, 0));
 }
 
-TEST(Batch, ZeroTrajectoriesIsAWellDefinedNoOp)
+TEST(Batch, ParallelForZeroCountIsAWellDefinedNoOp)
 {
-    sim::TrajectoryRunner runner(4);
+    sim::ThreadPool pool(4);
     std::atomic<int> calls{0};
-    const sim::TrajectoryRunner::Body body =
-        [&](std::size_t, std::size_t lanes, linalg::Rng *,
-            const sim::ExecOptions &, double *out) {
-            calls += static_cast<int>(lanes);
-            std::fill(out, out + lanes, 1.0);
-        };
-    EXPECT_TRUE(runner.run(0, 7, 1, body).empty());
-    EXPECT_EQ(runner.sum(0, 7, 1, body), 0.0);
+    pool.parallelFor(0, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls.load(), 0);
-    // The runner is still fully serviceable afterwards.
-    EXPECT_EQ(runner.sum(8, 7, 1, body), 8.0);
+    // The pool is still fully serviceable afterwards.
+    pool.parallelFor(8, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls.load(), 8);
 }
 
@@ -533,11 +525,12 @@ TEST(Batch, PlanBatchValidatesArguments)
     EXPECT_EQ(sim::resolveThreads(5), 5u);
 }
 
-TEST(Batch, TrajectoryRunnerIsScheduleInvariant)
+TEST(Batch, NestedSweepPoolsAreScheduleInvariant)
 {
-    // The same trajectories through every axis split — trajectory-only,
-    // state-only, hybrid — must be bit-for-bit identical, including
-    // when the body really uses its leased sweep pool.
+    // Indexed work items on an outer pool, each on its own stream RNG
+    // and sweeping with a local pool of its own (the shape the QV
+    // harness runs circuits in), must be bit-for-bit identical for
+    // every (items, sweep) split — item-only, sweep-only, hybrid.
     linalg::Rng crng(55);
     const std::size_t n = 14;
     circuit::Circuit c(n);
@@ -547,72 +540,31 @@ TEST(Batch, TrajectoryRunnerIsScheduleInvariant)
         c.add(linalg::haarUnitary(crng, 4), {q, q + 1});
     const sim::Plan plan = sim::compile(c);
 
-    const sim::TrajectoryRunner::Body body =
-        [&](std::size_t, std::size_t, linalg::Rng *rng,
-            const sim::ExecOptions &exec, double *out) {
-            CVector amps = sim::run(plan, exec);
+    constexpr std::size_t kItems = 12;
+    const auto runAll = [&](std::size_t items, std::size_t sweep) {
+        std::vector<double> out(kItems);
+        sim::ThreadPool outer(items);
+        outer.parallelFor(kItems, [&](std::size_t i) {
+            sim::ThreadPool local(sweep);
+            sim::ExecOptions exec;
+            exec.pool = &local;
+            linalg::Rng rng(sim::streamSeed(77, i));
+            const CVector amps = sim::run(plan, exec);
             // A random amplitude's probability, so the result depends
             // on both the sweep outcome and the RNG stream.
-            *out = std::norm(amps[rng->index(amps.size())]);
-        };
+            out[i] = std::norm(amps[rng.index(amps.size())]);
+        });
+        return out;
+    };
 
-    sim::TrajectoryRunner serial(1, 1);
-    const std::vector<double> reference = serial.run(12, 77, 1, body);
-    ASSERT_EQ(reference.size(), 12u);
-
-    for (const auto &[traj, state] :
-         {std::pair<std::size_t, std::size_t>{4, 1}, {2, 2}, {1, 4}}) {
-        sim::TrajectoryRunner runner(traj, state);
-        EXPECT_EQ(runner.trajWorkers(), traj);
-        EXPECT_EQ(runner.stateThreads(), state == 0 ? 1 : state);
-        const std::vector<double> got = runner.run(12, 77, 1, body);
-        ASSERT_EQ(got.size(), reference.size());
-        for (std::size_t i = 0; i < got.size(); ++i)
+    const std::vector<double> reference = runAll(1, 1);
+    for (const auto &[items, sweep] :
+         {std::pair<std::size_t, std::size_t>{4, 1}, {2, 2}, {1, 4},
+          {7, 1}}) {
+        const std::vector<double> got = runAll(items, sweep);
+        for (std::size_t i = 0; i < kItems; ++i)
             EXPECT_EQ(got[i], reference[i])
-                << "traj=" << traj << " state=" << state << " i=" << i;
-    }
-}
-
-TEST(Batch, TrajectoriesAreThreadCountInvariant)
-{
-    const sim::TrajectoryRunner::Body body =
-        [](std::size_t, std::size_t, linalg::Rng *rng,
-           const sim::ExecOptions &, double *out) {
-            double acc = 0.0;
-            for (int i = 0; i < 100; ++i)
-                acc += rng->uniform();
-            *out = acc;
-        };
-    sim::TrajectoryRunner serial(1), parallel(4);
-    const std::vector<double> a = serial.run(64, 42, 1, body);
-    const std::vector<double> b = parallel.run(64, 42, 1, body);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i], b[i]); // bit-for-bit
-}
-
-TEST(Batch, QvExperimentIsThreadCountInvariant)
-{
-    const device::Device dev = device::Device::grid2d(
-        device::NativeKind::AshN, 4, {.twoQubitError = 0.02});
-    qv::QvConfig cfg;
-    cfg.width = 4;
-    cfg.device = &dev;
-    cfg.circuits = 6;
-    cfg.trajectories = 8;
-    cfg.seed = 31;
-    cfg.threads = 1;
-    const qv::QvResult serial = qv::heavyOutputExperiment(cfg);
-    for (int threads : {2, 4, 7}) {
-        cfg.threads = threads;
-        const qv::QvResult parallel = qv::heavyOutputExperiment(cfg);
-        EXPECT_EQ(serial.heavyOutputProportion,
-                  parallel.heavyOutputProportion);
-        EXPECT_EQ(serial.avgNativeGatesPerCircuit,
-                  parallel.avgNativeGatesPerCircuit);
-        EXPECT_EQ(serial.avgTwoQubitTimePerCircuit,
-                  parallel.avgTwoQubitTimePerCircuit);
-        EXPECT_EQ(serial.avgSwapsPerCircuit, parallel.avgSwapsPerCircuit);
+                << "items=" << items << " sweep=" << sweep << " i=" << i;
     }
 }
 
