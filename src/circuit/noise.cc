@@ -54,6 +54,9 @@ applyDepolarizing(Complex *amps, std::size_t n_qubits,
                   linalg::Rng &rng)
 {
     validateErrorParameter(p);
+    if (qubits.empty())
+        throw std::invalid_argument(
+            "applyDepolarizing: empty Pauli string (no qubits)");
     for (std::size_t q : qubits)
         validateQubit(q, n_qubits);
     for (std::size_t i = 0; i < qubits.size(); ++i)

@@ -26,15 +26,16 @@ namespace circuit {
  * outside [0, 1] (including NaN) and duplicate qubits throw
  * std::invalid_argument — either would silently produce a map that is
  * not a depolarizing channel — and so does a qubit outside the
- * register, which the Pauli kernels would address out of bounds.
+ * register, which the Pauli kernels would address out of bounds, and
+ * an empty qubit list, which has no non-identity Pauli to draw.
  */
 void applyDepolarizing(State &state, const std::vector<std::size_t> &qubits,
                        double p, linalg::Rng &rng);
 
 /**
- * Raw-statevector form used by the trajectory batch runner: identical
- * sampling, with the Pauli applied through the specialized 1-qubit
- * kernel (sim::applyPauli) instead of a dense 2x2 multiply.
+ * Raw-statevector form: identical sampling, with each Pauli of the
+ * drawn string applied through the 1-qubit kernel sim::applyPauli
+ * instead of a dense 2x2 multiply.
  */
 void applyDepolarizing(Complex *amps, std::size_t n_qubits,
                        const std::vector<std::size_t> &qubits, double p,
@@ -45,8 +46,9 @@ void applyDepolarizing(Complex *amps, std::size_t n_qubits,
  * allocation in the hot loop. Draws exactly the same random sequence
  * from @p rng on every layout and applies the sampled Pauli to that
  * lane only — sim::applyPauli on an interleaved statevector,
- * sim::applyPauliLane on a SoA batch — so each lane stays bit-identical
- * to its serial trajectory.
+ * sim::applyPauliLane on a SoA batch, one scalar definition each on
+ * every backend — so each lane stays bit-identical to its serial
+ * trajectory, signed zeros included.
  * @throws std::invalid_argument additionally when lane >= lanes().
  */
 void applyDepolarizing(sim::StateView state, std::size_t lane,

@@ -113,9 +113,8 @@ class ThreadPool
  * The SIMD backend the sweeps run on is deliberately NOT an option
  * here: it is process-global, resolved once from the
  * CRISC_SIMD_DISPATCH environment variable or the CPU probe
- * (sim/dispatch.hh), never per plan or per call — a per-plan backend
- * would break the bit-identity story for batched Pauli noise, whose
- * negation flavour must match the serial kernels of the same backend.
+ * (sim/dispatch.hh), never per plan or per call. Every backend gives
+ * the same bits, so a per-plan choice could change only speed.
  */
 struct ExecOptions
 {

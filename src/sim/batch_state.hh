@@ -8,10 +8,11 @@
  *     re()[i * batch + t]  /  im()[i * batch + t]
  *
  * which makes SIMD lanes run *across trajectories* when a batched
- * kernel (the KernelTable *BatchRange entries) walks the amplitude
+ * gate kernel (the KernelTable *BatchRange entries) walks the amplitude
  * axis — control flow is perfectly uniform because every lane executes
  * the same compiled plan, and divergence (noise sampling, measurement)
- * is expressed per lane through applyPauliLane / amp().
+ * is expressed per lane through the scalar sim::applyPauliLane and
+ * amp().
  *
  * Conversions to and from the library's interleaved
  * std::complex<double> statevectors (pack / unpack) copy values

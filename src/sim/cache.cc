@@ -4,7 +4,6 @@
 #include <unistd.h>
 #endif
 
-#include "env.hh"
 #include "linalg/matrix.hh"
 
 namespace crisc {
@@ -39,23 +38,27 @@ detectedL2Bytes()
 std::size_t
 cacheBlockBytes()
 {
-    if (const std::size_t override = env::blockBytes())
-        return clampBlockBytes(override);
     if (const std::size_t l2 = detectedL2Bytes())
         return clampBlockBytes(l2 / 2);
     return kFallbackBlockBytes;
 }
 
 std::size_t
-autoBlockQubits(std::size_t n_qubits)
+blockQubitsForBytes(std::size_t bytes, std::size_t n_qubits)
 {
-    const std::size_t budget = cacheBlockBytes() / sizeof(linalg::Complex);
+    const std::size_t budget = bytes / sizeof(linalg::Complex);
     std::size_t b = 0;
     while ((std::size_t{2} << b) <= budget)
         ++b; // largest b with 2^b amplitudes within budget.
     if (b < 1)
         b = 1;
     return b < n_qubits ? b : n_qubits;
+}
+
+std::size_t
+autoBlockQubits(std::size_t n_qubits)
+{
+    return blockQubitsForBytes(cacheBlockBytes(), n_qubits);
 }
 
 std::size_t

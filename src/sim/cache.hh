@@ -25,7 +25,7 @@ namespace sim {
 constexpr std::size_t kMinBlockBytes = std::size_t{4} * 1024;
 
 /** Upper clamp of cacheBlockBytes(): no cache is bigger than this, and
- *  a larger override would be indistinguishable from "off". */
+ *  a larger block would be indistinguishable from "off". */
 constexpr std::size_t kMaxBlockBytes = std::size_t{1} << 30;
 
 /** Documented fallback when no cache size can be detected: half of a
@@ -42,28 +42,22 @@ constexpr std::size_t kAutoBlockFromWidth = 24;
 
 /**
  * Target footprint in bytes of one amplitude block for blocked
- * execution. Resolution order:
- *
- *   1. the CRISC_BLOCK_BYTES environment variable (sim/env.hh), when
- *      set to a positive byte count (clamped to [kMinBlockBytes,
- *      kMaxBlockBytes]; "" and "0" mean "no override"; anything
- *      non-numeric throws std::invalid_argument from the parse);
- *   2. half the detected per-core L2 data cache
- *      (sysconf(_SC_LEVEL2_CACHE_SIZE)) — half, so the block shares
- *      the cache with the rest of the working set;
- *   3. kFallbackBlockBytes when detection is unavailable or reports
- *      nothing.
- *
- * The environment is parsed once per process (sim/env.hh); tests that
- * setenv the override call sim::env::resetForTesting() to re-read.
+ * execution: half the detected per-core L2 data cache
+ * (sysconf(_SC_LEVEL2_CACHE_SIZE)) — half, so the block shares the
+ * cache with the rest of the working set — clamped to
+ * [kMinBlockBytes, kMaxBlockBytes], or kFallbackBlockBytes when
+ * detection is unavailable or reports nothing.
  */
 std::size_t cacheBlockBytes();
 
 /**
- * The block exponent the cacheBlockBytes() footprint implies for an
- * n-qubit register: the largest b with 2^b amplitudes (16 B each) not
- * exceeding the footprint, clamped to [1, n_qubits].
+ * The block exponent a footprint of @p bytes implies for an n-qubit
+ * register: the largest b with 2^b amplitudes (16 B each) not
+ * exceeding @p bytes, clamped to [1, n_qubits] (0 for n_qubits == 0).
  */
+std::size_t blockQubitsForBytes(std::size_t bytes, std::size_t n_qubits);
+
+/** blockQubitsForBytes(cacheBlockBytes(), n_qubits). */
 std::size_t autoBlockQubits(std::size_t n_qubits);
 
 /**

@@ -2,16 +2,16 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 
 #include "obs/obs.hh"
-#include "sim/env.hh"
 #include "sim/kernels.hh"
 
-// Runtime backend resolution (see dispatch.hh) and the few public
-// sim:: entry points kernels.hh keeps outside the engine — applyGate
-// (circuit::State) and the Pauli noise kernels (circuit/noise.cc). Each
+// Runtime backend resolution (see dispatch.hh) and applyGate, the one
+// public sim:: entry point kernels.hh keeps outside the engine that
+// routes through the resolved table (circuit::State uses it). It
 // fetches activeKernels() once per call and invokes table entries
 // directly, exactly as the engine's executeOpRange does per sweep.
 
@@ -85,10 +85,13 @@ resolve(const std::string &value)
     return *t;
 }
 
+/** Resolves CRISC_SIMD_DISPATCH; unset means probe. Read only on
+ *  first use, under g_resolveMutex (activeKernels). */
 const KernelTable &
 resolveFromEnvironment()
 {
-    return resolve(env::simdDispatch());
+    const char *value = std::getenv("CRISC_SIMD_DISPATCH");
+    return resolve(value == nullptr ? std::string() : std::string(value));
 }
 
 } // namespace
@@ -210,21 +213,14 @@ recordDispatchGauges()
 }
 
 // ---------------------------------------------------------------------
-// Public entry points outside the engine, routed through the resolved
-// table. A whole-register sweep is the range kernel over [0, groups).
+// Public entry points outside the engine. A whole-register sweep is the
+// range kernel over [0, groups).
 // ---------------------------------------------------------------------
 
 std::size_t
 simdLanes()
 {
     return activeKernels().lanes;
-}
-
-void
-applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-           std::size_t pauli_index)
-{
-    activeKernels().applyPauli(amps, n_qubits, qubit, pauli_index);
 }
 
 void
@@ -254,19 +250,9 @@ applyGate(Complex *amps, std::size_t n_qubits, const Matrix &op,
         }
         return;
       default:
-        detail::applyDenseRangeShared(amps, n_qubits, op, qubits, 0,
-                                      groups);
+        applyDenseRange(amps, n_qubits, op, qubits, 0, groups);
         return;
     }
-}
-
-void
-applyPauliLane(double *re, double *im, std::size_t n_qubits,
-               std::size_t batch, std::size_t lane, std::size_t qubit,
-               std::size_t pauli_index)
-{
-    activeKernels().applyPauliLane(re, im, n_qubits, batch, lane, qubit,
-                                   pauli_index);
 }
 
 } // namespace sim

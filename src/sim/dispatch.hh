@@ -12,21 +12,22 @@
  *     variable, or by CPU probe when the variable is unset or "auto"
  *     (probe order avx2 > scalar, first backend that is both
  *     compiled in and supported by the host).
- *   - activeKernels(): the resolved KernelTable — the one kernel entry
- *     path. The engine's executeOpRange and the few kernels.hh entry
- *     points (applyGate, applyPauli, applyPauliLane) fetch this once
- *     per sweep — one atomic load plus one indirect call per kernel
- *     sweep, never per amplitude. Tests pin every compiled table
- *     through kernelTable(b).
+ *   - activeKernels(): the resolved KernelTable — the one entry path
+ *     to the SIMD gate kernels. The engine's executeOpRange and
+ *     kernels.hh's applyGate fetch it once per sweep — one atomic load
+ *     plus one indirect call per kernel sweep, never per amplitude.
+ *     Tests pin every compiled table through kernelTable(b).
  *   - setDispatchOverride(): in-process re-resolution with the same
  *     semantics as the environment variable, used by tests to force
  *     each backend on one binary and by perfbench/ for its
  *     forced-scalar correctness oracle.
  *
  * The choice is process-global: one table pointer serves every thread,
- * plan, and trajectory (per-plan backends would break the bit-identity
- * story for batched Pauli noise, whose negation flavour must match the
- * serial kernels of the *same* backend). Unknown override names throw
+ * plan, and trajectory, resolved once, so no caller has a backend to
+ * pass around. Kernels with no SIMD body (the dense k >= 3 fallback and
+ * the Pauli noise kernels) are not in the table: each has one scalar
+ * definition per layout in kernels.cc that every backend calls.
+ * Unknown override names throw
  * std::invalid_argument; names of backends that are not compiled in or
  * not supported by this CPU throw std::runtime_error — never a silent
  * fallback. Every backend is bit-identical to sim::scalar on finite
@@ -48,7 +49,6 @@ namespace crisc {
 namespace sim {
 
 using linalg::Complex;
-using linalg::Matrix;
 
 /** The kernel backends a binary can carry. Values index probe order
  *  metadata; the set actually compiled in is compiledBackends(). */
@@ -59,14 +59,14 @@ enum class Backend
 };
 
 /**
- * One backend's kernel surface as 12 function pointers: the group-range
- * kernels on an interleaved statevector and on SoA batch lanes (a full
- * sweep is the range [0, groups)), plus the two noise kernels — the
- * whole-register Pauli sweep and its per-lane SoA twin. applyDenseRange
- * carries no SIMD (gather/scatter dominated) and points at one shared
- * implementation in every table; it is present so that a table covers
- * every KernelKind. All entries of every registered table are non-null
- * — tests pin this.
+ * One backend's SIMD kernel surface as 8 function pointers: the 1q,
+ * 1q-diagonal, 2q and 2q-diagonal group-range kernels, on an
+ * interleaved statevector and on SoA batch lanes (a full sweep is the
+ * range [0, groups)). Only kernels with a SIMD body belong here; the
+ * dense k >= 3 kernel (sim::applyDenseRange / applyDenseBatchRange) and
+ * the Pauli noise kernels (sim::applyPauli / applyPauliLane) have one
+ * scalar definition per layout. All entries of every registered table
+ * are non-null — tests pin this.
  */
 struct KernelTable
 {
@@ -74,7 +74,7 @@ struct KernelTable
     const char *name = "scalar";
     std::size_t lanes = 1;
 
-    // Interleaved statevector: group-range kernels and the Pauli sweep.
+    // Interleaved statevector.
     void (*apply1qRange)(Complex *, std::size_t, std::size_t,
                          const Complex *, std::size_t,
                          std::size_t) = nullptr;
@@ -86,14 +86,8 @@ struct KernelTable
     void (*apply2qDiagRange)(Complex *, std::size_t, std::size_t,
                              std::size_t, const Complex *, std::size_t,
                              std::size_t) = nullptr;
-    void (*applyDenseRange)(Complex *, std::size_t, const Matrix &,
-                            const std::vector<std::size_t> &, std::size_t,
-                            std::size_t) = nullptr;
-    void (*applyPauli)(Complex *, std::size_t, std::size_t,
-                       std::size_t) = nullptr;
 
-    // SoA batch lanes (SIMD lanes across trajectories): group-range
-    // kernels and the per-lane Pauli divergence point.
+    // SoA batch lanes (SIMD lanes across trajectories).
     void (*apply1qBatchRange)(double *, double *, std::size_t, std::size_t,
                               std::size_t, const Complex *, std::size_t,
                               std::size_t) = nullptr;
@@ -108,13 +102,6 @@ struct KernelTable
                                   std::size_t, std::size_t, std::size_t,
                                   const Complex *, std::size_t,
                                   std::size_t) = nullptr;
-    void (*applyDenseBatchRange)(double *, double *, std::size_t,
-                                 std::size_t, const Matrix &,
-                                 const std::vector<std::size_t> &,
-                                 std::size_t, std::size_t) = nullptr;
-    void (*applyPauliLane)(double *, double *, std::size_t, std::size_t,
-                           std::size_t, std::size_t,
-                           std::size_t) = nullptr;
 };
 
 /** Display name of a backend ("scalar", "avx2"). */
@@ -190,13 +177,6 @@ namespace detail {
 // the CRISC_HAVE_KERNELS_* definitions it sets).
 const KernelTable &scalarKernelTable();
 const KernelTable &avx2KernelTable();
-
-// Shared backend-independent dense implementation (kernels.cc); every
-// table's applyDenseRange entry points here.
-void applyDenseRangeShared(Complex *amps, std::size_t n_qubits,
-                           const Matrix &op,
-                           const std::vector<std::size_t> &qubits,
-                           std::size_t group_begin, std::size_t group_end);
 
 } // namespace detail
 

@@ -322,7 +322,7 @@ executeOpRange(const KernelOp &op, StateView state, std::size_t g0,
             k.apply2qDiagRange(a, n, op.q0, op.q1, op.m.data(), g0, g1);
             return;
           case KernelKind::Dense:
-            k.applyDenseRange(a, n, op.dense, op.qubits, g0, g1);
+            applyDenseRange(a, n, op.dense, op.qubits, g0, g1);
             return;
         }
     } else {
@@ -346,8 +346,8 @@ executeOpRange(const KernelOp &op, StateView state, std::size_t g0,
                                     g0, g1);
             return;
           case KernelKind::Dense:
-            k.applyDenseBatchRange(re, im, n, b, op.dense, op.qubits, g0,
-                                   g1);
+            applyDenseBatchRange(re, im, n, b, op.dense, op.qubits, g0,
+                                 g1);
             return;
         }
     }

@@ -2,16 +2,16 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
-#include "sim/dispatch.hh"
 #include "sim/kernels_util.hh"
 
 // Backend-independent kernel code: the scalar reference kernels every
-// compiled KernelTable is tested against, and the shared dense
-// (k-qubit) range kernel all dispatch tables point at. The SIMD kernels
-// themselves live in kernels_impl.hh, stamped once per backend by the
-// kernels_<backend>.cc TUs; the public entry points that route through
-// the resolved KernelTable (applyGate, applyPauli, applyPauliLane) live
+// compiled KernelTable is tested against, and the kernels no table
+// carries — the dense k >= 3 fallback and the Pauli noise kernels, one
+// definition per layout each. The SIMD gate kernels live in
+// kernels_impl.hh, stamped once per backend by the kernels_<backend>.cc
+// TUs; applyGate, which routes through the resolved KernelTable, lives
 // in dispatch.cc.
 
 namespace crisc {
@@ -68,38 +68,6 @@ apply1qDiag(Complex *amps, std::size_t n_qubits, std::size_t qubit,
             amps[i] *= d0;
             amps[i + stride] *= d1;
         }
-    }
-}
-
-void
-applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-           std::size_t pauli_index)
-{
-    const std::size_t dim = std::size_t{1} << n_qubits;
-    const std::size_t stride = std::size_t{1} << (n_qubits - 1 - qubit);
-    switch (pauli_index) {
-      case 1: // X: swap the pair.
-        for (std::size_t base = 0; base < dim; base += 2 * stride)
-            for (std::size_t i = base; i < base + stride; ++i)
-                std::swap(amps[i], amps[i + stride]);
-        return;
-      case 2: // Y = [[0, -i], [i, 0]].
-        for (std::size_t base = 0; base < dim; base += 2 * stride) {
-            for (std::size_t i = base; i < base + stride; ++i) {
-                const Complex a0 = amps[i];
-                const Complex a1 = amps[i + stride];
-                amps[i] = Complex{a1.imag(), -a1.real()};          // -i a1
-                amps[i + stride] = Complex{-a0.imag(), a0.real()}; //  i a0
-            }
-        }
-        return;
-      case 3: // Z: negate the |1> half of each pair.
-        for (std::size_t base = 0; base < dim; base += 2 * stride)
-            for (std::size_t i = base; i < base + stride; ++i)
-                amps[i + stride] = -amps[i + stride];
-        return;
-      default:
-        throw std::invalid_argument("applyPauli: index must be 1..3");
     }
 }
 
@@ -346,101 +314,187 @@ apply2qDiagBatch(double *re, double *im, std::size_t n_qubits,
     }
 }
 
-void
-applyDenseBatch(double *re, double *im, std::size_t n_qubits,
-                std::size_t batch, const Matrix &op,
-                const std::vector<std::size_t> &qubits)
-{
-    const std::size_t k = qubits.size();
-    const std::size_t gdim = std::size_t{1} << k;
-    const std::size_t groups = (std::size_t{1} << n_qubits) >> k;
-
-    std::vector<std::size_t> pos(k);
-    for (std::size_t b = 0; b < k; ++b)
-        pos[b] = n_qubits - 1 - qubits[b];
-    std::vector<std::size_t> sorted = pos;
-    std::sort(sorted.begin(), sorted.end());
-
-    std::vector<Complex> in(gdim), out(gdim);
-    std::vector<std::size_t> idx(gdim);
-    for (std::size_t grp = 0; grp < groups; ++grp) {
-        std::size_t base = grp;
-        for (std::size_t p : sorted)
-            base = insertZeroBit(base, p);
-        for (std::size_t g = 0; g < gdim; ++g) {
-            std::size_t address = base;
-            for (std::size_t b = 0; b < k; ++b)
-                if ((g >> (k - 1 - b)) & 1)
-                    address |= std::size_t{1} << pos[b];
-            idx[g] = address * batch;
-        }
-        for (std::size_t t = 0; t < batch; ++t) {
-            for (std::size_t g = 0; g < gdim; ++g)
-                in[g] = laneAmp(re, im, idx[g] + t);
-            for (std::size_t r = 0; r < gdim; ++r) {
-                Complex s = 0.0;
-                for (std::size_t c = 0; c < gdim; ++c)
-                    s += op(r, c) * in[c];
-                out[r] = s;
-            }
-            for (std::size_t g = 0; g < gdim; ++g)
-                setLane(re, im, idx[g] + t, out[g]);
-        }
-    }
-}
-
 } // namespace scalar
 
 // ---------------------------------------------------------------------
-// Shared dense (k-qubit) range kernel: gather/scatter dominated, no
-// SIMD, so every backend's KernelTable points at this one definition.
+// Kernels with no SIMD body. Each has exactly one definition per
+// layout, called directly on every backend rather than through a
+// KernelTable: the Pauli noise kernels (pure swap/negate traffic, and
+// only about one noise draw in a hundred applies one at the Figure-7
+// rates) and the dense k >= 3 fallback (gather/scatter dominated).
+// Negation is the sign-bit flip of unary minus, so a Pauli leaves the
+// same signed zeros whichever backend the process resolved.
 // ---------------------------------------------------------------------
 
-namespace detail {
+namespace {
 
-void
-applyDenseRangeShared(Complex *amps, std::size_t n_qubits,
-                      const Matrix &op,
-                      const std::vector<std::size_t> &qubits,
-                      std::size_t group_begin, std::size_t group_end)
+/** Where a dense op's qubits sit in a basis index. */
+struct DenseLayout
 {
-    const std::size_t k = qubits.size();
-    const std::size_t gdim = std::size_t{1} << k;
+    std::vector<std::size_t> pos;    ///< index bit per gate qubit, in order.
+    std::vector<std::size_t> sorted; ///< the same bits, ascending.
 
-    std::vector<std::size_t> pos(k);
-    for (std::size_t b = 0; b < k; ++b)
-        pos[b] = n_qubits - 1 - qubits[b];
-    // Expanding the group counter through ascending bit positions
-    // yields the group's all-zeros base; bases ascend with the counter.
-    std::vector<std::size_t> sorted = pos;
-    std::sort(sorted.begin(), sorted.end());
+    DenseLayout(std::size_t n_qubits, const std::vector<std::size_t> &qubits)
+        : pos(qubits.size())
+    {
+        for (std::size_t b = 0; b < qubits.size(); ++b)
+            pos[b] = n_qubits - 1 - qubits[b];
+        sorted = pos;
+        std::sort(sorted.begin(), sorted.end());
+    }
 
-    std::vector<Complex> in(gdim), out(gdim);
-    std::vector<std::size_t> idx(gdim);
-    for (std::size_t grp = group_begin; grp < group_end; ++grp) {
+    /**
+     * Fills @p idx with the 2^k basis indices of group @p grp in the
+     * operator's row order. Expanding the group counter through
+     * ascending bit positions yields the group's all-zeros base; bases
+     * ascend with the counter.
+     */
+    void addresses(std::size_t grp, std::vector<std::size_t> &idx) const
+    {
         std::size_t base = grp;
         for (std::size_t p : sorted)
             base = insertZeroBit(base, p);
-        for (std::size_t g = 0; g < gdim; ++g) {
+        const std::size_t k = pos.size();
+        for (std::size_t g = 0; g < idx.size(); ++g) {
             std::size_t address = base;
             for (std::size_t b = 0; b < k; ++b)
                 if ((g >> (k - 1 - b)) & 1)
                     address |= std::size_t{1} << pos[b];
             idx[g] = address;
-            in[g] = amps[address];
         }
-        for (std::size_t r = 0; r < gdim; ++r) {
-            Complex s = 0.0;
-            for (std::size_t c = 0; c < gdim; ++c)
-                s += op(r, c) * in[c];
-            out[r] = s;
-        }
+    }
+};
+
+/** out = op * in over one group; each row sums 0 + term, column order. */
+void
+multiplyGroup(const Matrix &op, const std::vector<Complex> &in,
+              std::vector<Complex> &out)
+{
+    for (std::size_t r = 0; r < in.size(); ++r) {
+        Complex s = 0.0;
+        for (std::size_t c = 0; c < in.size(); ++c)
+            s += op(r, c) * in[c];
+        out[r] = s;
+    }
+}
+
+} // namespace
+
+void
+applyDenseRange(Complex *amps, std::size_t n_qubits, const Matrix &op,
+                const std::vector<std::size_t> &qubits,
+                std::size_t group_begin, std::size_t group_end)
+{
+    const DenseLayout layout(n_qubits, qubits);
+    const std::size_t gdim = std::size_t{1} << qubits.size();
+    std::vector<Complex> in(gdim), out(gdim);
+    std::vector<std::size_t> idx(gdim);
+    for (std::size_t grp = group_begin; grp < group_end; ++grp) {
+        layout.addresses(grp, idx);
+        for (std::size_t g = 0; g < gdim; ++g)
+            in[g] = amps[idx[g]];
+        multiplyGroup(op, in, out);
         for (std::size_t g = 0; g < gdim; ++g)
             amps[idx[g]] = out[g];
     }
 }
 
-} // namespace detail
+void
+applyDenseBatchRange(double *re, double *im, std::size_t n_qubits,
+                     std::size_t batch, const Matrix &op,
+                     const std::vector<std::size_t> &qubits,
+                     std::size_t group_begin, std::size_t group_end)
+{
+    const DenseLayout layout(n_qubits, qubits);
+    const std::size_t gdim = std::size_t{1} << qubits.size();
+    std::vector<Complex> in(gdim), out(gdim);
+    std::vector<std::size_t> idx(gdim);
+    for (std::size_t grp = group_begin; grp < group_end; ++grp) {
+        layout.addresses(grp, idx);
+        for (std::size_t t = 0; t < batch; ++t) {
+            for (std::size_t g = 0; g < gdim; ++g)
+                in[g] = laneAmp(re, im, idx[g] * batch + t);
+            multiplyGroup(op, in, out);
+            for (std::size_t g = 0; g < gdim; ++g)
+                setLane(re, im, idx[g] * batch + t, out[g]);
+        }
+    }
+}
+
+void
+applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
+           std::size_t pauli_index)
+{
+    const std::size_t dim = std::size_t{1} << n_qubits;
+    const std::size_t stride = std::size_t{1} << (n_qubits - 1 - qubit);
+    switch (pauli_index) {
+      case 1: // X: swap the pair.
+        for (std::size_t base = 0; base < dim; base += 2 * stride)
+            for (std::size_t i = base; i < base + stride; ++i)
+                std::swap(amps[i], amps[i + stride]);
+        return;
+      case 2: // Y = [[0, -i], [i, 0]].
+        for (std::size_t base = 0; base < dim; base += 2 * stride) {
+            for (std::size_t i = base; i < base + stride; ++i) {
+                const Complex a0 = amps[i];
+                const Complex a1 = amps[i + stride];
+                amps[i] = Complex{a1.imag(), -a1.real()};          // -i a1
+                amps[i + stride] = Complex{-a0.imag(), a0.real()}; //  i a0
+            }
+        }
+        return;
+      case 3: // Z: negate the |1> half of each pair.
+        for (std::size_t base = 0; base < dim; base += 2 * stride)
+            for (std::size_t i = base; i < base + stride; ++i)
+                amps[i + stride] = -amps[i + stride];
+        return;
+      default:
+        throw std::invalid_argument("applyPauli: index must be 1..3");
+    }
+}
+
+void
+applyPauliLane(double *re, double *im, std::size_t n_qubits,
+               std::size_t batch, std::size_t lane, std::size_t qubit,
+               std::size_t pauli_index)
+{
+    const std::size_t pairs = (std::size_t{1} << n_qubits) >> 1;
+    const std::size_t pos = n_qubits - 1 - qubit;
+    const std::size_t stride = (std::size_t{1} << pos) * batch;
+    switch (pauli_index) {
+      case 1:
+        for (std::size_t p = 0; p < pairs; ++p) {
+            const std::size_t o0 = insertZeroBit(p, pos) * batch + lane;
+            const std::size_t o1 = o0 + stride;
+            std::swap(re[o0], re[o1]);
+            std::swap(im[o0], im[o1]);
+        }
+        return;
+      case 2:
+        for (std::size_t p = 0; p < pairs; ++p) {
+            const std::size_t o0 = insertZeroBit(p, pos) * batch + lane;
+            const std::size_t o1 = o0 + stride;
+            const double a0r = re[o0], a0i = im[o0];
+            const double a1r = re[o1], a1i = im[o1];
+            re[o0] = a1i;
+            im[o0] = -a1r;
+            re[o1] = -a0i;
+            im[o1] = a0r;
+        }
+        return;
+      case 3:
+        for (std::size_t p = 0; p < pairs; ++p) {
+            const std::size_t o1 =
+                insertZeroBit(p, pos) * batch + lane + stride;
+            re[o1] = -re[o1];
+            im[o1] = -im[o1];
+        }
+        return;
+      default:
+        throw std::invalid_argument(
+            "applyPauliLane: index must be 1..3");
+    }
+}
 
 } // namespace sim
 } // namespace crisc

@@ -8,21 +8,24 @@
  * (1q) and quads (2q) are enumerated in ascending memory order with no
  * per-group index buffers, and diagonal gates touch each amplitude once.
  *
- * Kernels are reached through one entry path: a runtime-dispatched
- * KernelTable of group-range kernels (dispatch.hh; a full sweep is the
- * range [0, groups)). Every binary carries one compiled kernel set per
- * SIMD backend the compiler could build (scalar always; AVX2 on x86-64
- * when the compiler accepts -mavx2), and src/sim/dispatch.hh picks
- * among them once per process — by CPU probe, or forced via the
- * CRISC_SIMD_DISPATCH environment variable. The engine calls the table
- * entries directly; outside it, only applyGate (circuit::State) and the
- * Pauli noise kernels below route through the resolved table. Each
- * backend's kernels run split-complex SIMD inner loops whenever the
- * addressed contiguous run is at least one vector wide and fall back to
- * the scalar reference kernels in sim::scalar otherwise. The SIMD lanes
- * execute exactly the scalar operation sequence, so every backend
- * produces bit-identical results for finite amplitudes; the tests pin
- * every compiled table against sim::scalar.
+ * The 1q, 1q-diagonal, 2q and 2q-diagonal gate kernels are reached
+ * through a runtime-dispatched KernelTable of group-range kernels
+ * (dispatch.hh; a full sweep is the range [0, groups)). Every binary
+ * carries one compiled set of them per SIMD backend the compiler could
+ * build (scalar always; AVX2 on x86-64 when the compiler accepts
+ * -mavx2), and src/sim/dispatch.hh picks among them once per process —
+ * by CPU probe, or forced via the CRISC_SIMD_DISPATCH environment
+ * variable. The engine calls the table entries directly; outside it,
+ * only applyGate (circuit::State) routes through the resolved table.
+ * Each backend's kernels run split-complex SIMD inner loops whenever
+ * the addressed contiguous run is at least one vector wide and fall
+ * back to the scalar reference kernels in sim::scalar otherwise. The
+ * SIMD lanes execute exactly the scalar operation sequence, so every
+ * backend produces bit-identical results for finite amplitudes; the
+ * tests pin every compiled table against sim::scalar. The kernels with
+ * no SIMD body — the dense k >= 3 fallback and the Pauli noise kernels
+ * — are declared below with one scalar definition per layout that
+ * every backend calls.
  *
  * Every kernel sweep enumerates an independent *group* per iteration —
  * an amplitude pair (1q), quad (2q), or 2^k-tuple (dense) — and groups
@@ -38,7 +41,8 @@
  * 2^b-amplitude block form the contiguous range
  * [block * 2^(b-k), (block + 1) * 2^(b-k)), so the range kernels serve
  * as the per-block substrate unchanged. The SoA batch-lane kernels
- * (dispatch.hh KernelTable) partition the same group axis.
+ * (the KernelTable *BatchRange entries and applyDenseBatchRange)
+ * partition the same group axis.
  *
  * Conventions match the rest of the library: qubit 0 is the most
  * significant bit of a basis index, and a k-qubit operator's basis is
@@ -77,8 +81,6 @@ void apply1q(Complex *amps, std::size_t n_qubits, std::size_t qubit,
              const Complex m[4]);
 void apply1qDiag(Complex *amps, std::size_t n_qubits, std::size_t qubit,
                  Complex d0, Complex d1);
-void applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-                std::size_t pauli_index);
 /** Applies a 4x4 gate m (row-major m[0..15]) to the ordered pair
  *  (q_hi, q_lo), where q_hi is the most significant gate qubit. */
 void apply2q(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
@@ -107,10 +109,6 @@ void apply2qBatch(double *re, double *im, std::size_t n_qubits,
 void apply2qDiagBatch(double *re, double *im, std::size_t n_qubits,
                       std::size_t batch, std::size_t q_hi,
                       std::size_t q_lo, const Complex d[4]);
-/** Batched dense k-qubit apply (detail::applyDenseRangeShared per lane). */
-void applyDenseBatch(double *re, double *im, std::size_t n_qubits,
-                     std::size_t batch, const Matrix &op,
-                     const std::vector<std::size_t> &qubits);
 
 /** Pair-range form of apply1q: pairs [pair_begin, pair_end). */
 void apply1qRange(Complex *amps, std::size_t n_qubits, std::size_t qubit,
@@ -133,9 +131,33 @@ void apply2qDiagRange(Complex *amps, std::size_t n_qubits,
 } // namespace scalar
 
 /**
+ * Generic dense k-qubit kernel (the k >= 3 fallback; any k works) over
+ * groups [group_begin, group_end) of the 2^(n-k) groups: op (2^k x
+ * 2^k, basis |qubits[0] ... qubits[k-1]>) applied to each group's
+ * 2^k amplitudes. No SIMD body, so every backend runs this one
+ * definition; it is also the dense reference the tests use.
+ */
+void applyDenseRange(Complex *amps, std::size_t n_qubits, const Matrix &op,
+                     const std::vector<std::size_t> &qubits,
+                     std::size_t group_begin, std::size_t group_end);
+
+/**
+ * The dense kernel on a trajectory-major SoA batch (lane t of amplitude
+ * i at re[i * batch + t]; see batch_state.hh): lane t is bit-identical
+ * to applyDenseRange on statevector t.
+ */
+void applyDenseBatchRange(double *re, double *im, std::size_t n_qubits,
+                          std::size_t batch, const Matrix &op,
+                          const std::vector<std::size_t> &qubits,
+                          std::size_t group_begin, std::size_t group_end);
+
+/**
  * Applies the Pauli with index 1..3 = X, Y, Z to one qubit. Pure
  * swap/phase traffic — no complex multiplies — which makes stochastic
- * Pauli noise nearly free next to gate application.
+ * Pauli noise nearly free next to gate application. One scalar
+ * definition on every backend, so the result is the same to the bit
+ * (signed zeros included) whichever backend the process resolved.
+ * @throws std::invalid_argument on any other index.
  */
 void applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
                 std::size_t pauli_index);
@@ -145,7 +167,8 @@ void applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
  * (lane t of amplitude i at re[i * batch + t]; see batch_state.hh) —
  * the divergence point of batched trajectory execution (each lane
  * samples its own noise). Bit-identical to sim::applyPauli on that
- * lane's statevector.
+ * lane's statevector, on every backend; other lanes are untouched.
+ * @throws std::invalid_argument on an index outside 1..3.
  */
 void applyPauliLane(double *re, double *im, std::size_t n_qubits,
                     std::size_t batch, std::size_t lane, std::size_t qubit,
@@ -162,7 +185,8 @@ bool exactlyDiagonal(const Matrix &op);
  * Dispatching entry point: routes k = 1 and k = 2 gates to the resolved
  * table's specialized kernels over the whole register (detecting
  * exactly-diagonal operators) and larger gates to the shared dense
- * kernel. Callers must have validated sizes and indices.
+ * kernel (applyDenseRange). Callers must have validated sizes and
+ * indices.
  */
 void applyGate(Complex *amps, std::size_t n_qubits, const Matrix &op,
                const std::vector<std::size_t> &qubits);

@@ -13,16 +13,16 @@
  * anonymous namespace (no cross-TU symbol collisions); the only export
  * is the KernelTable builder the dispatcher links against.
  *
- * Every kernel except the whole-register Pauli sweep is a group-range
- * kernel: a full sweep is the range [0, groups). Every simd:: lane
- * replays the scalar reference operation order (see simd.hh),
- * short-stride sweeps fall back to the sim::scalar references
- * (compiled once, without ISA flags, in kernels.cc), and per-lane
- * Pauli noise replays the serial kernel's stride-dependent negation
- * flavour via the backend's kNegIsSubFromZero trait. The batched
- * kernels run the batch % kLanes lane tails through a scalar per-lane
- * remainder loop with the same per-lane operation sequence. Compile
- * every stamp TU with -ffp-contract=off.
+ * Every kernel is a group-range kernel: a full sweep is the range
+ * [0, groups). Every simd:: lane replays the scalar reference
+ * operation order (see simd.hh), and short-stride sweeps fall back to
+ * the sim::scalar references (compiled once, without ISA flags, in
+ * kernels.cc). The batched kernels run the batch % kLanes lane tails
+ * through a scalar per-lane remainder loop with the same per-lane
+ * operation sequence. Kernels with no SIMD body — the Pauli noise
+ * kernels and the dense k >= 3 fallback — are not stamped: each has
+ * one scalar definition per layout in kernels.cc. Compile every stamp
+ * TU with -ffp-contract=off.
  */
 
 #ifndef CRISC_SIM_KERNELS_IMPL_HH
@@ -34,8 +34,6 @@
 #endif
 
 #include <algorithm>
-#include <stdexcept>
-#include <vector>
 
 #include "sim/dispatch.hh"
 #include "sim/kernels.hh"
@@ -45,87 +43,10 @@
 namespace crisc {
 namespace sim {
 namespace {
-// Named inner namespace so unqualified kernel names never collide with
-// the sim::applyPauli / applyPauliLane entry points from kernels.hh.
-namespace stamped {
 
 using detail::insertZeroBit;
 using detail::laneAmp;
 using detail::setLane;
-
-/**
- * Negation as this backend's serial dispatching Pauli kernel performs
- * it for a sweep whose addressed run takes the vector path: AVX2 neg
- * computes 0 - x (mapping +0 to +0), scalar flips the
- * sign bit (+0 to -0). Batched lanes replay the serial kernel's
- * stride-dependent choice so they stay bit-identical to the
- * per-trajectory run even on signed zeros.
- */
-inline double
-negLikeSerial(bool vector_path, double x)
-{
-    if constexpr (simd::kNegIsSubFromZero) {
-        if (vector_path)
-            return 0.0 - x;
-    } else {
-        (void)vector_path;
-    }
-    return -x;
-}
-
-// ---------------------------------------------------------------------
-// Whole-register Pauli sweep (the serial noise kernel). Each addressed
-// contiguous run has power-of-two length, so once a run is at least
-// simd::kLanes wide it divides evenly — no tail loops. Shorter runs
-// take the scalar reference path.
-// ---------------------------------------------------------------------
-
-void
-applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-           std::size_t pauli_index)
-{
-    const std::size_t dim = std::size_t{1} << n_qubits;
-    const std::size_t stride = std::size_t{1} << (n_qubits - 1 - qubit);
-    if (stride < simd::kLanes) {
-        scalar::applyPauli(amps, n_qubits, qubit, pauli_index);
-        return;
-    }
-    switch (pauli_index) {
-      case 1: // X: swap the pair.
-        for (std::size_t base = 0; base < dim; base += 2 * stride) {
-            for (std::size_t i = base; i < base + stride;
-                 i += simd::kLanes) {
-                const simd::CVec a0 = simd::loadc(amps + i);
-                const simd::CVec a1 = simd::loadc(amps + i + stride);
-                simd::storec(amps + i, a1);
-                simd::storec(amps + i + stride, a0);
-            }
-        }
-        return;
-      case 2: // Y = [[0, -i], [i, 0]].
-        for (std::size_t base = 0; base < dim; base += 2 * stride) {
-            for (std::size_t i = base; i < base + stride;
-                 i += simd::kLanes) {
-                const simd::CVec a0 = simd::loadc(amps + i);
-                const simd::CVec a1 = simd::loadc(amps + i + stride);
-                simd::storec(amps + i, simd::mulNegI(a1));
-                simd::storec(amps + i + stride, simd::mulPosI(a0));
-            }
-        }
-        return;
-      case 3: // Z: negate the |1> half of each pair.
-        for (std::size_t base = 0; base < dim; base += 2 * stride) {
-            for (std::size_t i = base; i < base + stride;
-                 i += simd::kLanes) {
-                simd::storec(amps + i + stride,
-                             simd::neg(simd::loadc(amps + i + stride)));
-            }
-        }
-        return;
-      default:
-        throw std::invalid_argument("applyPauli: index must be 1..3");
-    }
-}
 
 // ---------------------------------------------------------------------
 // Group-range kernels (see kernels.hh): one sub-interval of the group
@@ -403,50 +324,6 @@ apply1qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
 }
 
 void
-applyPauliLane(double *re, double *im, std::size_t n_qubits,
-               std::size_t batch, std::size_t lane, std::size_t qubit,
-               std::size_t pauli_index)
-{
-    const std::size_t pairs = (std::size_t{1} << n_qubits) >> 1;
-    const std::size_t pos = n_qubits - 1 - qubit;
-    const std::size_t stride = (std::size_t{1} << pos) * batch;
-    const bool vec = (std::size_t{1} << pos) >= simd::kLanes;
-    switch (pauli_index) {
-      case 1:
-        for (std::size_t p = 0; p < pairs; ++p) {
-            const std::size_t o0 = insertZeroBit(p, pos) * batch + lane;
-            const std::size_t o1 = o0 + stride;
-            std::swap(re[o0], re[o1]);
-            std::swap(im[o0], im[o1]);
-        }
-        return;
-      case 2:
-        for (std::size_t p = 0; p < pairs; ++p) {
-            const std::size_t o0 = insertZeroBit(p, pos) * batch + lane;
-            const std::size_t o1 = o0 + stride;
-            const double a0r = re[o0], a0i = im[o0];
-            const double a1r = re[o1], a1i = im[o1];
-            re[o0] = a1i;
-            im[o0] = negLikeSerial(vec, a1r);
-            re[o1] = negLikeSerial(vec, a0i);
-            im[o1] = a0r;
-        }
-        return;
-      case 3:
-        for (std::size_t p = 0; p < pairs; ++p) {
-            const std::size_t o1 =
-                insertZeroBit(p, pos) * batch + lane + stride;
-            re[o1] = negLikeSerial(vec, re[o1]);
-            im[o1] = negLikeSerial(vec, im[o1]);
-        }
-        return;
-      default:
-        throw std::invalid_argument(
-            "applyPauliLane: index must be 1..3");
-    }
-}
-
-void
 apply2qBatchRange(double *re, double *im, std::size_t n_qubits,
                   std::size_t batch, std::size_t q_hi, std::size_t q_lo,
                   const Complex m[16], std::size_t quad_begin,
@@ -563,76 +440,6 @@ apply2qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
     }
 }
 
-void
-applyDenseBatchRange(double *re, double *im, std::size_t n_qubits,
-                     std::size_t batch, const Matrix &op,
-                     const std::vector<std::size_t> &qubits,
-                     std::size_t group_begin, std::size_t group_end)
-{
-    const std::size_t k = qubits.size();
-    const std::size_t gdim = std::size_t{1} << k;
-
-    std::vector<std::size_t> pos(k);
-    for (std::size_t b = 0; b < k; ++b)
-        pos[b] = n_qubits - 1 - qubits[b];
-    std::vector<std::size_t> sorted = pos;
-    std::sort(sorted.begin(), sorted.end());
-
-    // Per-group scratch in the same SoA layout: gather the 2^k
-    // amplitudes of all lanes, multiply rows with lanes in the vector,
-    // scatter back. s starts at broadcast(0) so the first accumulation
-    // replays the scalar kernel's 0 + term.
-    std::vector<double> inRe(gdim * batch), inIm(gdim * batch);
-    std::vector<double> outRe(gdim * batch), outIm(gdim * batch);
-    std::vector<std::size_t> idx(gdim);
-    const simd::CVec zero = simd::broadcast(Complex{0.0, 0.0});
-    for (std::size_t grp = group_begin; grp < group_end; ++grp) {
-        std::size_t base = grp;
-        for (std::size_t p : sorted)
-            base = insertZeroBit(base, p);
-        for (std::size_t g = 0; g < gdim; ++g) {
-            std::size_t address = base;
-            for (std::size_t b = 0; b < k; ++b)
-                if ((g >> (k - 1 - b)) & 1)
-                    address |= std::size_t{1} << pos[b];
-            idx[g] = address * batch;
-            std::copy(re + idx[g], re + idx[g] + batch,
-                      inRe.data() + g * batch);
-            std::copy(im + idx[g], im + idx[g] + batch,
-                      inIm.data() + g * batch);
-        }
-        for (std::size_t r = 0; r < gdim; ++r) {
-            std::size_t t = 0;
-            for (; t + simd::kLanes <= batch; t += simd::kLanes) {
-                simd::CVec s = zero;
-                for (std::size_t c = 0; c < gdim; ++c)
-                    s = simd::add(
-                        s, simd::mul(simd::broadcast(op(r, c)),
-                                     simd::loads(
-                                         inRe.data() + c * batch + t,
-                                         inIm.data() + c * batch + t)));
-                simd::stores(outRe.data() + r * batch + t,
-                             outIm.data() + r * batch + t, s);
-            }
-            for (; t < batch; ++t) {
-                Complex s = 0.0;
-                for (std::size_t c = 0; c < gdim; ++c)
-                    s += op(r, c) * Complex{inRe[c * batch + t],
-                                            inIm[c * batch + t]};
-                outRe[r * batch + t] = s.real();
-                outIm[r * batch + t] = s.imag();
-            }
-        }
-        for (std::size_t g = 0; g < gdim; ++g) {
-            std::copy(outRe.data() + g * batch,
-                      outRe.data() + (g + 1) * batch, re + idx[g]);
-            std::copy(outIm.data() + g * batch,
-                      outIm.data() + (g + 1) * batch, im + idx[g]);
-        }
-    }
-}
-
-} // namespace stamped
 } // namespace
 
 namespace detail {
@@ -645,18 +452,14 @@ CRISC_KERNEL_TABLE_FN()
         t.backend = CRISC_KERNEL_BACKEND_ID;
         t.name = simd::kBackendName;
         t.lanes = simd::kLanes;
-        t.applyPauli = &stamped::applyPauli;
-        t.apply1qRange = &stamped::apply1qRange;
-        t.apply1qDiagRange = &stamped::apply1qDiagRange;
-        t.apply2qRange = &stamped::apply2qRange;
-        t.apply2qDiagRange = &stamped::apply2qDiagRange;
-        t.applyDenseRange = &applyDenseRangeShared;
-        t.apply1qBatchRange = &stamped::apply1qBatchRange;
-        t.apply1qDiagBatchRange = &stamped::apply1qDiagBatchRange;
-        t.apply2qBatchRange = &stamped::apply2qBatchRange;
-        t.apply2qDiagBatchRange = &stamped::apply2qDiagBatchRange;
-        t.applyDenseBatchRange = &stamped::applyDenseBatchRange;
-        t.applyPauliLane = &stamped::applyPauliLane;
+        t.apply1qRange = &apply1qRange;
+        t.apply1qDiagRange = &apply1qDiagRange;
+        t.apply2qRange = &apply2qRange;
+        t.apply2qDiagRange = &apply2qDiagRange;
+        t.apply1qBatchRange = &apply1qBatchRange;
+        t.apply1qDiagBatchRange = &apply1qDiagBatchRange;
+        t.apply2qBatchRange = &apply2qBatchRange;
+        t.apply2qDiagBatchRange = &apply2qDiagBatchRange;
         return t;
     }();
     return table;

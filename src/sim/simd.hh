@@ -33,14 +33,11 @@
  * do not introduce FMA or reassociation here without revisiting the
  * pinned tests, and compile every stamp TU with -ffp-contract=off.
  *
- * Besides kLanes / kBackendName / CVec and the arithmetic ops, each
- * backend exposes one trait the kernels branch on at compile time:
- *
- *   kNegIsSubFromZero  how neg() treats signed zero: the AVX2 backend
- *                      computes 0 - x (mapping +0 to +0), scalar flips
- *                      the sign bit (+0 to -0). The batched Pauli
- *                      kernels replay the serial kernel's flavour per
- *                      backend (see negLikeSerial in kernels_impl.hh).
+ * Each backend provides kLanes, kBackendName, CVec, the four
+ * load/store forms, broadcast, add and mul — exactly what the gate
+ * kernels use. There is no negation: the Pauli kernels, the only code
+ * that negates, are scalar on every backend (kernels.cc), so no
+ * backend can give a zero a different sign.
  *
  * AVX2 lane order note: the deinterleaving load permutes lanes
  * (unpacklo/unpackhi yield element order 0,2,1,3 per 256-bit vector),
@@ -80,7 +77,6 @@ namespace {
 
 inline constexpr std::size_t kLanes = 4;
 inline constexpr const char *kBackendName = "avx2";
-inline constexpr bool kNegIsSubFromZero = true;
 
 /** kLanes complex doubles in split (SoA) form. */
 struct CVec
@@ -136,13 +132,6 @@ add(CVec a, CVec b)
     return {_mm256_add_pd(a.re, b.re), _mm256_add_pd(a.im, b.im)};
 }
 
-inline CVec
-neg(CVec a)
-{
-    const __m256d zero = _mm256_setzero_pd();
-    return {_mm256_sub_pd(zero, a.re), _mm256_sub_pd(zero, a.im)};
-}
-
 /** Complex product, scalar operation order: (ar*br - ai*bi, ar*bi + ai*br). */
 inline CVec
 mul(CVec a, CVec b)
@@ -153,25 +142,10 @@ mul(CVec a, CVec b)
                           _mm256_mul_pd(a.im, b.re))};
 }
 
-/** Multiplication by -i: (re, im) -> (im, -re). */
-inline CVec
-mulNegI(CVec a)
-{
-    return {a.im, _mm256_sub_pd(_mm256_setzero_pd(), a.re)};
-}
-
-/** Multiplication by +i: (re, im) -> (-im, re). */
-inline CVec
-mulPosI(CVec a)
-{
-    return {_mm256_sub_pd(_mm256_setzero_pd(), a.im), a.re};
-}
-
 #else // CRISC_SIMD_STAMP_SCALAR
 
 inline constexpr std::size_t kLanes = 1;
 inline constexpr const char *kBackendName = "scalar";
-inline constexpr bool kNegIsSubFromZero = false;
 
 struct CVec
 {
@@ -217,27 +191,9 @@ add(CVec a, CVec b)
 }
 
 inline CVec
-neg(CVec a)
-{
-    return {-a.re, -a.im};
-}
-
-inline CVec
 mul(CVec a, CVec b)
 {
     return {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
-}
-
-inline CVec
-mulNegI(CVec a)
-{
-    return {a.im, -a.re};
-}
-
-inline CVec
-mulPosI(CVec a)
-{
-    return {-a.im, a.re};
 }
 
 #endif

@@ -2,26 +2,24 @@
  * @file
  * Shared statevector test fixtures: a seeded random normalized state,
  * an element-wise max-difference metric, a bitwise-equality predicate,
- * a random circuit covering all five KernelKinds, and a scoped
- * environment-variable override that drops the sim/env.hh parse caches.
- * Used by the simulation (test_sim.cc), SIMD-equivalence
- * (test_simd.cc), and blocked-execution (test_blocked.cc) suites so
- * they all exercise identical state and circuit generation.
+ * and a random circuit covering all five KernelKinds. Used by the
+ * simulation (test_sim.cc), SIMD-equivalence (test_simd.cc), and
+ * blocked-execution (test_blocked.cc) suites so they all exercise
+ * identical state and circuit generation.
  */
 
 #ifndef CRISC_TESTS_SIM_TEST_UTIL_HH
 #define CRISC_TESTS_SIM_TEST_UTIL_HH
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <string>
+#include <cstdint>
 
 #include "circuit/circuit.hh"
 #include "linalg/matrix.hh"
 #include "linalg/random.hh"
 #include "qop/gates.hh"
-#include "sim/env.hh"
 
 namespace crisc {
 namespace testutil {
@@ -52,12 +50,15 @@ maxDiff(const linalg::CVector &a, const linalg::CVector &b)
     return m;
 }
 
-/** Exact bitwise equality of two equal-length statevectors. */
+/** Exact bitwise equality of two equal-length statevectors: the bit
+ *  patterns of every real and imaginary part, so -0 differs from +0. */
 inline bool
 bitIdentical(const linalg::CVector &a, const linalg::CVector &b)
 {
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
     for (std::size_t i = 0; i < a.size(); ++i)
-        if (a[i].real() != b[i].real() || a[i].imag() != b[i].imag())
+        if (bits(a[i].real()) != bits(b[i].real()) ||
+            bits(a[i].imag()) != bits(b[i].imag()))
             return false;
     return true;
 }
@@ -105,45 +106,6 @@ randomCircuit(linalg::Rng &rng, std::size_t n, std::size_t gates)
     }
     return c;
 }
-
-/**
- * Pins one environment variable for a scope and restores the old value
- * on exit, dropping the sim/env.hh parse caches on both transitions so
- * the next accessor call re-reads the environment. Pass nullptr to
- * unset the variable for the scope.
- */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        hadOld_ = old != nullptr;
-        if (hadOld_)
-            old_ = old;
-        if (value == nullptr)
-            unsetenv(name);
-        else
-            setenv(name, value, 1);
-        sim::env::resetForTesting();
-    }
-    ~ScopedEnv()
-    {
-        if (hadOld_)
-            setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            unsetenv(name_.c_str());
-        sim::env::resetForTesting();
-    }
-
-    ScopedEnv(const ScopedEnv &) = delete;
-    ScopedEnv &operator=(const ScopedEnv &) = delete;
-
-  private:
-    std::string name_;
-    bool hadOld_ = false;
-    std::string old_;
-};
 
 } // namespace testutil
 } // namespace crisc

@@ -114,10 +114,10 @@ TEST(BatchState, PackUnpackRoundTripIsIdentity)
 
 TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
 {
-    // The scalar batched references must equal running the scalar
-    // serial kernel on every unpacked lane, bit for bit, for any batch
-    // width (including remainder-only widths below the SIMD lane
-    // count).
+    // The scalar batched references, and the one SoA dense kernel,
+    // must equal running the scalar serial kernel on every unpacked
+    // lane, bit for bit, for any batch width (including remainder-only
+    // widths below the SIMD lane count).
     linalg::Rng rng(202);
     const std::size_t n = 7;
     const Matrix u2 = linalg::haarUnitary(rng, 2);
@@ -175,11 +175,11 @@ TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
                   case 4:
                     if (q != 0)
                         continue;
-                    sim::scalar::applyDenseBatch(batch.re(), batch.im(),
-                                                 n, B, dense,
-                                                 denseQubits);
+                    sim::applyDenseBatchRange(
+                        batch.re(), batch.im(), n, B, dense, denseQubits, 0,
+                        (std::size_t{1} << n) >> denseQubits.size());
                     for (CVector &e : expect)
-                        sim::detail::applyDenseRangeShared(
+                        sim::applyDenseRange(
                             e.data(), n, dense, denseQubits, 0,
                             (std::size_t{1} << n) >> denseQubits.size());
                     break;
@@ -197,7 +197,8 @@ TEST(BatchKernels, EveryTableBatchMatchesPerLaneScalar)
     // Every compiled table's SoA kernels (SIMD lane loop + lane tail)
     // must equal the scalar interleaved references per lane, bit for
     // bit, at every stride and for batch widths below, at, and above
-    // the vector width.
+    // the vector width. The dense step after them runs the one SoA
+    // dense kernel that every backend shares.
     linalg::Rng rng(203);
     const std::size_t n = 7;
     const std::size_t pairs = (std::size_t{1} << n) >> 1;
@@ -227,8 +228,8 @@ TEST(BatchKernels, EveryTableBatchMatchesPerLaneScalar)
                     sim::scalar::apply2qDiag(e.data(), n, q + 1, q, d4);
                 }
             }
-            sim::detail::applyDenseRangeShared(e.data(), n, dense,
-                                               denseQubits, 0, quads >> 1);
+            sim::applyDenseRange(e.data(), n, dense, denseQubits, 0,
+                                 quads >> 1);
         }
         for (const sim::Backend b : sim::compiledBackends()) {
             const sim::KernelTable &k = sim::kernelTable(b);
@@ -246,8 +247,8 @@ TEST(BatchKernels, EveryTableBatchMatchesPerLaneScalar)
                                             quads);
                 }
             }
-            k.applyDenseBatchRange(re, im, n, B, dense, denseQubits, 0,
-                                   quads >> 1);
+            sim::applyDenseBatchRange(re, im, n, B, dense, denseQubits, 0,
+                                      quads >> 1);
             for (std::size_t t = 0; t < B; ++t)
                 EXPECT_TRUE(bitIdentical(batch.unpackLane(t), expect[t]))
                     << sim::backendName(b) << " B=" << B << " lane=" << t;
@@ -257,14 +258,17 @@ TEST(BatchKernels, EveryTableBatchMatchesPerLaneScalar)
 
 TEST(BatchKernels, PauliLaneMatchesSerialAndLeavesOtherLanesAlone)
 {
-    // Every table's applyPauliLane is the per-lane divergence primitive:
-    // it must match the same table's applyPauli on that lane (including
-    // its stride-dependent negation flavour on exact zeros) and touch
-    // no other lane.
+    // sim::applyPauliLane is the per-lane divergence primitive: it must
+    // match sim::applyPauli on that lane and touch no other lane. Both
+    // must also give the same bit patterns under every backend the
+    // process can select as under scalar: the basis states are almost
+    // all exact zeros, where a backend-specific negation would leave a
+    // zero of the other sign.
     const std::size_t n = 6;
     const std::size_t B = 5;
-    for (const sim::Backend b : sim::compiledBackends()) {
-        const sim::KernelTable &k = sim::kernelTable(b);
+    // Per (qubit, Pauli): the serial result, then the batched lane.
+    const auto runAll = [&] {
+        std::vector<CVector> out;
         for (std::size_t q = 0; q < n; ++q) {
             for (std::size_t pauli = 1; pauli <= 3; ++pauli) {
                 std::vector<CVector> states;
@@ -275,30 +279,54 @@ TEST(BatchKernels, PauliLaneMatchesSerialAndLeavesOtherLanesAlone)
                 }
                 sim::BatchState batch = sim::BatchState::pack(states);
                 const std::size_t lane = (q + pauli) % B;
-                k.applyPauliLane(batch.re(), batch.im(), n, B, lane, q,
-                                 pauli);
+                sim::applyPauliLane(batch.re(), batch.im(), n, B, lane, q,
+                                    pauli);
                 std::vector<CVector> expect = states;
-                k.applyPauli(expect[lane].data(), n, q, pauli);
+                sim::applyPauli(expect[lane].data(), n, q, pauli);
                 for (std::size_t t = 0; t < B; ++t)
                     EXPECT_TRUE(
                         bitIdentical(batch.unpackLane(t), expect[t]))
-                        << sim::backendName(b) << " pauli=" << pauli
+                        << sim::backendName() << " pauli=" << pauli
                         << " q=" << q << " lane=" << t;
+                out.push_back(expect[lane]);
+                out.push_back(batch.unpackLane(lane));
             }
         }
-        sim::BatchState batch(2, 1);
-        EXPECT_THROW(k.applyPauliLane(batch.re(), batch.im(), 2, 1, 0, 0, 4),
-                     std::invalid_argument)
-            << sim::backendName(b);
+        return out;
+    };
+
+    // Restores the backend active on entry, also on an early return.
+    struct Restore
+    {
+        sim::Backend before = sim::activeBackend();
+        ~Restore() { sim::setDispatchOverride(sim::backendName(before)); }
+    } restore;
+    sim::setDispatchOverride("scalar");
+    const std::vector<CVector> reference = runAll();
+    for (const sim::Backend b : sim::compiledBackends()) {
+        if (!sim::hostSupports(b))
+            continue;
+        sim::setDispatchOverride(sim::backendName(b));
+        const std::vector<CVector> got = runAll();
+        ASSERT_EQ(got.size(), reference.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            EXPECT_TRUE(bitIdentical(got[i], reference[i]))
+                << sim::backendName(b) << " q=" << i / 6
+                << " pauli=" << 1 + (i / 2) % 3
+                << (i % 2 == 0 ? " serial" : " lane");
     }
+
+    sim::BatchState batch(2, 1);
+    EXPECT_THROW(sim::applyPauliLane(batch.re(), batch.im(), 2, 1, 0, 0, 4),
+                 std::invalid_argument);
 }
 
 TEST(BatchNoise, LaneDepolarizingMatchesSerialTrajectory)
 {
     // A batched trajectory — shared SoA gate sweeps, per-lane noise
     // draws — must reproduce each serial trajectory bit for bit,
-    // starting from |0...0> (exact zeros everywhere, the inputs where
-    // negation flavours could diverge).
+    // starting from |0...0> (exact zeros everywhere, so the sign bits
+    // of zeros are compared too).
     linalg::Rng oprng(205);
     const std::size_t n = 5;
     const std::size_t B = 4;

@@ -9,9 +9,9 @@
  * resolveBlockQubits, the block-range substrate and argument
  * validation, the blockable-segment
  * partition (blockSegments and the PlanStats counters), the
- * cache-geometry helpers in sim/cache.hh (CRISC_BLOCK_BYTES override,
- * clamping, the reject-loud sim/env.hh parse, the auto/forced
- * resolution bands), and the planBatch blocking heuristic.
+ * cache-geometry helpers in sim/cache.hh (the byte-budget arithmetic,
+ * the auto/forced resolution bands), and the planBatch blocking
+ * heuristic.
  */
 
 #include <stdexcept>
@@ -36,76 +36,42 @@ using testutil::bitIdentical;
 using testutil::randomCircuit;
 using testutil::randomState;
 
-/** Pins CRISC_BLOCK_BYTES for one scope and restores the old value. */
-class ScopedBlockBytes : public testutil::ScopedEnv
-{
-  public:
-    explicit ScopedBlockBytes(const char *value)
-        : ScopedEnv("CRISC_BLOCK_BYTES", value)
-    {
-    }
-};
-
 // ---------------------------------------------------------------------
 // sim/cache.hh helpers.
 // ---------------------------------------------------------------------
 
-TEST(Cache, EnvOverrideWinsAndClamps)
-{
-    {
-        ScopedBlockBytes env("262144");
-        EXPECT_EQ(sim::cacheBlockBytes(), 262144u);
-    }
-    {
-        // Below the floor: clamped up, never a degenerate tiny block.
-        ScopedBlockBytes env("16");
-        EXPECT_EQ(sim::cacheBlockBytes(), sim::kMinBlockBytes);
-    }
-    {
-        // Above the ceiling: clamped down.
-        ScopedBlockBytes env("9999999999999");
-        EXPECT_EQ(sim::cacheBlockBytes(), sim::kMaxBlockBytes);
-    }
-}
-
-TEST(Cache, EmptyOrZeroOverrideFallsThroughGarbageThrows)
-{
-    ScopedBlockBytes unset(nullptr);
-    const std::size_t detected = sim::cacheBlockBytes();
-    EXPECT_GE(detected, sim::kMinBlockBytes);
-    EXPECT_LE(detected, sim::kMaxBlockBytes);
-    // Unset / empty / "0" mean "no override" (sim/env.hh).
-    for (const char *off : {"", "0"}) {
-        ScopedBlockBytes env(off);
-        EXPECT_EQ(sim::cacheBlockBytes(), detected) << "'" << off << "'";
-    }
-    // Anything unparsable is rejected loudly, never silently ignored.
-    for (const char *bad : {"banana", "12abc", "-4", " 8"}) {
-        ScopedBlockBytes env(bad);
-        EXPECT_THROW(sim::cacheBlockBytes(), std::invalid_argument)
-            << "'" << bad << "'";
-    }
-}
-
 TEST(Cache, AutoBlockQubitsMatchesBudgetAndClampsToWidth)
 {
     // 1 MiB = 2^16 amplitudes of 16 bytes.
-    ScopedBlockBytes env("1048576");
-    EXPECT_EQ(sim::autoBlockQubits(26), 16u);
-    EXPECT_EQ(sim::autoBlockQubits(17), 16u);
-    EXPECT_EQ(sim::autoBlockQubits(16), 16u);
-    EXPECT_EQ(sim::autoBlockQubits(10), 10u); // never exceeds the width
-    EXPECT_EQ(sim::autoBlockQubits(0), 0u);
+    const std::size_t mib = std::size_t{1} << 20;
+    EXPECT_EQ(sim::blockQubitsForBytes(mib, 26), 16u);
+    EXPECT_EQ(sim::blockQubitsForBytes(mib, 17), 16u);
+    EXPECT_EQ(sim::blockQubitsForBytes(mib, 16), 16u);
+    EXPECT_EQ(sim::blockQubitsForBytes(mib, 10), 10u); // never exceeds n
+    EXPECT_EQ(sim::blockQubitsForBytes(mib, 0), 0u);
+    // 4 KiB (kMinBlockBytes) = 256 amplitudes.
+    EXPECT_EQ(sim::blockQubitsForBytes(sim::kMinBlockBytes, 10), 8u);
+    EXPECT_EQ(sim::blockQubitsForBytes(sim::kMinBlockBytes, 5), 5u);
+
+    // The detected budget lies within the clamps and feeds the same
+    // arithmetic.
+    const std::size_t bytes = sim::cacheBlockBytes();
+    EXPECT_GE(bytes, sim::kMinBlockBytes);
+    EXPECT_LE(bytes, sim::kMaxBlockBytes);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{10},
+                                std::size_t{26}})
+        EXPECT_EQ(sim::autoBlockQubits(n), sim::blockQubitsForBytes(bytes, n))
+            << "n=" << n;
 }
 
 TEST(Cache, ResolveBlockQubitsBands)
 {
-    ScopedBlockBytes env("1048576");
     // Auto: off below the width threshold, autoBlockQubits at or above.
     EXPECT_EQ(sim::resolveBlockQubits(0, sim::kAutoBlockFromWidth - 1),
               0u);
-    EXPECT_EQ(sim::resolveBlockQubits(0, sim::kAutoBlockFromWidth), 16u);
-    EXPECT_EQ(sim::resolveBlockQubits(0, 28), 16u);
+    EXPECT_EQ(sim::resolveBlockQubits(0, sim::kAutoBlockFromWidth),
+              sim::autoBlockQubits(sim::kAutoBlockFromWidth));
+    EXPECT_EQ(sim::resolveBlockQubits(0, 28), sim::autoBlockQubits(28));
     // Forced: honored and clamped to the width (b = n is the
     // degenerate single-block form, the explicit "off").
     EXPECT_EQ(sim::resolveBlockQubits(5, 12), 5u);
@@ -115,13 +81,13 @@ TEST(Cache, ResolveBlockQubitsBands)
 
 TEST(Cache, PlanBatchTurnsBlockingOnAtWideWidths)
 {
-    ScopedBlockBytes env("1048576");
     EXPECT_EQ(sim::planBatch(4, 12, 8).blockQubits, 0u);
     EXPECT_EQ(sim::planBatch(4, sim::kAutoBlockFromWidth - 1, 8).blockQubits,
               0u);
     EXPECT_EQ(sim::planBatch(4, sim::kAutoBlockFromWidth, 8).blockQubits,
-              16u);
-    EXPECT_EQ(sim::planBatch(4, 28, 8).blockQubits, 16u);
+              sim::autoBlockQubits(sim::kAutoBlockFromWidth));
+    EXPECT_EQ(sim::planBatch(4, 28, 8).blockQubits,
+              sim::autoBlockQubits(28));
 }
 
 // ---------------------------------------------------------------------
@@ -182,10 +148,8 @@ TEST(BlockSegments, PartitionBoundariesAndMinBlockBits)
 
 TEST(BlockSegments, PlanStatsCountSegmentsAtAutoExponent)
 {
-    // Pin the auto exponent: 4096 B = 256 amplitudes -> b = 8, clamped
-    // to the width 10 only if larger (it is not).
-    ScopedBlockBytes env("4096");
-    ASSERT_EQ(sim::autoBlockQubits(10), 8u);
+    // The stats count the blockable runs of blockSegments at the auto
+    // exponent, whatever this host's L2 makes it.
     linalg::Rng rng(5);
     circuit::Circuit c(10);
     c.add(qop::cz(), {8, 9}, "low");                // bits 2
@@ -193,9 +157,18 @@ TEST(BlockSegments, PlanStatsCountSegmentsAtAutoExponent)
     c.add(qop::cnot(), {6, 7}, "mid2");             // bits 4
     c.add(linalg::haarUnitary(rng, 2), {5}, "mid"); // bits 5
     const sim::Plan plan = sim::compile(c);
-    // Blockable at b = 8: ops 0, 2, 3 -> two maximal runs around op 1.
-    EXPECT_EQ(plan.stats().blockedSegments, 2u);
-    EXPECT_EQ(plan.stats().blockableOps, 3u);
+    std::size_t segments = 0;
+    std::size_t ops = 0;
+    for (const sim::BlockSegment &s :
+         sim::blockSegments(plan, sim::autoBlockQubits(10))) {
+        if (s.blockable) {
+            ++segments;
+            ops += s.count;
+        }
+    }
+    EXPECT_GE(segments, 1u);
+    EXPECT_EQ(plan.stats().blockedSegments, segments);
+    EXPECT_EQ(plan.stats().blockableOps, ops);
 
     const sim::Plan empty = sim::compile(circuit::Circuit(10));
     EXPECT_EQ(empty.stats().blockedSegments, 0u);
@@ -209,7 +182,6 @@ TEST(BlockSegments, PlanStatsCountSegmentsAtAutoExponent)
 
 TEST(BlockedExecution, ForcedExponentsMatchUnblockedExecute)
 {
-    ScopedBlockBytes env("4096");
     linalg::Rng rng(91);
     const std::size_t n = 11;
     const sim::Plan plan = sim::compile(randomCircuit(rng, n, 30));
@@ -237,7 +209,6 @@ TEST(BlockedExecution, ForcedExponentsMatchUnblockedExecute)
 
 TEST(BlockedExecution, RangeFormPartitionsReassembleTheSweep)
 {
-    ScopedBlockBytes env("4096");
     linalg::Rng rng(13);
     const std::size_t n = 10;
     // All-blockable plan at b = 4: gates confined to qubits >= 6.

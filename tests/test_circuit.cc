@@ -7,6 +7,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -214,12 +215,18 @@ TEST(Noise, RejectsOutOfRangeQubits)
 {
     // The Pauli kernels do no bounds check: every overload must reject
     // a qubit outside the register before it is addressed (or drawn
-    // for), at any error rate.
+    // for), at any error rate. An empty Pauli string has no
+    // non-identity Pauli to draw and is rejected the same way.
     linalg::Rng rng(19);
     State s(3);
     linalg::CVector raw = s.amplitudes();
     const sim::StateView view(raw.data(), 3);
+    const std::vector<std::size_t> none;
     for (const double p : {0.0, 1.0}) {
+        EXPECT_THROW(circuit::applyDepolarizing(s, none, p, rng),
+                     std::invalid_argument);
+        EXPECT_THROW(circuit::applyDepolarizing(raw.data(), 3, none, p, rng),
+                     std::invalid_argument);
         EXPECT_THROW(circuit::applyDepolarizing(s, {0, 3}, p, rng),
                      std::invalid_argument);
         EXPECT_THROW(circuit::applyDepolarizing(raw.data(), 3, {3}, p, rng),

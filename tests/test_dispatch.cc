@@ -8,7 +8,7 @@
  * uncompiled or host-unsupported backend throws rather than silently
  * falling back, "auto" resolves deterministically to the first
  * compiled+supported backend in probe order, and every compiled table
- * covers every KernelKind with non-null entries. That every
+ * holds its 8 SIMD gate kernels as non-null entries. That every
  * selectable backend is bit-identical to forced-scalar on every
  * execution path is the engine oracle's job (test_engine_oracle.cc).
  */
@@ -142,7 +142,8 @@ TEST(Dispatch, AutoResolvesDeterministically)
 }
 
 // ---------------------------------------------------------------------
-// Table completeness: every KernelKind populated for every compiled
+// Table completeness: the 8 SIMD gate kernels (1q, 1q-diagonal, 2q,
+// 2q-diagonal, each interleaved and SoA) populated for every compiled
 // backend.
 // ---------------------------------------------------------------------
 
@@ -162,18 +163,15 @@ TEST(Dispatch, EveryCompiledTableIsComplete)
         EXPECT_NE(t.apply1qDiagRange, nullptr);
         EXPECT_NE(t.apply2qRange, nullptr);
         EXPECT_NE(t.apply2qDiagRange, nullptr);
-        EXPECT_NE(t.applyDenseRange, nullptr);
-        EXPECT_NE(t.applyPauli, nullptr);
         EXPECT_NE(t.apply1qBatchRange, nullptr);
         EXPECT_NE(t.apply1qDiagBatchRange, nullptr);
         EXPECT_NE(t.apply2qBatchRange, nullptr);
         EXPECT_NE(t.apply2qDiagBatchRange, nullptr);
-        EXPECT_NE(t.applyDenseBatchRange, nullptr);
-        EXPECT_NE(t.applyPauliLane, nullptr);
-
-        // The dense kernel carries no SIMD: one shared implementation.
-        EXPECT_EQ(t.applyDenseRange, &sim::detail::applyDenseRangeShared);
     }
+    // Three metadata fields and the 8 kernels above: a kernel with no
+    // SIMD body (dense, Pauli) has one scalar definition, not an entry.
+    static_assert(sizeof(sim::KernelTable) ==
+                  3 * sizeof(void *) + 8 * sizeof(void (*)()));
     const sim::KernelTable &scalar =
         sim::kernelTable(sim::Backend::Scalar);
     EXPECT_EQ(scalar.lanes, 1u);

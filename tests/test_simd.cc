@@ -13,7 +13,9 @@
  *
  * The same pinning extends to the partition substrate: group-range
  * kernels over arbitrary partitions and the generic dense (k >= 3)
- * fallback must be bit-identical to the whole-register sweeps. Chunked pool,
+ * fallback (no SIMD body, one definition for every backend) must be
+ * bit-identical to the whole-register sweeps. The Pauli kernel is
+ * pinned against its dense embedding in test_sim.cc. Chunked pool,
  * SoA and blocked execution are pinned by the engine oracle
  * (test_engine_oracle.cc).
  */
@@ -102,35 +104,6 @@ TEST(Simd, Apply1qDiagMatchesScalarOnAllStrides)
                     << sim::backendName(b) << " n=" << n << " q=" << q;
             }
         }
-    }
-}
-
-TEST(Simd, ApplyPauliMatchesScalarOnAllStrides)
-{
-    linalg::Rng rng(103);
-    for (std::size_t n = 1; n <= 9; ++n) {
-        for (std::size_t q = 0; q < n; ++q) {
-            for (std::size_t p = 1; p <= 3; ++p) {
-                const CVector in = randomState(rng, n);
-                CVector viaScalar = in;
-                sim::scalar::applyPauli(viaScalar.data(), n, q, p);
-                for (const sim::Backend b : sim::compiledBackends()) {
-                    CVector viaTable = in;
-                    sim::kernelTable(b).applyPauli(viaTable.data(), n, q, p);
-                    EXPECT_TRUE(bitIdentical(viaTable, viaScalar))
-                        << sim::backendName(b) << " n=" << n << " q=" << q
-                        << " pauli=" << p;
-                }
-            }
-        }
-    }
-    for (const sim::Backend b : sim::compiledBackends()) {
-        const sim::KernelTable &k = sim::kernelTable(b);
-        CVector buf(2, Complex{1.0, 0.0});
-        EXPECT_THROW(k.applyPauli(buf.data(), 1, 0, 4),
-                     std::invalid_argument);
-        EXPECT_THROW(k.applyPauli(buf.data(), 1, 0, 0),
-                     std::invalid_argument);
     }
 }
 
@@ -279,10 +252,10 @@ TEST(Simd, RangeKernelsMatchFullKernelsOnArbitraryPartitions)
 
 TEST(Simd, DenseKernelMatchesEmbeddingAndRangePartition)
 {
-    // The k >= 3 generic fallback previously had no equivalence pin of
-    // its own: check it against the dense embedding (1e-12) and check
-    // that an arbitrary partition of its group sweep is bit-identical
-    // to the whole-register sweep, through every compiled table.
+    // The k >= 3 generic fallback (one scalar definition that every
+    // backend calls): check it against the dense embedding (1e-12) and
+    // check that an arbitrary partition of its group sweep is
+    // bit-identical to the whole-register sweep.
     linalg::Rng rng(108);
     for (std::size_t n = 4; n <= 6; ++n) {
         for (const std::size_t k : {std::size_t{3}, std::size_t{4}}) {
@@ -301,25 +274,22 @@ TEST(Simd, DenseKernelMatchesEmbeddingAndRangePartition)
             const CVector viaEmbed = qop::embed(u, qubits, n) * in;
             const std::size_t groups = (std::size_t{1} << n) >> k;
 
-            for (const sim::Backend b : sim::compiledBackends()) {
-                const sim::KernelTable &t = sim::kernelTable(b);
-                CVector viaKernel = in;
-                t.applyDenseRange(viaKernel.data(), n, u, qubits, 0, groups);
-                EXPECT_LT(maxDiff(viaKernel, viaEmbed), 1e-12)
-                    << sim::backendName(b) << " n=" << n << " k=" << k;
+            CVector viaKernel = in;
+            sim::applyDenseRange(viaKernel.data(), n, u, qubits, 0, groups);
+            EXPECT_LT(maxDiff(viaKernel, viaEmbed), 1e-12)
+                << "n=" << n << " k=" << k;
 
-                CVector viaRange = in;
-                std::size_t g = 0;
-                std::size_t step = 1;
-                while (g < groups) {
-                    const std::size_t end = std::min(groups, g + step);
-                    t.applyDenseRange(viaRange.data(), n, u, qubits, g, end);
-                    g = end;
-                    step = step * 2 + 1; // uneven, unaligned chunks
-                }
-                EXPECT_TRUE(bitIdentical(viaRange, viaKernel))
-                    << sim::backendName(b) << " n=" << n << " k=" << k;
+            CVector viaRange = in;
+            std::size_t g = 0;
+            std::size_t step = 1;
+            while (g < groups) {
+                const std::size_t end = std::min(groups, g + step);
+                sim::applyDenseRange(viaRange.data(), n, u, qubits, g, end);
+                g = end;
+                step = step * 2 + 1; // uneven, unaligned chunks
             }
+            EXPECT_TRUE(bitIdentical(viaRange, viaKernel))
+                << "n=" << n << " k=" << k;
         }
     }
 }
