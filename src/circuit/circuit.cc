@@ -7,7 +7,7 @@
 
 #include "qop/gates.hh"
 #include "sim/batch_state.hh"
-#include "sim/kernels.hh"
+#include "sim/engine.hh"
 
 namespace crisc {
 namespace circuit {
@@ -105,7 +105,11 @@ void
 State::apply(const Matrix &op, const std::vector<std::size_t> &qubits)
 {
     checkOperands("State::apply", op, qubits, nQubits_);
-    sim::applyGate(amps_.data(), nQubits_, op, qubits);
+    // Operands checked above, so the unchecked range form over the
+    // whole sweep: the lowered op addresses this register.
+    const sim::KernelOp k = sim::lowerGate(op, qubits);
+    sim::executeOpRange(k, sim::StateView(amps_.data(), nQubits_), 0,
+                        sim::opGroupCount(k, nQubits_));
 }
 
 void

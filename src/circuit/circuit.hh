@@ -84,9 +84,14 @@ class State
     const Complex *data() const { return amps_.data(); }
 
     /**
-     * Applies a k-qubit gate in place (matrix is 2^k x 2^k). Gates on
-     * one or two qubits dispatch to the specialized kernels in
-     * sim/kernels.hh; larger gates take the generic dense path.
+     * Applies a k-qubit gate in place (matrix is 2^k x 2^k), unfused:
+     * the gate is lowered exactly as the plan compiler lowers it
+     * (sim::lowerGate — pair or quad kernel, diagonal when the
+     * off-diagonal entries are exactly zero, dense for k >= 3) and run
+     * serially through the engine (sim::executeOpRange over the whole
+     * sweep), the library's one path to the kernels. run() on a circuit
+     * is the gate-by-gate reference the engine tests compare compiled
+     * plans against.
      * @throws std::invalid_argument on an operator size mismatch or an
      *         out-of-range or repeated qubit.
      */

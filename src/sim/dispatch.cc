@@ -9,11 +9,8 @@
 #include "obs/obs.hh"
 #include "sim/kernels.hh"
 
-// Runtime backend resolution (see dispatch.hh) and applyGate, the one
-// public sim:: entry point kernels.hh keeps outside the engine that
-// routes through the resolved table (circuit::State uses it). It
-// fetches activeKernels() once per call and invokes table entries
-// directly, exactly as the engine's executeOpRange does per sweep.
+// Runtime backend resolution (see dispatch.hh). The engine's
+// executeOpRange is the one caller of a table entry.
 
 namespace crisc {
 namespace sim {
@@ -21,8 +18,9 @@ namespace sim {
 namespace {
 
 // Compiled-in table getters, in probe preference order (best first).
-// CMake defines CRISC_HAVE_KERNELS_* for exactly the stamp TUs it adds
-// to the build; referencing a getter without its TU would not link.
+// The scalar table (kernels.cc) is always built; CMake defines
+// CRISC_HAVE_KERNELS_* for exactly the ISA TUs it adds to the build,
+// and referencing a getter without its TU would not link.
 struct BackendSlot
 {
     Backend backend;
@@ -212,47 +210,10 @@ recordDispatchGauges()
     OBS_GAUGE("sim.dispatch.lanes", static_cast<std::int64_t>(t.lanes));
 }
 
-// ---------------------------------------------------------------------
-// Public entry points outside the engine. A whole-register sweep is the
-// range kernel over [0, groups).
-// ---------------------------------------------------------------------
-
 std::size_t
 simdLanes()
 {
     return activeKernels().lanes;
-}
-
-void
-applyGate(Complex *amps, std::size_t n_qubits, const Matrix &op,
-          const std::vector<std::size_t> &qubits)
-{
-    const KernelTable &k = activeKernels();
-    const std::size_t groups = (std::size_t{1} << n_qubits) >> qubits.size();
-    switch (qubits.size()) {
-      case 1:
-        if (op(0, 1) == Complex{0.0, 0.0} && op(1, 0) == Complex{0.0, 0.0}) {
-            k.apply1qDiagRange(amps, n_qubits, qubits[0], op(0, 0),
-                               op(1, 1), 0, groups);
-        } else {
-            const Complex m[4] = {op(0, 0), op(0, 1), op(1, 0), op(1, 1)};
-            k.apply1qRange(amps, n_qubits, qubits[0], m, 0, groups);
-        }
-        return;
-      case 2:
-        if (exactlyDiagonal(op)) {
-            const Complex d[4] = {op(0, 0), op(1, 1), op(2, 2), op(3, 3)};
-            k.apply2qDiagRange(amps, n_qubits, qubits[0], qubits[1], d, 0,
-                               groups);
-        } else {
-            k.apply2qRange(amps, n_qubits, qubits[0], qubits[1], op.data(),
-                           0, groups);
-        }
-        return;
-      default:
-        applyDenseRange(amps, n_qubits, op, qubits, 0, groups);
-        return;
-    }
 }
 
 } // namespace sim

@@ -1,11 +1,12 @@
 /**
  * @file
  * Runtime ISA dispatch for the statevector kernels. Every binary
- * carries one translation unit per SIMD backend the compiler could
- * build (kernels_scalar.cc always; kernels_avx2.cc on x86-64 when the
- * compiler accepts -mavx2 — see CMakeLists.txt), each exporting one
- * KernelTable of function pointers. This header exposes the
- * probe-and-pick layer that chooses among them once per process:
+ * carries one KernelTable of function pointers per SIMD backend the
+ * compiler could build: the scalar table (the sim::scalar kernels,
+ * kernels.cc) always, and the AVX2 table (kernels_avx2.cc) on x86-64
+ * when the compiler accepts -mavx2 — see CMakeLists.txt. This header
+ * exposes the probe-and-pick layer that chooses among them once per
+ * process:
  *
  *   - activeBackend() / backendName(): the resolved backend, decided on
  *     first kernel use from the CRISC_SIMD_DISPATCH environment
@@ -13,10 +14,11 @@
  *     (probe order avx2 > scalar, first backend that is both
  *     compiled in and supported by the host).
  *   - activeKernels(): the resolved KernelTable — the one entry path
- *     to the SIMD gate kernels. The engine's executeOpRange and
- *     kernels.hh's applyGate fetch it once per sweep — one atomic load
- *     plus one indirect call per kernel sweep, never per amplitude.
- *     Tests pin every compiled table through kernelTable(b).
+ *     to the SIMD gate kernels. The engine's executeOpRange is the only
+ *     library code that calls a table entry (circuit::State runs its
+ *     gates through the engine too): one atomic load plus one indirect
+ *     call per kernel sweep, never per amplitude. Tests pin every
+ *     compiled table through kernelTable(b).
  *   - setDispatchOverride(): in-process re-resolution with the same
  *     semantics as the environment variable, used by tests to force
  *     each backend on one binary and by perfbench/ for its
@@ -172,9 +174,9 @@ void recordDispatchGauges();
 
 namespace detail {
 
-// Per-backend table builders, defined by the kernels_<backend>.cc stamp
-// TUs; dispatch.cc references the ones CMake compiled in (guarded by
-// the CRISC_HAVE_KERNELS_* definitions it sets).
+// Per-backend table builders: the scalar one in kernels.cc, each ISA's
+// in its kernels_<isa>.cc; dispatch.cc references the ISA tables CMake
+// compiled in (guarded by the CRISC_HAVE_KERNELS_* definitions it sets).
 const KernelTable &scalarKernelTable();
 const KernelTable &avx2KernelTable();
 

@@ -56,12 +56,64 @@ opMinBlockBits(const KernelOp &op, std::size_t n_qubits)
     throw std::logic_error("opMinBlockBits: unknown kernel kind");
 }
 
+/**
+ * Throws std::invalid_argument naming @p who, the op's @p index within
+ * a plan (if any) and the offending field unless @p op addresses an
+ * n-qubit register: 1q and 2q targets in range and a 2q op's two
+ * distinct, a dense op's qubits in range and distinct with a 2^k x 2^k
+ * matrix. The kernels check nothing, so this is what keeps a hand-built
+ * op in bounds.
+ */
+void
+checkOp(const KernelOp &op, std::size_t n_qubits, const char *who,
+        std::optional<std::size_t> index = std::nullopt)
+{
+    const auto reject = [&](const std::string &what) {
+        std::string where = who;
+        if (index)
+            where += ": op " + std::to_string(*index);
+        throw std::invalid_argument(where + ": " + what);
+    };
+    switch (op.kind) {
+      case KernelKind::TwoQ:
+      case KernelKind::TwoQDiag:
+        if (op.q1 >= n_qubits)
+            reject("q1 = " + std::to_string(op.q1) + " out of range");
+        if (op.q1 == op.q0)
+            reject("q0 == q1 = " + std::to_string(op.q0));
+        [[fallthrough]];
+      case KernelKind::OneQ:
+      case KernelKind::OneQDiag:
+        if (op.q0 >= n_qubits)
+            reject("q0 = " + std::to_string(op.q0) + " out of range");
+        return;
+      case KernelKind::Dense: {
+        for (auto q = op.qubits.begin(); q != op.qubits.end(); ++q) {
+            if (*q >= n_qubits)
+                reject("qubits entry " + std::to_string(*q) +
+                       " out of range");
+            if (std::find(op.qubits.begin(), q, *q) != q)
+                reject("qubits entry " + std::to_string(*q) + " repeated");
+        }
+        const std::size_t dim = std::size_t{1} << op.qubits.size();
+        if (op.dense.rows() != dim || op.dense.cols() != dim)
+            reject("dense is " + std::to_string(op.dense.rows()) + "x" +
+                   std::to_string(op.dense.cols()) + ", not " +
+                   std::to_string(dim) + "x" + std::to_string(dim));
+        return;
+      }
+    }
+    reject("unknown kind");
+}
+
 } // namespace
 
 Plan::Plan(std::size_t num_qubits, std::vector<KernelOp> ops,
            PlanStats stats)
     : nQubits_(num_qubits), ops_(std::move(ops)), stats_(stats)
 {
+    for (std::size_t i = 0; i < ops_.size(); ++i)
+        checkOp(ops_[i], nQubits_, "Plan", i);
     minBlockBits_.reserve(ops_.size());
     for (const KernelOp &op : ops_)
         minBlockBits_.push_back(opMinBlockBits(op, nQubits_));
@@ -103,20 +155,71 @@ namespace {
 using Mat2 = std::array<Complex, 4>;
 using Mat4 = std::array<Complex, 16>;
 
-bool
-isDiag2(const Mat2 &m)
+Mat2
+mat2Of(const Matrix &op)
 {
-    return m[1] == Complex{0.0, 0.0} && m[2] == Complex{0.0, 0.0};
+    return {op(0, 0), op(0, 1), op(1, 0), op(1, 1)};
 }
 
-bool
-isDiag4(const Mat4 &m)
+Mat4
+mat4Of(const Matrix &op)
 {
+    Mat4 m;
+    for (std::size_t r = 0; r < 4; ++r)
+        for (std::size_t c = 0; c < 4; ++c)
+            m[r * 4 + c] = op(r, c);
+    return m;
+}
+
+/** The pair kernel op for 2x2 @p m on qubit @p q: diagonal when both
+ *  off-diagonal entries are exactly zero. */
+KernelOp
+lowerOneQ(std::size_t q, const Mat2 &m)
+{
+    KernelOp op;
+    op.q0 = q;
+    if (m[1] == Complex{0.0, 0.0} && m[2] == Complex{0.0, 0.0}) {
+        op.kind = KernelKind::OneQDiag;
+        op.m[0] = m[0];
+        op.m[1] = m[3];
+    } else {
+        op.kind = KernelKind::OneQ;
+        std::copy(m.begin(), m.end(), op.m.begin());
+    }
+    return op;
+}
+
+/** The quad kernel op for 4x4 @p m on (q_hi, q_lo): diagonal when every
+ *  off-diagonal entry is exactly zero. */
+KernelOp
+lowerTwoQ(std::size_t q_hi, std::size_t q_lo, const Mat4 &m)
+{
+    bool diagonal = true;
     for (std::size_t r = 0; r < 4; ++r)
         for (std::size_t c = 0; c < 4; ++c)
             if (r != c && m[r * 4 + c] != Complex{0.0, 0.0})
-                return false;
-    return true;
+                diagonal = false;
+    KernelOp op;
+    op.q0 = q_hi;
+    op.q1 = q_lo;
+    if (diagonal) {
+        op.kind = KernelKind::TwoQDiag;
+        op.m = {m[0], m[5], m[10], m[15]};
+    } else {
+        op.kind = KernelKind::TwoQ;
+        op.m = m;
+    }
+    return op;
+}
+
+KernelOp
+lowerDense(const Matrix &m, const std::vector<std::size_t> &qubits)
+{
+    KernelOp op;
+    op.kind = KernelKind::Dense;
+    op.dense = m;
+    op.qubits = qubits;
+    return op;
 }
 
 /** Kronecker product a (x) b with a on the most significant qubit. */
@@ -187,9 +290,8 @@ class Compiler
   private:
     void addOneQ(const circuit::Gate &g)
     {
-        const std::size_t q = g.qubits[0];
-        const Mat2 gm{g.op(0, 0), g.op(0, 1), g.op(1, 0), g.op(1, 1)};
-        std::optional<Pending> &slot = pending_[q];
+        const Mat2 gm = mat2Of(g.op);
+        std::optional<Pending> &slot = pending_[g.qubits[0]];
         if (!slot) {
             slot = Pending{gm, 0};
         } else {
@@ -205,10 +307,7 @@ class Compiler
 
     void addTwoQ(const circuit::Gate &g)
     {
-        Mat4 m;
-        for (std::size_t r = 0; r < 4; ++r)
-            for (std::size_t c = 0; c < 4; ++c)
-                m[r * 4 + c] = g.op(r, c);
+        Mat4 m = mat4Of(g.op);
 
         // Fold pending 1q products on the operand qubits into the quad:
         // the pendings act first, so m <- m * (u_hi (x) u_lo).
@@ -227,27 +326,19 @@ class Compiler
             }
         }
 
-        KernelOp op;
-        op.q0 = g.qubits[0];
-        op.q1 = g.qubits[1];
-        if (isDiag4(m)) {
-            op.kind = KernelKind::TwoQDiag;
-            op.m = {m[0], m[5], m[10], m[15]};
-            ++stats_.diagOps;
-        } else {
-            op.kind = KernelKind::TwoQ;
-            op.m = m;
-        }
-        ops_.push_back(std::move(op));
+        push(lowerTwoQ(g.qubits[0], g.qubits[1], m));
     }
 
     void addDense(const circuit::Gate &g)
     {
-        KernelOp op;
-        op.kind = KernelKind::Dense;
-        op.dense = g.op;
-        op.qubits = g.qubits;
         ++stats_.denseOps;
+        push(lowerDense(g.op, g.qubits));
+    }
+
+    void push(KernelOp op)
+    {
+        if (op.kind == KernelKind::OneQDiag || op.kind == KernelKind::TwoQDiag)
+            ++stats_.diagOps;
         ops_.push_back(std::move(op));
     }
 
@@ -256,20 +347,8 @@ class Compiler
         std::optional<Pending> &slot = pending_[q];
         if (!slot)
             return;
-        KernelOp op;
-        op.q0 = q;
-        if (isDiag2(slot->m)) {
-            op.kind = KernelKind::OneQDiag;
-            op.m[0] = slot->m[0];
-            op.m[1] = slot->m[3];
-            ++stats_.diagOps;
-        } else {
-            op.kind = KernelKind::OneQ;
-            for (std::size_t i = 0; i < 4; ++i)
-                op.m[i] = slot->m[i];
-        }
         stats_.fusedGates += slot->absorbed;
-        ops_.push_back(std::move(op));
+        push(lowerOneQ(q, slot->m));
         slot.reset();
     }
 
@@ -291,6 +370,19 @@ compile(const circuit::Circuit &c)
     OBS_COUNT("sim.fused_1q", plan.stats().fusedGates);
     OBS_COUNT("sim.fused_2q", plan.stats().fusedInto2q);
     return plan;
+}
+
+KernelOp
+lowerGate(const Matrix &op, const std::vector<std::size_t> &qubits)
+{
+    switch (qubits.size()) {
+      case 1:
+        return lowerOneQ(qubits[0], mat2Of(op));
+      case 2:
+        return lowerTwoQ(qubits[0], qubits[1], mat4Of(op));
+      default:
+        return lowerDense(op, qubits);
+    }
 }
 
 std::size_t
@@ -404,10 +496,9 @@ withPool(const ExecOptions &opts, std::optional<ThreadPool> &transient)
     return resolved;
 }
 
-} // namespace
-
+/** executeOp without the operand check, for ops of a checked Plan. */
 void
-executeOp(const KernelOp &op, StateView state, const ExecOptions &opts)
+sweepOp(const KernelOp &op, StateView state, const ExecOptions &opts)
 {
     OBS_SPAN("sim.sweep");
     ThreadPool *pool = opts.pool;
@@ -428,6 +519,15 @@ executeOp(const KernelOp &op, StateView state, const ExecOptions &opts)
         const std::size_t g0 = t * chunk;
         executeOpRange(op, state, g0, std::min(g0 + chunk, groups));
     });
+}
+
+} // namespace
+
+void
+executeOp(const KernelOp &op, StateView state, const ExecOptions &opts)
+{
+    checkOp(op, state.numQubits(), "executeOp");
+    sweepOp(op, state, opts);
 }
 
 void
@@ -516,7 +616,7 @@ executeBlocked(const Plan &plan, StateView state, std::size_t block_qubits,
         // Ops coupling amplitudes across blocks run as ordinary
         // whole-register sweeps — barriers between blockable segments.
         for (std::size_t i = seg.first; i < seg.first + seg.count; ++i)
-            executeOp(plan.ops()[i], state, resolved);
+            sweepOp(plan.ops()[i], state, resolved);
     }
 }
 
@@ -535,7 +635,7 @@ execute(const Plan &plan, StateView state, const ExecOptions &opts)
     std::optional<ThreadPool> transient;
     const ExecOptions resolved = withPool(opts, transient);
     for (const KernelOp &op : plan.ops())
-        executeOp(op, state, resolved);
+        sweepOp(op, state, resolved);
 }
 
 linalg::CVector

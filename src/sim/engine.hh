@@ -15,6 +15,10 @@
  *     in kernels.hh, leaving only k >= 3 gates on the generic dense
  *     path.
  *
+ * lowerGate exposes the same lowering for one unfused gate;
+ * circuit::State::apply runs every gate through it and executeOpRange,
+ * so the engine is the library's one path to the kernels.
+ *
  * A Plan is immutable after compile() and safe to execute from many
  * threads at once on distinct statevectors, which is what the
  * trajectory batch runner (batch.hh) does.
@@ -125,6 +129,13 @@ struct BlockSegment
 class Plan
 {
   public:
+    /**
+     * @throws std::invalid_argument naming the op index and the field
+     *         when an op does not address a num_qubits register: a q0
+     *         or q1 out of range, a 2q op with q0 == q1, or a dense op
+     *         whose qubits repeat or leave the register or whose matrix
+     *         is not 2^k x 2^k for its k qubits.
+     */
     Plan(std::size_t num_qubits, std::vector<KernelOp> ops,
          PlanStats stats);
 
@@ -170,6 +181,15 @@ std::vector<BlockSegment> blockSegments(const Plan &plan,
  */
 Plan compile(const circuit::Circuit &c);
 
+/**
+ * Lowers one unfused gate the way compile() does: a 1q or 2q gate to
+ * its pair or quad kernel (the diagonal kernel when every off-diagonal
+ * entry is exactly zero), a wider gate to the dense fallback. Reads
+ * the operator without checking its size; circuit::State::apply checks
+ * its operands first.
+ */
+KernelOp lowerGate(const Matrix &op, const std::vector<std::size_t> &qubits);
+
 /** Amplitude groups in @p op's sweep on an n-qubit register. */
 std::size_t opGroupCount(const KernelOp &op, std::size_t n_qubits);
 
@@ -177,7 +197,9 @@ std::size_t opGroupCount(const KernelOp &op, std::size_t n_qubits);
  * Executes groups [group_begin, group_end) of one operation's sweep
  * (pairs for 1q, quads for 2q, 2^k-tuples for dense) on every lane of
  * @p state — the one place the engine branches on the state layout,
- * and the parallel substrate the drivers below partition.
+ * the one caller of the KernelTable entries (dispatch.hh), and the
+ * parallel substrate the drivers below partition. Unchecked: the op
+ * must address the state's register (Plan and executeOp check).
  */
 void executeOpRange(const KernelOp &op, StateView state,
                     std::size_t group_begin, std::size_t group_end);
@@ -187,6 +209,9 @@ void executeOpRange(const KernelOp &op, StateView state,
  * opts.pool. Serial when no pool is set, the pool has one thread, or
  * the sweep is too small to be worth forking (the cutoff scales down
  * with the lane count).
+ * @throws std::invalid_argument naming the field when @p op does not
+ *         address the state's register (the checks of Plan's
+ *         constructor).
  */
 void executeOp(const KernelOp &op, StateView state,
                const ExecOptions &opts = {});

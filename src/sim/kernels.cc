@@ -4,145 +4,43 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/dispatch.hh"
 #include "sim/kernels_util.hh"
 
-// Backend-independent kernel code: the scalar reference kernels every
-// compiled KernelTable is tested against, and the kernels no table
-// carries — the dense k >= 3 fallback and the Pauli noise kernels, one
-// definition per layout each. The SIMD gate kernels live in
-// kernels_impl.hh, stamped once per backend by the kernels_<backend>.cc
-// TUs; applyGate, which routes through the resolved KernelTable, lives
-// in dispatch.cc.
+// Backend-independent kernel code: the scalar kernels — the scalar
+// backend's KernelTable and the reference every other table is tested
+// against — and the kernels no table carries: the dense k >= 3
+// fallback and the Pauli noise kernels, one definition per layout each.
+// The AVX2 gate kernels live in kernels_avx2.cc.
 
 namespace crisc {
 namespace sim {
 
 using detail::insertZeroBit;
+using detail::Interleaved;
 using detail::laneAmp;
+using detail::noVectors;
 using detail::setLane;
-
-bool
-exactlyDiagonal(const Matrix &op)
-{
-    for (std::size_t r = 0; r < op.rows(); ++r)
-        for (std::size_t c = 0; c < op.cols(); ++c)
-            if (r != c && op(r, c) != Complex{0.0, 0.0})
-                return false;
-    return true;
-}
+using detail::Split;
 
 // ---------------------------------------------------------------------
-// Scalar reference kernels. The SIMD kernels (kernels_impl.hh) must
-// match these bit for bit on finite amplitudes (same per-element
-// operation order, no FMA); test_simd, test_sim and test_batch pin the
-// equivalence for every compiled table.
+// Scalar kernels: the scalar backend's KernelTable and the reference the
+// SIMD kernels (kernels_avx2.cc) must match bit for bit on finite
+// amplitudes; test_simd, test_sim, test_batch and the engine oracle pin
+// the equivalence for every compiled table. Each is the shared gate
+// sweep of kernels_util.hh with no vector loop: every element of every
+// run takes the per-element step.
 // ---------------------------------------------------------------------
 
 namespace scalar {
-
-void
-apply1q(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-        const Complex m[4])
-{
-    const std::size_t dim = std::size_t{1} << n_qubits;
-    const std::size_t stride = std::size_t{1} << (n_qubits - 1 - qubit);
-    const Complex m00 = m[0], m01 = m[1], m10 = m[2], m11 = m[3];
-    for (std::size_t base = 0; base < dim; base += 2 * stride) {
-        for (std::size_t i = base; i < base + stride; ++i) {
-            const Complex a0 = amps[i];
-            const Complex a1 = amps[i + stride];
-            amps[i] = m00 * a0 + m01 * a1;
-            amps[i + stride] = m10 * a0 + m11 * a1;
-        }
-    }
-}
-
-void
-apply1qDiag(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-            Complex d0, Complex d1)
-{
-    const std::size_t dim = std::size_t{1} << n_qubits;
-    const std::size_t stride = std::size_t{1} << (n_qubits - 1 - qubit);
-    for (std::size_t base = 0; base < dim; base += 2 * stride) {
-        for (std::size_t i = base; i < base + stride; ++i) {
-            amps[i] *= d0;
-            amps[i + stride] *= d1;
-        }
-    }
-}
-
-void
-apply2q(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-        std::size_t q_lo, const Complex m[16])
-{
-    const std::size_t dim = std::size_t{1} << n_qubits;
-    const std::size_t p_hi = n_qubits - 1 - q_hi; // weight-2 gate bit.
-    const std::size_t p_lo = n_qubits - 1 - q_lo; // weight-1 gate bit.
-    const std::size_t m_hi = std::size_t{1} << p_hi;
-    const std::size_t m_lo = std::size_t{1} << p_lo;
-    const std::size_t first = p_hi < p_lo ? p_hi : p_lo;
-    const std::size_t second = p_hi < p_lo ? p_lo : p_hi;
-
-    for (std::size_t g = 0; g < dim >> 2; ++g) {
-        // Expand the group counter into the base index with both
-        // addressed bits zero; bases come out in ascending order.
-        const std::size_t base =
-            insertZeroBit(insertZeroBit(g, first), second);
-        const std::size_t i1 = base | m_lo;
-        const std::size_t i2 = base | m_hi;
-        const std::size_t i3 = base | m_hi | m_lo;
-        const Complex a0 = amps[base];
-        const Complex a1 = amps[i1];
-        const Complex a2 = amps[i2];
-        const Complex a3 = amps[i3];
-        amps[base] = m[0] * a0 + m[1] * a1 + m[2] * a2 + m[3] * a3;
-        amps[i1] = m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3;
-        amps[i2] = m[8] * a0 + m[9] * a1 + m[10] * a2 + m[11] * a3;
-        amps[i3] = m[12] * a0 + m[13] * a1 + m[14] * a2 + m[15] * a3;
-    }
-}
-
-void
-apply2qDiag(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-            std::size_t q_lo, const Complex d[4])
-{
-    const std::size_t dim = std::size_t{1} << n_qubits;
-    const std::size_t p_hi = n_qubits - 1 - q_hi;
-    const std::size_t p_lo = n_qubits - 1 - q_lo;
-    const std::size_t m_hi = std::size_t{1} << p_hi;
-    const std::size_t m_lo = std::size_t{1} << p_lo;
-    const std::size_t first = p_hi < p_lo ? p_hi : p_lo;
-    const std::size_t second = p_hi < p_lo ? p_lo : p_hi;
-
-    for (std::size_t g = 0; g < dim >> 2; ++g) {
-        const std::size_t base =
-            insertZeroBit(insertZeroBit(g, first), second);
-        amps[base] *= d[0];
-        amps[base | m_lo] *= d[1];
-        amps[base | m_hi] *= d[2];
-        amps[base | m_hi | m_lo] *= d[3];
-    }
-}
-
-// Range forms: identical per-pair/per-quad arithmetic, with the group
-// counter mapped to its base index directly (pair p of the qubit's
-// sweep is the p-th pair in ascending memory order, ditto quads).
 
 void
 apply1qRange(Complex *amps, std::size_t n_qubits, std::size_t qubit,
              const Complex m[4], std::size_t pair_begin,
              std::size_t pair_end)
 {
-    const std::size_t pos = n_qubits - 1 - qubit;
-    const std::size_t stride = std::size_t{1} << pos;
-    const Complex m00 = m[0], m01 = m[1], m10 = m[2], m11 = m[3];
-    for (std::size_t p = pair_begin; p < pair_end; ++p) {
-        const std::size_t i = insertZeroBit(p, pos);
-        const Complex a0 = amps[i];
-        const Complex a1 = amps[i + stride];
-        amps[i] = m00 * a0 + m01 * a1;
-        amps[i + stride] = m10 * a0 + m11 * a1;
-    }
+    detail::sweep1q(Interleaved{amps}, n_qubits, qubit, m, pair_begin,
+                    pair_end, noVectors);
 }
 
 void
@@ -150,13 +48,8 @@ apply1qDiagRange(Complex *amps, std::size_t n_qubits, std::size_t qubit,
                  Complex d0, Complex d1, std::size_t pair_begin,
                  std::size_t pair_end)
 {
-    const std::size_t pos = n_qubits - 1 - qubit;
-    const std::size_t stride = std::size_t{1} << pos;
-    for (std::size_t p = pair_begin; p < pair_end; ++p) {
-        const std::size_t i = insertZeroBit(p, pos);
-        amps[i] *= d0;
-        amps[i + stride] *= d1;
-    }
+    detail::sweep1qDiag(Interleaved{amps}, n_qubits, qubit, d0, d1,
+                        pair_begin, pair_end, noVectors);
 }
 
 void
@@ -164,28 +57,8 @@ apply2qRange(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
              std::size_t q_lo, const Complex m[16],
              std::size_t quad_begin, std::size_t quad_end)
 {
-    const std::size_t p_hi = n_qubits - 1 - q_hi;
-    const std::size_t p_lo = n_qubits - 1 - q_lo;
-    const std::size_t m_hi = std::size_t{1} << p_hi;
-    const std::size_t m_lo = std::size_t{1} << p_lo;
-    const std::size_t first = p_hi < p_lo ? p_hi : p_lo;
-    const std::size_t second = p_hi < p_lo ? p_lo : p_hi;
-
-    for (std::size_t g = quad_begin; g < quad_end; ++g) {
-        const std::size_t base =
-            insertZeroBit(insertZeroBit(g, first), second);
-        const std::size_t i1 = base | m_lo;
-        const std::size_t i2 = base | m_hi;
-        const std::size_t i3 = base | m_hi | m_lo;
-        const Complex a0 = amps[base];
-        const Complex a1 = amps[i1];
-        const Complex a2 = amps[i2];
-        const Complex a3 = amps[i3];
-        amps[base] = m[0] * a0 + m[1] * a1 + m[2] * a2 + m[3] * a3;
-        amps[i1] = m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3;
-        amps[i2] = m[8] * a0 + m[9] * a1 + m[10] * a2 + m[11] * a3;
-        amps[i3] = m[12] * a0 + m[13] * a1 + m[14] * a2 + m[15] * a3;
-    }
+    detail::sweep2q(Interleaved{amps}, n_qubits, q_hi, q_lo, m, quad_begin,
+                    quad_end, noVectors);
 }
 
 void
@@ -193,128 +66,75 @@ apply2qDiagRange(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
                  std::size_t q_lo, const Complex d[4],
                  std::size_t quad_begin, std::size_t quad_end)
 {
-    const std::size_t p_hi = n_qubits - 1 - q_hi;
-    const std::size_t p_lo = n_qubits - 1 - q_lo;
-    const std::size_t m_hi = std::size_t{1} << p_hi;
-    const std::size_t m_lo = std::size_t{1} << p_lo;
-    const std::size_t first = p_hi < p_lo ? p_hi : p_lo;
-    const std::size_t second = p_hi < p_lo ? p_lo : p_hi;
-
-    for (std::size_t g = quad_begin; g < quad_end; ++g) {
-        const std::size_t base =
-            insertZeroBit(insertZeroBit(g, first), second);
-        amps[base] *= d[0];
-        amps[base | m_lo] *= d[1];
-        amps[base | m_hi] *= d[2];
-        amps[base | m_hi | m_lo] *= d[3];
-    }
-}
-
-// Batched SoA references: the serial scalar kernels above, replayed on
-// every lane of the trajectory-major layout (lane t of amplitude i at
-// re[i * batch + t]). Lane t is bit-identical to running the serial
-// scalar kernel on statevector t alone.
-
-void
-apply1qBatch(double *re, double *im, std::size_t n_qubits,
-             std::size_t batch, std::size_t qubit, const Complex m[4])
-{
-    const std::size_t pairs = (std::size_t{1} << n_qubits) >> 1;
-    const std::size_t pos = n_qubits - 1 - qubit;
-    const std::size_t stride = (std::size_t{1} << pos) * batch;
-    for (std::size_t p = 0; p < pairs; ++p) {
-        const std::size_t o0 = insertZeroBit(p, pos) * batch;
-        const std::size_t o1 = o0 + stride;
-        for (std::size_t t = 0; t < batch; ++t) {
-            const Complex a0 = laneAmp(re, im, o0 + t);
-            const Complex a1 = laneAmp(re, im, o1 + t);
-            setLane(re, im, o0 + t, m[0] * a0 + m[1] * a1);
-            setLane(re, im, o1 + t, m[2] * a0 + m[3] * a1);
-        }
-    }
+    detail::sweep2qDiag(Interleaved{amps}, n_qubits, q_hi, q_lo, d,
+                        quad_begin, quad_end, noVectors);
 }
 
 void
-apply1qDiagBatch(double *re, double *im, std::size_t n_qubits,
-                 std::size_t batch, std::size_t qubit, Complex d0,
-                 Complex d1)
+apply1qBatchRange(double *re, double *im, std::size_t n_qubits,
+                  std::size_t batch, std::size_t qubit, const Complex m[4],
+                  std::size_t pair_begin, std::size_t pair_end)
 {
-    const std::size_t pairs = (std::size_t{1} << n_qubits) >> 1;
-    const std::size_t pos = n_qubits - 1 - qubit;
-    const std::size_t stride = (std::size_t{1} << pos) * batch;
-    for (std::size_t p = 0; p < pairs; ++p) {
-        const std::size_t o0 = insertZeroBit(p, pos) * batch;
-        const std::size_t o1 = o0 + stride;
-        for (std::size_t t = 0; t < batch; ++t) {
-            setLane(re, im, o0 + t, laneAmp(re, im, o0 + t) * d0);
-            setLane(re, im, o1 + t, laneAmp(re, im, o1 + t) * d1);
-        }
-    }
+    detail::sweep1q(Split{re, im, batch}, n_qubits, qubit, m, pair_begin,
+                    pair_end, noVectors);
 }
 
 void
-apply2qBatch(double *re, double *im, std::size_t n_qubits,
-             std::size_t batch, std::size_t q_hi, std::size_t q_lo,
-             const Complex m[16])
+apply1qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
+                      std::size_t batch, std::size_t qubit, Complex d0,
+                      Complex d1, std::size_t pair_begin,
+                      std::size_t pair_end)
 {
-    const std::size_t quads = (std::size_t{1} << n_qubits) >> 2;
-    const std::size_t p_hi = n_qubits - 1 - q_hi;
-    const std::size_t p_lo = n_qubits - 1 - q_lo;
-    const std::size_t o_hi = (std::size_t{1} << p_hi) * batch;
-    const std::size_t o_lo = (std::size_t{1} << p_lo) * batch;
-    const std::size_t first = p_hi < p_lo ? p_hi : p_lo;
-    const std::size_t second = p_hi < p_lo ? p_lo : p_hi;
-    for (std::size_t g = 0; g < quads; ++g) {
-        const std::size_t b0 =
-            insertZeroBit(insertZeroBit(g, first), second) * batch;
-        const std::size_t b1 = b0 + o_lo;
-        const std::size_t b2 = b0 + o_hi;
-        const std::size_t b3 = b0 + o_hi + o_lo;
-        for (std::size_t t = 0; t < batch; ++t) {
-            const Complex a0 = laneAmp(re, im, b0 + t);
-            const Complex a1 = laneAmp(re, im, b1 + t);
-            const Complex a2 = laneAmp(re, im, b2 + t);
-            const Complex a3 = laneAmp(re, im, b3 + t);
-            setLane(re, im, b0 + t,
-                    m[0] * a0 + m[1] * a1 + m[2] * a2 + m[3] * a3);
-            setLane(re, im, b1 + t,
-                    m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3);
-            setLane(re, im, b2 + t,
-                    m[8] * a0 + m[9] * a1 + m[10] * a2 + m[11] * a3);
-            setLane(re, im, b3 + t,
-                    m[12] * a0 + m[13] * a1 + m[14] * a2 + m[15] * a3);
-        }
-    }
+    detail::sweep1qDiag(Split{re, im, batch}, n_qubits, qubit, d0, d1,
+                        pair_begin, pair_end, noVectors);
 }
 
 void
-apply2qDiagBatch(double *re, double *im, std::size_t n_qubits,
-                 std::size_t batch, std::size_t q_hi, std::size_t q_lo,
-                 const Complex d[4])
+apply2qBatchRange(double *re, double *im, std::size_t n_qubits,
+                  std::size_t batch, std::size_t q_hi, std::size_t q_lo,
+                  const Complex m[16], std::size_t quad_begin,
+                  std::size_t quad_end)
 {
-    const std::size_t quads = (std::size_t{1} << n_qubits) >> 2;
-    const std::size_t p_hi = n_qubits - 1 - q_hi;
-    const std::size_t p_lo = n_qubits - 1 - q_lo;
-    const std::size_t o_hi = (std::size_t{1} << p_hi) * batch;
-    const std::size_t o_lo = (std::size_t{1} << p_lo) * batch;
-    const std::size_t first = p_hi < p_lo ? p_hi : p_lo;
-    const std::size_t second = p_hi < p_lo ? p_lo : p_hi;
-    for (std::size_t g = 0; g < quads; ++g) {
-        const std::size_t b0 =
-            insertZeroBit(insertZeroBit(g, first), second) * batch;
-        for (std::size_t t = 0; t < batch; ++t) {
-            setLane(re, im, b0 + t, laneAmp(re, im, b0 + t) * d[0]);
-            setLane(re, im, b0 + o_lo + t,
-                    laneAmp(re, im, b0 + o_lo + t) * d[1]);
-            setLane(re, im, b0 + o_hi + t,
-                    laneAmp(re, im, b0 + o_hi + t) * d[2]);
-            setLane(re, im, b0 + o_hi + o_lo + t,
-                    laneAmp(re, im, b0 + o_hi + o_lo + t) * d[3]);
-        }
-    }
+    detail::sweep2q(Split{re, im, batch}, n_qubits, q_hi, q_lo, m,
+                    quad_begin, quad_end, noVectors);
+}
+
+void
+apply2qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
+                      std::size_t batch, std::size_t q_hi,
+                      std::size_t q_lo, const Complex d[4],
+                      std::size_t quad_begin, std::size_t quad_end)
+{
+    detail::sweep2qDiag(Split{re, im, batch}, n_qubits, q_hi, q_lo, d,
+                        quad_begin, quad_end, noVectors);
 }
 
 } // namespace scalar
+
+namespace detail {
+
+const KernelTable &
+scalarKernelTable()
+{
+    static const KernelTable table = [] {
+        KernelTable t;
+        t.backend = Backend::Scalar;
+        t.name = backendName(Backend::Scalar);
+        t.lanes = 1;
+        t.apply1qRange = &scalar::apply1qRange;
+        t.apply1qDiagRange = &scalar::apply1qDiagRange;
+        t.apply2qRange = &scalar::apply2qRange;
+        t.apply2qDiagRange = &scalar::apply2qDiagRange;
+        t.apply1qBatchRange = &scalar::apply1qBatchRange;
+        t.apply1qDiagBatchRange = &scalar::apply1qDiagBatchRange;
+        t.apply2qBatchRange = &scalar::apply2qBatchRange;
+        t.apply2qDiagBatchRange = &scalar::apply2qDiagBatchRange;
+        return t;
+    }();
+    return table;
+}
+
+} // namespace detail
 
 // ---------------------------------------------------------------------
 // Kernels with no SIMD body. Each has exactly one definition per

@@ -10,22 +10,22 @@
  *
  * The 1q, 1q-diagonal, 2q and 2q-diagonal gate kernels are reached
  * through a runtime-dispatched KernelTable of group-range kernels
- * (dispatch.hh; a full sweep is the range [0, groups)). Every binary
- * carries one compiled set of them per SIMD backend the compiler could
- * build (scalar always; AVX2 on x86-64 when the compiler accepts
- * -mavx2), and src/sim/dispatch.hh picks among them once per process —
- * by CPU probe, or forced via the CRISC_SIMD_DISPATCH environment
- * variable. The engine calls the table entries directly; outside it,
- * only applyGate (circuit::State) routes through the resolved table.
- * Each backend's kernels run split-complex SIMD inner loops whenever
- * the addressed contiguous run is at least one vector wide and fall
- * back to the scalar reference kernels in sim::scalar otherwise. The
- * SIMD lanes execute exactly the scalar operation sequence, so every
- * backend produces bit-identical results for finite amplitudes; the
- * tests pin every compiled table against sim::scalar. The kernels with
- * no SIMD body — the dense k >= 3 fallback and the Pauli noise kernels
- * — are declared below with one scalar definition per layout that
- * every backend calls.
+ * (dispatch.hh; a full sweep is the range [0, groups)), and only the
+ * engine's executeOpRange (engine.hh) reads a table entry. Every binary
+ * carries the scalar table (the sim::scalar kernels below) and, on
+ * x86-64 when the compiler accepts -mavx2, the AVX2 table
+ * (kernels_avx2.cc); dispatch.hh picks one per process by CPU probe,
+ * or as forced via the CRISC_SIMD_DISPATCH environment variable. Both
+ * are the same four run-walking sweeps over both layouts
+ * (kernels_util.hh); the AVX2 kernels add split-complex SIMD inner
+ * loops over every whole vector of a contiguous run, and a run
+ * narrower than a vector takes the scalar per-element step alone.
+ * Every SIMD element executes exactly the scalar operation sequence,
+ * so every backend produces bit-identical results for finite
+ * amplitudes; the tests pin every compiled table against sim::scalar. The kernels with no SIMD
+ * body — the dense k >= 3 fallback and the Pauli noise kernels — are
+ * declared below with one scalar definition per layout that every
+ * backend calls.
  *
  * Every kernel sweep enumerates an independent *group* per iteration —
  * an amplitude pair (1q), quad (2q), or 2^k-tuple (dense) — and groups
@@ -41,13 +41,14 @@
  * 2^b-amplitude block form the contiguous range
  * [block * 2^(b-k), (block + 1) * 2^(b-k)), so the range kernels serve
  * as the per-block substrate unchanged. The SoA batch-lane kernels
- * (the KernelTable *BatchRange entries and applyDenseBatchRange)
- * partition the same group axis.
+ * (the *BatchRange kernels) partition the same group axis.
  *
  * Conventions match the rest of the library: qubit 0 is the most
  * significant bit of a basis index, and a k-qubit operator's basis is
  * |q[0] q[1] ... q[k-1]> with q[0] the most significant gate qubit.
- * All matrices are row-major.
+ * All matrices are row-major. No kernel checks its arguments: an
+ * out-of-range or repeated qubit addresses memory out of bounds.
+ * sim::Plan and sim::executeOp (engine.hh) are the checked entries.
  */
 
 #ifndef CRISC_SIM_KERNELS_HH
@@ -69,64 +70,59 @@ using linalg::Matrix;
 std::size_t simdLanes();
 
 /**
- * Scalar reference kernels. These are the original, non-vectorized
- * loops and the only full-sweep kernels; every compiled KernelTable
- * must match them bit for bit on finite inputs. Exported for the
- * equivalence tests.
+ * The scalar kernels: the scalar backend's KernelTable entries and the
+ * reference every other compiled table must match bit for bit on
+ * finite inputs. Interleaved forms take one statevector; the batched
+ * forms take the trajectory-major SoA layout (@p batch lanes of each
+ * amplitude stored contiguously in split re/im arrays, lane t of
+ * amplitude i at re[i * batch + t]; see batch_state.hh) and replay the
+ * interleaved operation sequence on every lane, so lane t is
+ * bit-identical to the interleaved kernel on statevector t. Each
+ * covers the pairs (1q) or quads (2q) [begin, end) of the sweep.
  */
 namespace scalar {
 
-/** Applies a 2x2 gate m (row-major m[0..3]) to one qubit in place. */
-void apply1q(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-             const Complex m[4]);
-void apply1qDiag(Complex *amps, std::size_t n_qubits, std::size_t qubit,
-                 Complex d0, Complex d1);
-/** Applies a 4x4 gate m (row-major m[0..15]) to the ordered pair
- *  (q_hi, q_lo), where q_hi is the most significant gate qubit. */
-void apply2q(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-             std::size_t q_lo, const Complex m[16]);
-void apply2qDiag(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
-                 std::size_t q_lo, const Complex d[4]);
-
-// Batched (trajectory-major SoA) references: @p batch lanes of each
-// amplitude stored contiguously in split re/im arrays (lane t of
-// amplitude i at re[i * batch + t]; see batch_state.hh). Same
-// per-amplitude operation sequence as the interleaved kernels above,
-// applied to every lane.
-
-/** Batched apply1q over all pairs and lanes. */
-void apply1qBatch(double *re, double *im, std::size_t n_qubits,
-                  std::size_t batch, std::size_t qubit, const Complex m[4]);
-/** Batched apply1qDiag. */
-void apply1qDiagBatch(double *re, double *im, std::size_t n_qubits,
-                      std::size_t batch, std::size_t qubit, Complex d0,
-                      Complex d1);
-/** Batched apply2q. */
-void apply2qBatch(double *re, double *im, std::size_t n_qubits,
-                  std::size_t batch, std::size_t q_hi, std::size_t q_lo,
-                  const Complex m[16]);
-/** Batched apply2qDiag. */
-void apply2qDiagBatch(double *re, double *im, std::size_t n_qubits,
-                      std::size_t batch, std::size_t q_hi,
-                      std::size_t q_lo, const Complex d[4]);
-
-/** Pair-range form of apply1q: pairs [pair_begin, pair_end). */
+/** Applies a 2x2 gate m (row-major m[0..3]) to one qubit in place,
+ *  over pairs [pair_begin, pair_end). */
 void apply1qRange(Complex *amps, std::size_t n_qubits, std::size_t qubit,
                   const Complex m[4], std::size_t pair_begin,
                   std::size_t pair_end);
-/** Pair-range form of apply1qDiag. */
+/** The diagonal gate diag(d0, d1) over pairs [pair_begin, pair_end). */
 void apply1qDiagRange(Complex *amps, std::size_t n_qubits,
                       std::size_t qubit, Complex d0, Complex d1,
                       std::size_t pair_begin, std::size_t pair_end);
-/** Quad-range form of apply2q: quads [quad_begin, quad_end). */
+/** Applies a 4x4 gate m (row-major m[0..15]) to the ordered pair
+ *  (q_hi, q_lo), where q_hi is the most significant gate qubit, over
+ *  quads [quad_begin, quad_end). */
 void apply2qRange(Complex *amps, std::size_t n_qubits, std::size_t q_hi,
                   std::size_t q_lo, const Complex m[16],
                   std::size_t quad_begin, std::size_t quad_end);
-/** Quad-range form of apply2qDiag. */
+/** The diagonal gate diag(d[0..3]) over quads [quad_begin, quad_end). */
 void apply2qDiagRange(Complex *amps, std::size_t n_qubits,
                       std::size_t q_hi, std::size_t q_lo,
                       const Complex d[4], std::size_t quad_begin,
                       std::size_t quad_end);
+
+/** Batched apply1qRange. */
+void apply1qBatchRange(double *re, double *im, std::size_t n_qubits,
+                       std::size_t batch, std::size_t qubit,
+                       const Complex m[4], std::size_t pair_begin,
+                       std::size_t pair_end);
+/** Batched apply1qDiagRange. */
+void apply1qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
+                           std::size_t batch, std::size_t qubit, Complex d0,
+                           Complex d1, std::size_t pair_begin,
+                           std::size_t pair_end);
+/** Batched apply2qRange. */
+void apply2qBatchRange(double *re, double *im, std::size_t n_qubits,
+                       std::size_t batch, std::size_t q_hi,
+                       std::size_t q_lo, const Complex m[16],
+                       std::size_t quad_begin, std::size_t quad_end);
+/** Batched apply2qDiagRange. */
+void apply2qDiagBatchRange(double *re, double *im, std::size_t n_qubits,
+                           std::size_t batch, std::size_t q_hi,
+                           std::size_t q_lo, const Complex d[4],
+                           std::size_t quad_begin, std::size_t quad_end);
 
 } // namespace scalar
 
@@ -173,23 +169,6 @@ void applyPauli(Complex *amps, std::size_t n_qubits, std::size_t qubit,
 void applyPauliLane(double *re, double *im, std::size_t n_qubits,
                     std::size_t batch, std::size_t lane, std::size_t qubit,
                     std::size_t pauli_index);
-
-/**
- * True when every off-diagonal entry of the square matrix is exactly
- * zero — the criterion under which applyGate and the plan compiler
- * lower a gate to a diagonal kernel.
- */
-bool exactlyDiagonal(const Matrix &op);
-
-/**
- * Dispatching entry point: routes k = 1 and k = 2 gates to the resolved
- * table's specialized kernels over the whole register (detecting
- * exactly-diagonal operators) and larger gates to the shared dense
- * kernel (applyDenseRange). Callers must have validated sizes and
- * indices.
- */
-void applyGate(Complex *amps, std::size_t n_qubits, const Matrix &op,
-               const std::vector<std::size_t> &qubits);
 
 } // namespace sim
 } // namespace crisc

@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared statevector test fixtures: a seeded random normalized state,
- * an element-wise max-difference metric, a bitwise-equality predicate,
- * and a random circuit covering all five KernelKinds. Used by the
+ * the group counts of a whole-register sweep, an element-wise
+ * max-difference metric, a bitwise-equality predicate, and a random
+ * circuit covering all five KernelKinds. Used by the
  * simulation (test_sim.cc), SIMD-equivalence (test_simd.cc), and
  * blocked-execution (test_blocked.cc) suites so they all exercise
  * identical state and circuit generation.
@@ -38,6 +39,21 @@ randomState(linalg::Rng &rng, std::size_t n)
     for (linalg::Complex &a : v)
         a *= scale;
     return v;
+}
+
+/** Group counts of a whole-register 1q (pairs) and 2q (quads) sweep:
+ *  a full sweep is the range kernel over [0, pairsOf(n)) or
+ *  [0, quadsOf(n)). */
+inline std::size_t
+pairsOf(std::size_t n)
+{
+    return (std::size_t{1} << n) >> 1;
+}
+
+inline std::size_t
+quadsOf(std::size_t n)
+{
+    return (std::size_t{1} << n) >> 2;
 }
 
 /** max_i |a[i] - b[i]| over two equal-length vectors. */

@@ -38,6 +38,8 @@ using linalg::Complex;
 using linalg::CVector;
 using linalg::Matrix;
 using testutil::bitIdentical;
+using testutil::pairsOf;
+using testutil::quadsOf;
 using testutil::randomState;
 
 TEST(BatchState, ValidatesArguments)
@@ -114,10 +116,13 @@ TEST(BatchState, PackUnpackRoundTripIsIdentity)
 
 TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
 {
-    // The scalar batched references, and the one SoA dense kernel,
-    // must equal running the scalar serial kernel on every unpacked
-    // lane, bit for bit, for any batch width (including remainder-only
-    // widths below the SIMD lane count).
+    // The scalar table's SoA entries (the sim::scalar batched kernels),
+    // and the one SoA dense kernel, must equal running the scalar serial
+    // kernel on every unpacked lane, bit for bit, for any batch width
+    // (including remainder-only widths below the SIMD lane count). The
+    // table entries run as two ranges, [0, k) + [k, groups), with k off
+    // every power-of-two boundary, so the split must reassemble the
+    // whole sweep.
     linalg::Rng rng(202);
     const std::size_t n = 7;
     const Matrix u2 = linalg::haarUnitary(rng, 2);
@@ -128,6 +133,13 @@ TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
                            std::polar(1.0, -1.1), std::polar(1.0, 2.2)};
     const Matrix dense = linalg::haarUnitary(rng, 8);
     const std::vector<std::size_t> denseQubits{5, 0, 3};
+    const sim::KernelTable &k = sim::kernelTable(sim::Backend::Scalar);
+    /** Runs @p range over [0, cut) then [cut, groups). */
+    const auto split = [](std::size_t groups, const auto &range) {
+        const std::size_t cut = groups / 3 + 1;
+        range(0, cut);
+        range(cut, groups);
+    };
 
     for (const std::size_t B : {std::size_t{1}, std::size_t{3},
                                 std::size_t{8}}) {
@@ -137,46 +149,56 @@ TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
 
         for (int which = 0; which < 5; ++which) {
             sim::BatchState batch = sim::BatchState::pack(states);
+            double *re = batch.re();
+            double *im = batch.im();
             std::vector<CVector> expect = states;
             for (std::size_t q = 0; q < n; ++q) {
                 switch (which) {
                   case 0:
-                    sim::scalar::apply1qBatch(batch.re(), batch.im(), n,
-                                              B, q, m2);
+                    split(pairsOf(n), [&](std::size_t g0, std::size_t g1) {
+                        k.apply1qBatchRange(re, im, n, B, q, m2, g0, g1);
+                    });
                     for (CVector &e : expect)
-                        sim::scalar::apply1q(e.data(), n, q, m2);
+                        sim::scalar::apply1qRange(e.data(), n, q, m2, 0,
+                                                  pairsOf(n));
                     break;
                   case 1:
-                    sim::scalar::apply1qDiagBatch(batch.re(), batch.im(),
-                                                  n, B, q, rz(0, 0),
-                                                  rz(1, 1));
+                    split(pairsOf(n), [&](std::size_t g0, std::size_t g1) {
+                        k.apply1qDiagBatchRange(re, im, n, B, q, rz(0, 0),
+                                                rz(1, 1), g0, g1);
+                    });
                     for (CVector &e : expect)
-                        sim::scalar::apply1qDiag(e.data(), n, q, rz(0, 0),
-                                                 rz(1, 1));
+                        sim::scalar::apply1qDiagRange(e.data(), n, q,
+                                                      rz(0, 0), rz(1, 1), 0,
+                                                      pairsOf(n));
                     break;
                   case 2:
                     if (q + 1 >= n)
                         continue;
-                    sim::scalar::apply2qBatch(batch.re(), batch.im(), n,
-                                              B, q, q + 1, u4.data());
+                    split(quadsOf(n), [&](std::size_t g0, std::size_t g1) {
+                        k.apply2qBatchRange(re, im, n, B, q, q + 1,
+                                            u4.data(), g0, g1);
+                    });
                     for (CVector &e : expect)
-                        sim::scalar::apply2q(e.data(), n, q, q + 1,
-                                             u4.data());
+                        sim::scalar::apply2qRange(e.data(), n, q, q + 1,
+                                                  u4.data(), 0, quadsOf(n));
                     break;
                   case 3:
                     if (q + 1 >= n)
                         continue;
-                    sim::scalar::apply2qDiagBatch(batch.re(), batch.im(),
-                                                  n, B, q + 1, q, d4);
+                    split(quadsOf(n), [&](std::size_t g0, std::size_t g1) {
+                        k.apply2qDiagBatchRange(re, im, n, B, q + 1, q, d4,
+                                                g0, g1);
+                    });
                     for (CVector &e : expect)
-                        sim::scalar::apply2qDiag(e.data(), n, q + 1, q,
-                                                 d4);
+                        sim::scalar::apply2qDiagRange(e.data(), n, q + 1, q,
+                                                      d4, 0, quadsOf(n));
                     break;
                   case 4:
                     if (q != 0)
                         continue;
                     sim::applyDenseBatchRange(
-                        batch.re(), batch.im(), n, B, dense, denseQubits, 0,
+                        re, im, n, B, dense, denseQubits, 0,
                         (std::size_t{1} << n) >> denseQubits.size());
                     for (CVector &e : expect)
                         sim::applyDenseRange(
@@ -194,7 +216,7 @@ TEST(BatchKernels, ScalarBatchMatchesPerLaneScalar)
 
 TEST(BatchKernels, EveryTableBatchMatchesPerLaneScalar)
 {
-    // Every compiled table's SoA kernels (SIMD lane loop + lane tail)
+    // Every compiled table's SoA kernels (SIMD runs + element tails)
     // must equal the scalar interleaved references per lane, bit for
     // bit, at every stride and for batch widths below, at, and above
     // the vector width. The dense step after them runs the one SoA
@@ -220,12 +242,14 @@ TEST(BatchKernels, EveryTableBatchMatchesPerLaneScalar)
         std::vector<CVector> expect = randoms;
         for (CVector &e : expect) {
             for (std::size_t q = 0; q < n; ++q) {
-                sim::scalar::apply1q(e.data(), n, q, m2);
-                sim::scalar::apply1qDiag(e.data(), n, q, rz(0, 0),
-                                         rz(1, 1));
+                sim::scalar::apply1qRange(e.data(), n, q, m2, 0, pairsOf(n));
+                sim::scalar::apply1qDiagRange(e.data(), n, q, rz(0, 0),
+                                              rz(1, 1), 0, pairsOf(n));
                 if (q + 1 < n) {
-                    sim::scalar::apply2q(e.data(), n, q, q + 1, u4.data());
-                    sim::scalar::apply2qDiag(e.data(), n, q + 1, q, d4);
+                    sim::scalar::apply2qRange(e.data(), n, q, q + 1, u4.data(),
+                                              0, quadsOf(n));
+                    sim::scalar::apply2qDiagRange(e.data(), n, q + 1, q, d4, 0,
+                                                  quadsOf(n));
                 }
             }
             sim::applyDenseRange(e.data(), n, dense, denseQubits, 0,

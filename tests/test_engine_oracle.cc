@@ -2,14 +2,17 @@
  * @file
  * The engine's differential oracle (fast; part of check-fast and the CI
  * sanitizer matrix). Every execution configuration must reproduce
- * forced-scalar, serial, interleaved execution bit for bit, on every
- * lane, over random circuits covering all five KernelKinds. The
- * configuration space is the product of
+ * forced-scalar, serial, interleaved execution — the sim::scalar
+ * kernels themselves — bit for bit, on every lane, over random circuits
+ * covering all five KernelKinds. The configuration space is the
+ * product of
  *
  *   - every compiled and host-supported SIMD backend,
  *   - 1, 2 or 4 sweep threads (a caller pool or a transient one),
  *   - the state layout: one interleaved statevector, or a SoA batch of
- *     B = 1, 3 or 8 lanes, and
+ *     B = 1, 2, 3, 4, 5 or 8 lanes — below, at and above the AVX2
+ *     vector width and off its multiples, the run/tail boundaries of
+ *     the layout-generic SIMD bodies — and
  *   - the block exponent: off, 3, or the whole register.
  *
  * Each configuration runs once, on one of the circuits in rotation.
@@ -92,7 +95,7 @@ TEST(EngineOracle, EveryConfigurationMatchesScalarSerialInterleaved)
         sim::setDispatchOverride(sim::backendName(backend));
         for (const std::size_t threads : {1u, 2u, 4u}) {
             // lanes == 0 is the interleaved layout.
-            for (const std::size_t lanes : {0u, 1u, 3u, 8u}) {
+            for (const std::size_t lanes : {0u, 1u, 2u, 3u, 4u, 5u, 8u}) {
                 for (const std::size_t block : {std::size_t{0},
                                                 std::size_t{3}, kWidth}) {
                     const OracleCase &oc = cases[index % cases.size()];

@@ -33,6 +33,8 @@ using linalg::CVector;
 using linalg::Matrix;
 using testutil::bitIdentical;
 using testutil::maxDiff;
+using testutil::pairsOf;
+using testutil::quadsOf;
 using testutil::randomState;
 
 // Every compiled table's whole-register sweep (the range [0, groups))
@@ -50,7 +52,7 @@ TEST(Kernels, OneQubitMatchesEmbedding)
         const Complex m[4] = {u(0, 0), u(0, 1), u(1, 0), u(1, 1)};
         const CVector viaEmbed = qop::embed(u, {q}, n) * in;
         CVector viaScalar = in;
-        sim::scalar::apply1q(viaScalar.data(), n, q, m);
+        sim::scalar::apply1qRange(viaScalar.data(), n, q, m, 0, pairsOf(n));
         for (const sim::Backend b : sim::compiledBackends()) {
             CVector viaKernel = in;
             sim::kernelTable(b).apply1qRange(viaKernel.data(), n, q, m, 0,
@@ -73,7 +75,8 @@ TEST(Kernels, OneQubitDiagonalMatchesDense)
         const CVector in = randomState(rng, n);
         const CVector viaEmbed = qop::embed(u, {q}, n) * in;
         CVector viaScalar = in;
-        sim::scalar::apply1qDiag(viaScalar.data(), n, q, u(0, 0), u(1, 1));
+        sim::scalar::apply1qDiagRange(viaScalar.data(), n, q, u(0, 0), u(1, 1),
+                                      0, pairsOf(n));
         for (const sim::Backend b : sim::compiledBackends()) {
             CVector viaDiag = in;
             sim::kernelTable(b).apply1qDiagRange(viaDiag.data(), n, q,
@@ -122,7 +125,8 @@ TEST(Kernels, TwoQubitMatchesEmbeddingAllPairs)
             const CVector in = randomState(rng, n);
             const CVector viaEmbed = qop::embed(u, {a, b}, n) * in;
             CVector viaScalar = in;
-            sim::scalar::apply2q(viaScalar.data(), n, a, b, u.data());
+            sim::scalar::apply2qRange(viaScalar.data(), n, a, b, u.data(), 0,
+                                      quadsOf(n));
             for (const sim::Backend be : sim::compiledBackends()) {
                 CVector viaKernel = in;
                 sim::kernelTable(be).apply2qRange(viaKernel.data(), n, a, b,
@@ -152,7 +156,8 @@ TEST(Kernels, TwoQubitDiagonalMatchesDense)
             const CVector in = randomState(rng, n);
             const CVector viaEmbed = qop::embed(u, {a, b}, n) * in;
             CVector viaScalar = in;
-            sim::scalar::apply2qDiag(viaScalar.data(), n, a, b, d);
+            sim::scalar::apply2qDiagRange(viaScalar.data(), n, a, b, d, 0,
+                                          quadsOf(n));
             for (const sim::Backend be : sim::compiledBackends()) {
                 CVector viaDiag = in;
                 sim::kernelTable(be).apply2qDiagRange(viaDiag.data(), n, a,
@@ -224,8 +229,8 @@ TEST(Engine, RandomCircuitsMatchToUnitary)
     }
 }
 
-/** The unfused reference: circuit::State::run applies each gate in
- *  turn through the same kernel table. */
+/** The unfused reference: circuit::State::run lowers each gate in turn
+ *  (sim::lowerGate) and runs it through the engine. */
 CVector
 gateByGate(const Circuit &c)
 {
@@ -337,7 +342,7 @@ TEST(Engine, DiagonalTwoQubitGateLowersToDiagKernel)
 
 TEST(Engine, StateApplyStillMatchesToUnitary)
 {
-    // State::apply now routes through the kernels; re-check the original
+    // State::apply routes through the engine; re-check the original
     // contract on a mixed circuit.
     linalg::Rng rng(23);
     const Circuit c = randomCircuit(rng, 3, 12, true);
@@ -346,6 +351,109 @@ TEST(Engine, StateApplyStillMatchesToUnitary)
     s.run(c);
     for (std::size_t i = 0; i < 8; ++i)
         EXPECT_NEAR(std::abs(s.amplitudes()[i] - u(i, 0)), 0.0, 1e-9);
+}
+
+TEST(Engine, StateApplyIsTheLoweredOpThroughTheEngine)
+{
+    // State::apply lowers each gate with the plan compiler's lowering
+    // and runs it through executeOp: bit for bit the one-gate plan.
+    linalg::Rng rng(24);
+    const Circuit c = randomCircuit(rng, 4, 24, true);
+    for (const circuit::Gate &g : c.gates()) {
+        const sim::KernelOp op = sim::lowerGate(g.op, g.qubits);
+        Circuit one(4);
+        one.add(g.op, g.qubits, g.label);
+        const sim::Plan plan = sim::compile(one);
+        ASSERT_EQ(plan.ops().size(), 1u);
+        EXPECT_EQ(op.kind, plan.ops()[0].kind) << g.label;
+        circuit::State s(4);
+        s.data()[0] = 0.0;
+        s.data()[5] = Complex{0.6, -0.8};
+        CVector viaPlan = s.amplitudes();
+        s.apply(g.op, g.qubits);
+        sim::execute(plan, viaPlan.data());
+        EXPECT_TRUE(bitIdentical(s.amplitudes(), viaPlan)) << g.label;
+    }
+}
+
+TEST(Engine, RejectsOpsOutsideTheRegister)
+{
+    // Hand-built ops that would address amplitudes outside a 3-qubit
+    // register: both checked entries (Plan's constructor, with the op
+    // index, and executeOp) reject each one, naming the field, before
+    // any amplitude moves.
+    const std::size_t n = 3;
+    const auto oneQ = [](sim::KernelKind kind, std::size_t q0) {
+        sim::KernelOp op;
+        op.kind = kind;
+        op.q0 = q0;
+        op.m[0] = op.m[3] = 1.0;
+        return op;
+    };
+    const auto twoQ = [](sim::KernelKind kind, std::size_t q0,
+                         std::size_t q1) {
+        sim::KernelOp op;
+        op.kind = kind;
+        op.q0 = q0;
+        op.q1 = q1;
+        for (std::size_t i = 0; i < 4; ++i)
+            op.m[i * 5] = 1.0;
+        return op;
+    };
+    const auto dense = [](std::vector<std::size_t> qubits, std::size_t dim) {
+        sim::KernelOp op;
+        op.kind = sim::KernelKind::Dense;
+        op.qubits = std::move(qubits);
+        op.dense = Matrix::identity(dim);
+        return op;
+    };
+    struct Bad
+    {
+        sim::KernelOp op;
+        const char *field;
+    };
+    const std::vector<Bad> bad = {
+        {oneQ(sim::KernelKind::OneQ, 3), "q0"},
+        {oneQ(sim::KernelKind::OneQDiag, 64), "q0"},
+        {twoQ(sim::KernelKind::TwoQ, 3, 0), "q0"},
+        {twoQ(sim::KernelKind::TwoQ, 0, 7), "q1"},
+        {twoQ(sim::KernelKind::TwoQDiag, 1, 3), "q1"},
+        {twoQ(sim::KernelKind::TwoQ, 2, 2), "q0 == q1"},
+        {twoQ(sim::KernelKind::TwoQDiag, 0, 0), "q0 == q1"},
+        {dense({0, 1, 3}, 8), "qubits"},
+        {dense({0, 2, 0}, 8), "qubits"},
+        {dense({0, 1, 2}, 4), "dense"},
+        {dense({2, 0}, 8), "dense"},
+    };
+    const auto expectRejected = [](const auto &call, const std::string &who,
+                                   const char *field) {
+        try {
+            call();
+            ADD_FAILURE() << who << " accepted a bad " << field;
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(who), std::string::npos) << what;
+            EXPECT_NE(what.find(field), std::string::npos) << what;
+        }
+    };
+    const CVector ground = sim::run(sim::Plan(n, {}, {}));
+    for (const Bad &b : bad) {
+        const sim::KernelOp good = oneQ(sim::KernelKind::OneQ, 0);
+        expectRejected([&] { sim::Plan(n, {good, b.op}, {}); }, "Plan: op 1",
+                       b.field);
+        CVector amps = ground;
+        expectRejected([&] { sim::executeOp(b.op, amps.data(), n); },
+                       "executeOp", b.field);
+        EXPECT_TRUE(bitIdentical(amps, ground)) << b.field;
+    }
+    // The same shapes in range are accepted.
+    for (const sim::KernelOp &op :
+         {oneQ(sim::KernelKind::OneQ, 2), twoQ(sim::KernelKind::TwoQ, 2, 0),
+          dense({2, 0, 1}, 8), dense({1, 2}, 4)}) {
+        CVector amps = ground;
+        EXPECT_NO_THROW(sim::executeOp(op, amps.data(), n));
+        EXPECT_NO_THROW(sim::Plan(n, {op}, {}));
+    }
 }
 
 TEST(Batch, StreamSeedsAreDistinct)

@@ -14,10 +14,10 @@
  * The same pinning extends to the partition substrate: group-range
  * kernels over arbitrary partitions and the generic dense (k >= 3)
  * fallback (no SIMD body, one definition for every backend) must be
- * bit-identical to the whole-register sweeps. The Pauli kernel is
- * pinned against its dense embedding in test_sim.cc. Chunked pool,
- * SoA and blocked execution are pinned by the engine oracle
- * (test_engine_oracle.cc).
+ * bit-identical to the whole-register sweeps (the range [0, groups)).
+ * The Pauli kernel is pinned against its dense embedding in
+ * test_sim.cc. Chunked pool, SoA and blocked execution are pinned by
+ * the engine oracle (test_engine_oracle.cc).
  */
 
 #include <algorithm>
@@ -39,20 +39,9 @@ using linalg::CVector;
 using linalg::Matrix;
 using testutil::bitIdentical;
 using testutil::maxDiff;
+using testutil::pairsOf;
+using testutil::quadsOf;
 using testutil::randomState;
-
-/** Group counts of a whole-register 1q (pairs) and 2q (quads) sweep. */
-std::size_t
-pairsOf(std::size_t n)
-{
-    return (std::size_t{1} << n) >> 1;
-}
-
-std::size_t
-quadsOf(std::size_t n)
-{
-    return (std::size_t{1} << n) >> 2;
-}
 
 TEST(Simd, BackendIsWellFormed)
 {
@@ -72,7 +61,7 @@ TEST(Simd, Apply1qMatchesScalarOnAllStrides)
         for (std::size_t q = 0; q < n; ++q) {
             const CVector in = randomState(rng, n);
             CVector viaScalar = in;
-            sim::scalar::apply1q(viaScalar.data(), n, q, m);
+            sim::scalar::apply1qRange(viaScalar.data(), n, q, m, 0, pairsOf(n));
             for (const sim::Backend b : sim::compiledBackends()) {
                 CVector viaTable = in;
                 sim::kernelTable(b).apply1qRange(viaTable.data(), n, q, m,
@@ -93,8 +82,8 @@ TEST(Simd, Apply1qDiagMatchesScalarOnAllStrides)
         for (std::size_t q = 0; q < n; ++q) {
             const CVector in = randomState(rng, n);
             CVector viaScalar = in;
-            sim::scalar::apply1qDiag(viaScalar.data(), n, q, u(0, 0),
-                                     u(1, 1));
+            sim::scalar::apply1qDiagRange(viaScalar.data(), n, q, u(0, 0),
+                                          u(1, 1), 0, pairsOf(n));
             for (const sim::Backend b : sim::compiledBackends()) {
                 CVector viaTable = in;
                 sim::kernelTable(b).apply1qDiagRange(
@@ -118,7 +107,8 @@ TEST(Simd, Apply2qMatchesScalarOnAllPairs)
                     continue;
                 const CVector in = randomState(rng, n);
                 CVector viaScalar = in;
-                sim::scalar::apply2q(viaScalar.data(), n, a, b, u.data());
+                sim::scalar::apply2qRange(viaScalar.data(), n, a, b, u.data(),
+                                          0, quadsOf(n));
                 for (const sim::Backend be : sim::compiledBackends()) {
                     CVector viaTable = in;
                     sim::kernelTable(be).apply2qRange(viaTable.data(), n, a,
@@ -148,7 +138,8 @@ TEST(Simd, Apply2qDiagMatchesScalarOnAllPairs)
                     continue;
                 const CVector in = randomState(rng, n);
                 CVector viaScalar = in;
-                sim::scalar::apply2qDiag(viaScalar.data(), n, a, b, d);
+                sim::scalar::apply2qDiagRange(viaScalar.data(), n, a, b, d, 0,
+                                              quadsOf(n));
                 for (const sim::Backend be : sim::compiledBackends()) {
                     CVector viaTable = in;
                     sim::kernelTable(be).apply2qDiagRange(
@@ -190,9 +181,9 @@ TEST(Simd, RangeKernelsMatchFullKernelsOnArbitraryPartitions)
         for (std::size_t q = 0; q < n; ++q) {
             const CVector in = randomState(rng, n);
             CVector full = in, scalarRanged = in, diagFull = in;
-            sim::scalar::apply1q(full.data(), n, q, m2);
-            sim::scalar::apply1qDiag(diagFull.data(), n, q, rz(0, 0),
-                                     rz(1, 1));
+            sim::scalar::apply1qRange(full.data(), n, q, m2, 0, pairsOf(n));
+            sim::scalar::apply1qDiagRange(diagFull.data(), n, q, rz(0, 0),
+                                          rz(1, 1), 0, pairsOf(n));
             const auto cuts = partitionPoints(pairsOf(n));
             for (std::size_t c = 0; c + 1 < cuts.size(); ++c)
                 sim::scalar::apply1qRange(scalarRanged.data(), n, q, m2,
@@ -220,13 +211,14 @@ TEST(Simd, RangeKernelsMatchFullKernelsOnArbitraryPartitions)
                     continue;
                 const CVector in = randomState(rng, n);
                 CVector full = in, scalarRanged = in, diagFull = in;
-                sim::scalar::apply2q(full.data(), n, a, b, u4.data());
-                sim::scalar::apply2qDiag(diagFull.data(), n, a, b, d4);
+                sim::scalar::apply2qRange(full.data(), n, a, b, u4.data(), 0,
+                                          quadsOf(n));
+                sim::scalar::apply2qDiagRange(diagFull.data(), n, a, b, d4, 0,
+                                              quadsOf(n));
                 const auto cuts = partitionPoints(quadsOf(n));
                 for (std::size_t c = 0; c + 1 < cuts.size(); ++c)
                     sim::scalar::apply2qRange(scalarRanged.data(), n, a, b,
-                                              u4.data(), cuts[c],
-                                              cuts[c + 1]);
+                                              u4.data(), cuts[c], cuts[c + 1]);
                 EXPECT_TRUE(bitIdentical(scalarRanged, full))
                     << "n=" << n << " pair (" << a << ", " << b << ")";
                 for (const sim::Backend be : sim::compiledBackends()) {
@@ -306,9 +298,10 @@ TEST(Simd, LargeRegisterSpotCheck)
     const CVector in = randomState(rng, n);
     CVector viaScalar = in;
     for (std::size_t q = 0; q < n; ++q)
-        sim::scalar::apply1q(viaScalar.data(), n, q, m);
+        sim::scalar::apply1qRange(viaScalar.data(), n, q, m, 0, pairsOf(n));
     for (std::size_t q = 0; q + 1 < n; q += 2)
-        sim::scalar::apply2q(viaScalar.data(), n, q, q + 1, u4.data());
+        sim::scalar::apply2qRange(viaScalar.data(), n, q, q + 1, u4.data(), 0,
+                                  quadsOf(n));
     for (const sim::Backend b : sim::compiledBackends()) {
         const sim::KernelTable &k = sim::kernelTable(b);
         CVector viaTable = in;
